@@ -14,13 +14,14 @@ far the deepest point would have to move to leave again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry
-from .errors import DegeneratePolygon, UnknownEntity
-from .frames import LocalFrame
+from .errors import UnknownEntity
+from .frames import MAX_EXTENT_M, LocalFrame, enu_to_vcs
 from .model import (
     ActorState,
     GeoPosition,
@@ -68,6 +69,19 @@ def zone_incursion(zone: ExclusionZone, vut_footprint,
 
 
 @dataclass(frozen=True)
+class _Unread:
+    """What the sample fields no rule reads are computed from: shared by
+    the samples of one series, indexed by sample."""
+
+    footprint: np.ndarray
+    zone: ExclusionZone
+    horizon: float
+    outlines: list
+    vut_vels: np.ndarray
+    vels: np.ndarray
+
+
+@dataclass(frozen=True)
 class ClearanceSample:
     """All clearance metrics for one entity at one step.
 
@@ -76,6 +90,8 @@ class ClearanceSample:
     interpenetrate); the side fields locate the entity (+1 right/ahead,
     -1 left/behind, 0 straddling).  The closing speeds are the velocity
     components of each party toward the other, used for attribution.
+    ``euclidean_min``, ``ntd``, ``zone_hit`` and ``zone_depth`` feed no
+    rule, so each is computed on first read and then kept.
     """
 
     step: int
@@ -83,14 +99,37 @@ class ClearanceSample:
     entity_id: str
     lateral: float
     longitudinal: float
-    euclidean_min: float
-    ntd: float
-    zone_hit: bool
-    zone_depth: float
     lateral_side: int
     longitudinal_side: int
     vut_closing: float
     entity_closing: float
+    _unread: _Unread = field(repr=False, compare=False)
+    _index: int = field(repr=False, compare=False)
+
+    @cached_property
+    def euclidean_min(self) -> float:
+        u = self._unread
+        return geometry.min_separation(u.footprint, u.outlines[self._index])
+
+    @cached_property
+    def ntd(self) -> float:
+        u, i = self._unread, self._index
+        return geometry.first_contact_time(u.footprint, u.vut_vels[i],
+                                          u.outlines[i], u.vels[i],
+                                          horizon=u.horizon)
+
+    @cached_property
+    def _zone(self) -> tuple:
+        u = self._unread
+        return zone_incursion(u.zone, u.footprint, u.outlines[self._index])
+
+    @property
+    def zone_hit(self) -> bool:
+        return self._zone[0]
+
+    @property
+    def zone_depth(self) -> float:
+        return self._zone[1]
 
 
 @dataclass(frozen=True)
@@ -108,116 +147,179 @@ class ClearanceSeries:
                 if math.isfinite(s.longitudinal)]
         return min(vals) if vals else math.inf
 
-    def min_euclidean(self) -> float:
-        vals = [s.euclidean_min for s in self.samples]
-        return min(vals) if vals else math.inf
+
+def _records(trace: Trace, entity_id: str) -> tuple:
+    if entity_id in trace.actors:
+        return trace.actors[entity_id]
+    if entity_id in trace.obstacles:
+        return trace.obstacles[entity_id]
+    raise UnknownEntity(f"no actor or obstacle with id {entity_id!r}")
 
 
-def _heading_basis(heading_deg: float) -> tuple[float, float]:
-    h = math.radians(heading_deg)
-    return math.sin(h), math.cos(h)
+def _outline(rec):
+    return rec.poly_true if isinstance(rec, ObstacleState) else rec.bbox_true
 
 
-def _enu_to_vcs(e: float, n: float, vut_heading: float) -> tuple[float, float]:
-    sh, ch = _heading_basis(vut_heading)
-    return e * sh + n * ch, e * ch - n * sh
+class _Projected:
+    """WGS84 points in the VCS of the VUT record each one belongs to.
+
+    The arithmetic is that of :meth:`LocalFrame.to_local` followed by
+    :func:`enu_to_vcs`, done for all points at once; a point beyond the
+    safe extent of its frame raises only when it is used.
+    """
+
+    def __init__(self, points: list, owners: list, vuts: list):
+        self.points, self.owners = points, owners
+        self.frames = local = [LocalFrame.at(v.pos) for v in vuts]
+        idx = np.array(owners, dtype=int)
+        olat = np.array([f.origin.lat for f in local])[idx]
+        olon = np.array([f.origin.lon for f in local])[idx]
+        k_lat = np.array([f.m_per_deg_lat for f in local])[idx]
+        k_lon = np.array([f.m_per_deg_lon for f in local])[idx]
+        ex = (np.array([p.lon for p in points]) - olon) * k_lon
+        ny = (np.array([p.lat for p in points]) - olat) * k_lat
+        self.beyond = ((np.abs(ex) > MAX_EXTENT_M)
+                       | (np.abs(ny) > MAX_EXTENT_M)).tolist()
+        headings = np.array([v.heading for v in vuts])[idx]
+        # Each frame's origin is its VUT, so these are offsets from it.
+        self.vcs = enu_to_vcs(np.column_stack([ex, ny]), headings)
+
+    def check(self, sel: range) -> None:
+        """Raise ExtentExceeded for the first point of ``sel`` that lies
+        beyond its frame, through LocalFrame.to_local itself."""
+        for j in sel:
+            if self.beyond[j]:
+                self.frames[self.owners[j]].to_local(self.points[j])
 
 
-def _geo_ring_to_vcs(vertices, vut, frame: LocalFrame) -> np.ndarray:
-    ox, oy = frame.to_local(vut.pos)
-    out = []
-    for v in vertices:
-        ex, ny = frame.to_local(v)
-        out.append(_enu_to_vcs(ex - ox, ny - oy, vut.heading))
-    return np.array(out)
+def _by_vertex_count(outlines: list) -> dict:
+    """Indices of the given outlines, grouped by vertex count."""
+    groups: dict = {}
+    for i, poly in enumerate(outlines):
+        if poly is not None:
+            groups.setdefault(len(poly), []).append(i)
+    return groups
 
 
-def _actor_velocity_vcs(rec: ActorState, vut_heading: float):
-    """Actor velocity expressed in the VUT's VCS, or None if unknowable."""
+def _faults(outlines: list) -> list:
+    """outline_faults for each outline (None where there is no outline)."""
+    faults = [None] * len(outlines)
+    for idx in _by_vertex_count(outlines).values():
+        stack = np.stack([outlines[i] for i in idx])
+        for i, fault in zip(idx, geometry.outline_faults(stack)):
+            faults[i] = fault
+    return faults
+
+
+# (v_long, v_lat, cos, sin) of an entity at rest or of unknown velocity.
+_STILL = (0.0, 0.0, 1.0, 0.0)
+
+
+def _actor_velocity(rec: ActorState, vut_heading: float):
+    """(v_long, v_lat, cos, sin of the heading relative to the VUT), or
+    None when the velocity cannot be placed in the VCS."""
     if rec.heading is None:
         total = math.hypot(rec.vel_lat, rec.vel_long)
         if rec.speed == 0.0 and total == 0.0:
-            return np.zeros(2)
+            return _STILL
         return None
     psi = math.radians(rec.heading - vut_heading)
-    fwd = np.array([math.cos(psi), math.sin(psi)])
-    right = np.array([-math.sin(psi), math.cos(psi)])
-    return rec.vel_long * fwd + rec.vel_lat * right
+    return rec.vel_long, rec.vel_lat, math.cos(psi), math.sin(psi)
 
 
-def _entity_poly_vcs(rec, vut, frame: LocalFrame, notes: list):
-    """Entity outline in the VCS for one step, with default substitution."""
-    if isinstance(rec, ObstacleState):
-        shape = rec.poly_true
-        if shape is not None:
-            try:
-                return _geo_ring_to_vcs(shape.vertices, vut, frame)
-            except DegeneratePolygon:
-                pass
-        notes.append(
-            f"{rec.obstacle_id}: unusable outline at step {rec.step}"
-        )
-        return None
-
-    if rec.bbox_true is not None:
-        try:
-            if rec.bbox_true.frame == "wgs84":
-                return _geo_ring_to_vcs(rec.bbox_true.vertices, vut, frame)
-            pts = np.array([(v.x, v.y) for v in rec.bbox_true.vertices])
-            return geometry.poly_array(pts)
-        except DegeneratePolygon:
-            notes.append(
-                f"{rec.actor_id}: degenerate outline at step {rec.step}, "
-                "default footprint used"
-            )
-
+def _default_outline(rec: ActorState, vut, centre) -> np.ndarray:
+    """The actor type's default footprint at the actor's VCS position."""
     length, width = DEFAULT_FOOTPRINTS.get(rec.actor_type, FALLBACK_FOOTPRINT)
-    if rec.bbox_true is None:
-        note = f"{rec.actor_id}: no outline logged, default footprint used"
-        if note not in notes:
-            notes.append(note)
-    if isinstance(rec.pos, GeoPosition):
-        ox, oy = frame.to_local(vut.pos)
-        ex, ny = frame.to_local(rec.pos)
-        cx, cy = _enu_to_vcs(ex - ox, ny - oy, vut.heading)
-    else:
-        cx, cy = rec.pos.x, rec.pos.y
+    cx, cy = centre
     yaw_rel = 0.0
     if rec.heading is not None:
         yaw_rel = rec.heading - vut.heading
     return geometry.rect(cx, cy, length, width, yaw_deg=yaw_rel)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a @ b through the same product as a 1-D ``@``, which can
+    round differently from an elementwise multiply and add."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
+
+
 def clearance_series(trace: Trace, entity_id: str,
                      profile: VehicleProfile | None = None,
                      zone: ExclusionZone | None = None,
                      horizon: float = NTD_HORIZON) -> ClearanceSeries:
-    """Clearance metrics against one entity for every step it appears in."""
+    """Clearance metrics against one entity for every step it appears in.
+
+    All steps are measured in one pass.  Every logged outline is projected
+    into the VCS of its step as one array and checked as a batch; the
+    axis gaps of all outlines come from :func:`geometry.axis_clearances`,
+    one stack per vertex count.  An unusable actor outline falls back to
+    the default footprint and an unusable obstacle outline drops the
+    step, both with a note.
+    """
     profile = profile or VehicleProfile()
     zone = zone or ExclusionZone()
-    if entity_id in trace.actors:
-        records = trace.actors[entity_id]
-    elif entity_id in trace.obstacles:
-        records = trace.obstacles[entity_id]
-    else:
-        raise UnknownEntity(f"no actor or obstacle with id {entity_id!r}")
-
+    records = _records(trace, entity_id)
     vut_by_step = {r.step: r for r in trace.vut}
+    vuts = [vut_by_step[r.step] for r in records]
     footprint = geometry.poly_array(profile.footprint)
-    samples = []
-    notes: list = []
-    velocity_note_emitted = False
-    for rec in records:
-        vut = vut_by_step[rec.step]
-        frame = LocalFrame.at(vut.pos)
-        poly = _entity_poly_vcs(rec, vut, frame, notes)
-        if poly is None:
-            continue
-        direct = geometry.directional_clearance(footprint, poly)
-        sep = geometry.min_separation(footprint, poly)
 
-        if isinstance(rec, ActorState):
-            vel = _actor_velocity_vcs(rec, vut.heading)
+    # Every WGS84 point a step may need: its outline's vertices, then the
+    # actor's position for a default footprint.
+    points, owners, ring_at, centre_at = [], [], [], []
+    for i, rec in enumerate(records):
+        shape = _outline(rec)
+        first = len(points)
+        if shape is not None and shape.frame == "wgs84":
+            points.extend(shape.vertices)
+            owners.extend([i] * len(shape.vertices))
+        ring_at.append(range(first, len(points)))
+        first = len(points)
+        if isinstance(rec, ActorState) and isinstance(rec.pos, GeoPosition):
+            points.append(rec.pos)
+            owners.append(i)
+        centre_at.append(range(first, len(points)))
+    projected = _Projected(points, owners, vuts)
+
+    rings = []
+    for i, rec in enumerate(records):
+        shape = _outline(rec)
+        if shape is None:
+            rings.append(None)
+        elif shape.frame == "wgs84":
+            rings.append(projected.vcs[ring_at[i].start:ring_at[i].stop])
+        else:
+            rings.append(np.array([(v.x, v.y) for v in shape.vertices],
+                                  dtype=float))
+    faults = _faults(rings)
+
+    notes: list = []
+    kept, outlines, vels = [], [], []
+    velocity_note_emitted = False
+    for i, rec in enumerate(records):
+        projected.check(ring_at[i])
+        poly = rings[i] if faults[i] is None else None
+        if isinstance(rec, ObstacleState):
+            if poly is None:
+                notes.append(
+                    f"{rec.obstacle_id}: unusable outline at step {rec.step}")
+                continue
+            vel = _STILL
+        else:
+            if poly is None:
+                if rings[i] is None:
+                    note = (f"{rec.actor_id}: no outline logged, default "
+                            "footprint used")
+                    if note not in notes:
+                        notes.append(note)
+                else:
+                    notes.append(
+                        f"{rec.actor_id}: degenerate outline at step "
+                        f"{rec.step}, default footprint used")
+                projected.check(centre_at[i])
+                centre = (projected.vcs[centre_at[i].start]
+                          if centre_at[i] else (rec.pos.x, rec.pos.y))
+                poly = _default_outline(rec, vuts[i], centre)
+            vel = _actor_velocity(rec, vuts[i].heading)
             if vel is None:
                 if not velocity_note_emitted:
                     notes.append(
@@ -225,40 +327,45 @@ def clearance_series(trace: Trace, entity_id: str,
                         "velocity treated as unknown"
                     )
                     velocity_note_emitted = True
-                vel = np.zeros(2)
-        else:
-            vel = np.zeros(2)
+                vel = _STILL
+        kept.append(i)
+        outlines.append(poly)
+        vels.append(vel)
 
-        vut_vel = np.array([vut.speed, 0.0])
-        ntd = geometry.first_contact_time(footprint, vut_vel, poly, vel,
-                                          horizon=horizon)
-        hit, depth = zone_incursion(zone, footprint, poly)
+    n = len(kept)
+    lateral, longitudinal = np.empty(n), np.empty(n)
+    lat_side, lon_side = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    centroid = np.empty((n, 2))
+    for idx in _by_vertex_count(outlines).values():
+        stack = np.stack([outlines[i] for i in idx])
+        lateral[idx], longitudinal[idx], lat_side[idx], lon_side[idx] = \
+            geometry.axis_clearances(footprint, stack)
+        centroid[idx] = stack.mean(axis=1)
 
-        centroid = poly.mean(axis=0)
-        dist = float(np.hypot(*centroid))
-        if dist > 1e-9:
-            u = centroid / dist
-            vut_closing = float(vut_vel @ u)
-            entity_closing = float(vel @ -u)
-        else:
-            vut_closing = entity_closing = 0.0
+    # Entity velocity in the VCS: v_long along its heading plus v_lat to
+    # its right, turned by its heading relative to the VUT's.
+    v_long, v_lat, cos_psi, sin_psi = np.array(vels).reshape(n, 4).T
+    ent_vel = np.column_stack([v_long * cos_psi + v_lat * -sin_psi,
+                               v_long * sin_psi + v_lat * cos_psi])
+    vut_vel = np.column_stack([[vuts[i].speed for i in kept], np.zeros(n)])
+    dist = np.hypot(centroid[:, 0], centroid[:, 1])
+    far = dist > 1e-9
+    u = centroid / np.where(far, dist, 1.0)[:, None]
+    vut_closing = np.where(far, _rowdot(vut_vel, u), 0.0)
+    entity_closing = np.where(far, _rowdot(ent_vel, -u), 0.0)
 
-        samples.append(ClearanceSample(
-            step=rec.step,
-            time=rec.time,
-            entity_id=entity_id,
-            lateral=direct.lateral,
-            longitudinal=direct.longitudinal,
-            euclidean_min=sep,
-            ntd=ntd,
-            zone_hit=hit,
-            zone_depth=depth,
-            lateral_side=direct.lateral_side,
-            longitudinal_side=direct.longitudinal_side,
-            vut_closing=vut_closing,
-            entity_closing=entity_closing,
-        ))
-    return ClearanceSeries(entity_id=entity_id, samples=tuple(samples),
+    unread = _Unread(footprint, zone, horizon, outlines, vut_vel, ent_vel)
+    samples = tuple(
+        ClearanceSample(
+            step=records[i].step, time=records[i].time, entity_id=entity_id,
+            lateral=lat, longitudinal=lon, lateral_side=ls,
+            longitudinal_side=gs, vut_closing=vc, entity_closing=ec,
+            _unread=unread, _index=k)
+        for k, (i, lat, lon, ls, gs, vc, ec) in enumerate(zip(
+            kept, lateral.tolist(), longitudinal.tolist(), lat_side.tolist(),
+            lon_side.tolist(), vut_closing.tolist(), entity_closing.tolist()))
+    )
+    return ClearanceSeries(entity_id=entity_id, samples=samples,
                            notes=tuple(notes))
 
 

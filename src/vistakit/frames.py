@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CoincidentPoints, ExtentExceeded
 from .model import GeoPosition, VcsPosition, normalize_heading
 
@@ -89,12 +91,26 @@ def world_to_vcs(vut_pos: GeoPosition, vut_heading: float,
     f = frame if frame is not None else LocalFrame.at(vut_pos)
     ex, ny = f.to_local(p)
     ox, oy = f.to_local(vut_pos)
-    e, n = ex - ox, ny - oy
-    h = math.radians(normalize_heading(vut_heading))
-    x = e * math.sin(h) + n * math.cos(h)
-    y = e * math.cos(h) - n * math.sin(h)
+    x, y = enu_to_vcs((ex - ox, ny - oy), normalize_heading(vut_heading))
     z = None if p.elev is None else p.elev
-    return VcsPosition(x=x, y=y, z=z)
+    return VcsPosition(x=float(x), y=float(y), z=z)
+
+
+def enu_to_vcs(enu, heading_deg) -> np.ndarray:
+    """Rotate east/north offsets into the VCS of a vehicle heading
+    ``heading_deg``.
+
+    ``enu`` is (..., 2); ``heading_deg`` is a number or an array that
+    broadcasts against ``enu[..., 0]``.  Each heading's sine and cosine
+    come from :mod:`math`, so a batch rotates exactly like one point.
+    """
+    enu = np.asarray(enu, dtype=float)
+    headings = np.asarray(heading_deg, dtype=float)
+    rad = [math.radians(h) for h in headings.ravel().tolist()]
+    sh = np.array([math.sin(r) for r in rad]).reshape(headings.shape)
+    ch = np.array([math.cos(r) for r in rad]).reshape(headings.shape)
+    e, n = enu[..., 0], enu[..., 1]
+    return np.stack([e * sh + n * ch, e * ch - n * sh], axis=-1)
 
 
 def vcs_to_world(vut_pos: GeoPosition, vut_heading: float,

@@ -33,18 +33,42 @@ def poly_array(poly) -> np.ndarray:
         pts = np.asarray(poly, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise DegeneratePolygon(f"need an (N>=3, 2) vertex array, got {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise DegeneratePolygon("polygon vertices must be finite")
-    if len(np.unique(pts, axis=0)) < 3:
-        raise DegeneratePolygon("polygon needs at least 3 distinct vertices")
-    if abs(shoelace_area(pts)) <= _EPS:
-        raise DegeneratePolygon("polygon has zero area")
+    fault = outline_faults(pts[None])[0]
+    if fault is not None:
+        raise DegeneratePolygon(fault)
     return pts
 
 
-def shoelace_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def outline_faults(outlines: np.ndarray) -> list:
+    """Why each outline of an (S, N>=3, 2) stack is unusable, or None.
+
+    The checks and messages are those of :func:`poly_array`, in its
+    order: finite vertices, at least 3 distinct vertices, non-zero area.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(outlines).all(axis=(1, 2))
+        same = (outlines[:, :, None, :] == outlines[:, None, :, :]).all(-1)
+        repeats = np.tril(same, k=-1).any(axis=2).sum(axis=1)
+        distinct = outlines.shape[1] - repeats
+        area = np.abs(shoelace_area(outlines))
+    faults = []
+    for ok, n, a in zip(finite.tolist(), distinct.tolist(), area.tolist()):
+        if not ok:
+            faults.append("polygon vertices must be finite")
+        elif n < 3:
+            faults.append("polygon needs at least 3 distinct vertices")
+        elif a <= _EPS:
+            faults.append("polygon has zero area")
+        else:
+            faults.append(None)
+    return faults
+
+
+def shoelace_area(pts: np.ndarray):
+    """Signed area of an (N, 2) polygon, or of each in an (S, N, 2) stack."""
+    x, y = pts[..., 0], pts[..., 1]
+    return 0.5 * (np.sum(x * np.roll(y, -1, axis=-1), axis=-1)
+                  - np.sum(y * np.roll(x, -1, axis=-1), axis=-1))
 
 
 def rect(cx: float, cy: float, length: float, width: float,
@@ -149,89 +173,94 @@ def min_separation(a, b) -> float:
     return min(_points_to_edges_dist(A, b1, b2), _points_to_edges_dist(B, a1, a2))
 
 
-def _slice_interval(pts: np.ndarray, axis: int, c: float):
-    """Extent of the polygon on the line {coordinate[axis] == c}.
+# Candidate slices x edges per axis-gap chunk; bounds temporary memory.
+_CHUNK_ELEMENTS = 1 << 18
 
-    Returns (lo, hi) of the crossing span or None when the line misses
-    the polygon.  Concave outlines are covered by their overall span.
+
+def _slice_intervals(P: np.ndarray, axis: int, c: np.ndarray):
+    """Extent of each outline on the lines {coordinate[axis] == c}.
+
+    ``P`` is (S, N, 2) or (1, N, 2), ``c`` is (S, K).  Returns (lo, hi),
+    each (S, K), with lo > hi where the line misses the outline.
+    Concave outlines are covered by their overall span.
     """
-    a, b = _edges(pts)
-    pa, pb = a[:, axis], b[:, axis]
-    qa, qb = a[:, 1 - axis], b[:, 1 - axis]
-    hits = []
+    b = np.roll(P, -1, axis=1)
+    pa, pb = P[:, None, :, axis], b[:, None, :, axis]
+    qa, qb = P[:, None, :, 1 - axis], b[:, None, :, 1 - axis]
+    c = c[:, :, None]
     span = (pa - c) * (pb - c) <= 0
-    for i in np.nonzero(span)[0]:
-        if pa[i] == pb[i]:
-            hits.extend((qa[i], qb[i]))
-        else:
-            t = (c - pa[i]) / (pb[i] - pa[i])
-            hits.append(qa[i] + t * (qb[i] - qa[i]))
-    if not hits:
-        return None
-    return min(hits), max(hits)
+    flat = pa == pb
+    t = (c - pa) / np.where(flat, 1.0, pb - pa)
+    hit = qa + t * (qb - qa)
+    lo = np.where(flat, np.minimum(qa, qb), hit)
+    hi = np.where(flat, np.maximum(qa, qb), hit)
+    return (np.where(span, lo, np.inf).min(axis=-1),
+            np.where(span, hi, -np.inf).max(axis=-1))
 
 
-def _interval_gap(a_lo, a_hi, b_lo, b_hi) -> float:
-    if b_lo > a_hi:
-        return b_lo - a_hi
-    if a_lo > b_hi:
-        return a_lo - b_hi
-    return -(min(a_hi, b_hi) - max(a_lo, b_lo))
+def _interval_gaps(a_lo, a_hi, b_lo, b_hi):
+    overlap = -(np.where(b_hi < a_hi, b_hi, a_hi)
+                - np.where(b_lo > a_lo, b_lo, a_lo))
+    return np.where(b_lo > a_hi, b_lo - a_hi,
+                    np.where(a_lo > b_hi, a_lo - b_hi, overlap))
 
 
-def _crossing_coords(A: np.ndarray, B: np.ndarray, axis: int) -> list:
-    """axis-coordinates of boundary intersection points between A and B."""
-    out = []
-    a1, a2 = _edges(A)
-    b1, b2 = _edges(B)
-    for i in range(len(a1)):
-        p, r = a1[i], a2[i] - a1[i]
-        for j in range(len(b1)):
-            q, s = b1[j], b2[j] - b1[j]
-            denom = r[0] * s[1] - r[1] * s[0]
-            if denom == 0:
-                continue
-            qp = q - p
-            t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-            u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-            if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
-                out.append(float(p[axis] + t * r[axis]))
-    return out
+def _crossing_coords(A: np.ndarray, B: np.ndarray, axis: int):
+    """axis-coordinates of boundary intersection points between A and B.
+
+    Returns (coords, found), each (S, Na * Nb): one slot per edge pair.
+    """
+    r = np.roll(A, -1, axis=1) - A
+    s = np.roll(B, -1, axis=1) - B
+    p, r = A[:, :, None, :], r[:, :, None, :]
+    q, s = B[:, None, :, :], s[:, None, :, :]
+    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    qp = q - p
+    safe = np.where(denom == 0, 1.0, denom)
+    t = (qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]) / safe
+    u = (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]) / safe
+    found = (denom != 0) & (-1e-12 <= t) & (t <= 1 + 1e-12) & \
+        (-1e-12 <= u) & (u <= 1 + 1e-12)
+    coords = p[..., axis] + t * r[..., axis]
+    n = B.shape[0]
+    return coords.reshape(n, -1), found.reshape(n, -1)
 
 
-def _axis_gap(A: np.ndarray, B: np.ndarray, axis: int) -> float:
+def _axis_gaps(A: np.ndarray, B: np.ndarray, axis: int) -> np.ndarray:
     """Signed clearance along ``axis`` over the shared window on the
-    other axis; +inf when the projections on the other axis are disjoint.
+    other axis, per outline of B; +inf when the projections on the other
+    axis are disjoint.
+
+    The gap is the smallest slice gap over the candidate slices: the
+    window ends, every vertex and every boundary crossing inside it.
     """
     other = 1 - axis
-    a_lo, a_hi = A[:, other].min(), A[:, other].max()
-    b_lo, b_hi = B[:, other].min(), B[:, other].max()
-    lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-    if lo > hi:
-        return math.inf
-    cand = [lo, hi]
-    cand.extend(float(v) for v in A[:, other] if lo <= v <= hi)
-    cand.extend(float(v) for v in B[:, other] if lo <= v <= hi)
-    cand.extend(c for c in _crossing_coords(A, B, other) if lo <= c <= hi)
-    best = math.inf
-    for c in sorted(set(cand)):
-        sa = _slice_interval(A, other, c)
-        sb = _slice_interval(B, other, c)
-        if sa is None or sb is None:
-            continue
-        g = _interval_gap(sa[0], sa[1], sb[0], sb[1])
-        if g < best:
-            best = g
-    return float(best)
+    a_lo, a_hi = A[:, :, other].min(axis=1), A[:, :, other].max(axis=1)
+    b_lo, b_hi = B[:, :, other].min(axis=1), B[:, :, other].max(axis=1)
+    lo = np.where(b_lo > a_lo, b_lo, a_lo)[:, None]
+    hi = np.where(b_hi < a_hi, b_hi, a_hi)[:, None]
+    crossing, found = _crossing_coords(A, B, other)
+    n = B.shape[0]
+    cand = np.concatenate([
+        np.broadcast_to(lo, (n, 1)), np.broadcast_to(hi, (n, 1)),
+        np.broadcast_to(A[:, :, other], (n, A.shape[1])), B[:, :, other],
+        crossing], axis=1)
+    keep = (lo <= cand) & (cand <= hi)
+    keep[:, cand.shape[1] - crossing.shape[1]:] &= found
+    cand = np.where(keep, cand, np.inf)
+    sa_lo, sa_hi = _slice_intervals(A, other, cand)
+    sb_lo, sb_hi = _slice_intervals(B, other, cand)
+    sliced = (sa_lo <= sa_hi) & (sb_lo <= sb_hi)
+    gaps = np.where(sliced, _interval_gaps(sa_lo, sa_hi, sb_lo, sb_hi),
+                    np.inf)
+    return gaps.min(axis=1)
 
 
-def _interval_side(A: np.ndarray, B: np.ndarray, axis: int) -> int:
-    """+1 when B lies wholly on the positive side of A along ``axis``."""
-    if B[:, axis].min() >= A[:, axis].max():
-        return 1
-    if B[:, axis].max() <= A[:, axis].min():
-        return -1
-    return 0
+def _interval_sides(A: np.ndarray, B: np.ndarray, axis: int) -> np.ndarray:
+    """+1 where B lies wholly on the positive side of A along ``axis``."""
+    a, b = A[:, :, axis], B[:, :, axis]
+    return np.where(b.min(axis=1) >= a.max(axis=1), 1,
+                    np.where(b.max(axis=1) <= a.min(axis=1), -1, 0))
 
 
 @dataclass(frozen=True)
@@ -250,13 +279,35 @@ class DirectionalClearance:
     longitudinal_side: int
 
 
+def axis_clearances(vut: np.ndarray, outlines: np.ndarray) -> tuple:
+    """Directional clearances of every outline in an (S, N, 2) stack.
+
+    ``vut`` is one validated (M, 2) outline and ``outlines`` are already
+    validated (see :func:`outline_faults`).  Returns the arrays
+    (lateral, longitudinal, lateral_side, longitudinal_side), each (S,),
+    with the meaning of the :class:`DirectionalClearance` fields.
+    """
+    A = vut[None]
+    na, nb = A.shape[1], outlines.shape[1]
+    chunk = max(1, _CHUNK_ELEMENTS // ((2 + na + nb + na * nb) * max(na, nb)))
+    parts = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(0, len(outlines), chunk):
+            B = outlines[i:i + chunk]
+            parts.append((_axis_gaps(A, B, axis=1), _axis_gaps(A, B, axis=0),
+                          _interval_sides(A, B, axis=1),
+                          _interval_sides(A, B, axis=0)))
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
 def directional_clearance(vut_poly, entity_poly) -> DirectionalClearance:
     A, B = poly_array(vut_poly), poly_array(entity_poly)
+    lat, lon, lat_side, lon_side = axis_clearances(A, B[None])
     return DirectionalClearance(
-        lateral=_axis_gap(A, B, axis=1),
-        longitudinal=_axis_gap(A, B, axis=0),
-        lateral_side=_interval_side(A, B, axis=1),
-        longitudinal_side=_interval_side(A, B, axis=0),
+        lateral=float(lat[0]),
+        longitudinal=float(lon[0]),
+        lateral_side=int(lat_side[0]),
+        longitudinal_side=int(lon_side[0]),
     )
 
 

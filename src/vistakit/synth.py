@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleSpec
-from .frames import LocalFrame
+from .frames import LocalFrame, enu_to_vcs
 from .geometry import first_contact_time, poly_array
 from .model import (
     ActorState,
@@ -230,14 +230,6 @@ def _tsv_corners(spec: ScenarioSpec) -> np.ndarray:
     return np.array([(e0, n0), (e1, n0), (e1, n1), (e0, n1)])
 
 
-def _vcs_from_rel(rel: np.ndarray, heading_deg: float) -> np.ndarray:
-    h = math.radians(heading_deg)
-    sh, ch = math.sin(h), math.cos(h)
-    x = rel[:, 0] * sh + rel[:, 1] * ch
-    y = rel[:, 0] * ch - rel[:, 1] * sh
-    return np.column_stack([x, y])
-
-
 def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
                run_id: int = 1,
                target_clearance: float | None = None) -> Trace:
@@ -358,7 +350,7 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
         ))
 
         rel = tsv_rel_all - np.array([e, n])
-        tsv_vcs = _vcs_from_rel(rel, heading)
+        tsv_vcs = enu_to_vcs(rel, heading)
         ttc = first_contact_time(footprint, np.array([v, 0.0]),
                                  tsv_vcs, np.zeros(2))
         tsv_records.append(ActorState(
