@@ -237,12 +237,6 @@ def _default_outline(rec: ActorState, vut, centre) -> np.ndarray:
     return geometry.rect(cx, cy, length, width, yaw_deg=yaw_rel)
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a @ b through the same product as a 1-D ``@``, which can
-    round differently from an elementwise multiply and add."""
-    return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
-
-
 def clearance_series(trace: Trace, entity_id: str,
                      profile: VehicleProfile | None = None,
                      zone: ExclusionZone | None = None,
@@ -351,8 +345,8 @@ def clearance_series(trace: Trace, entity_id: str,
     dist = np.hypot(centroid[:, 0], centroid[:, 1])
     far = dist > 1e-9
     u = centroid / np.where(far, dist, 1.0)[:, None]
-    vut_closing = np.where(far, _rowdot(vut_vel, u), 0.0)
-    entity_closing = np.where(far, _rowdot(ent_vel, -u), 0.0)
+    vut_closing = np.where(far, geometry._rowdot(vut_vel, u), 0.0)
+    entity_closing = np.where(far, geometry._rowdot(ent_vel, -u), 0.0)
 
     unread = _Unread(footprint, zone, horizon, outlines, vut_vel, ent_vel)
     samples = tuple(

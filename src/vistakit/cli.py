@@ -16,7 +16,6 @@ timestamps.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -274,21 +273,11 @@ def _cmd_generate(args) -> int:
         spec_kwargs["sample_rate"] = args.rate
     spec = synth.ScenarioSpec(**spec_kwargs)
 
-    if args.target_clearance is not None:
-        base = synth.synthesize(spec, args.case, run_id=args.start_run,
-                                target_clearance=args.target_clearance)
-        runs = []
-        for i in range(args.runs):
-            t = dataclasses.replace(base, run_id=args.start_run + i)
-            if args.speed_noise > 0:
-                t = synth.perturb(t, speed_sigma=args.speed_noise,
-                                  seed=args.seed + i)
-            runs.append(t)
-    else:
-        runs = synth.synthesize_runs(spec, args.case, count=args.runs,
-                                     start_run=args.start_run,
-                                     speed_noise=args.speed_noise,
-                                     seed=args.seed)
+    runs = synth.synthesize_runs(spec, args.case, count=args.runs,
+                                 start_run=args.start_run,
+                                 speed_noise=args.speed_noise,
+                                 seed=args.seed,
+                                 target_clearance=args.target_clearance)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for trace in runs:

@@ -134,25 +134,3 @@ def heading_between(a: GeoPosition, b: GeoPosition) -> float:
     x = math.cos(la) * math.sin(lb) - math.sin(la) * math.cos(lb) * math.cos(dlon)
     return normalize_heading(math.degrees(math.atan2(y, x)))
 
-
-def ecef(p: GeoPosition) -> tuple[float, float, float]:
-    """Earth-centred earth-fixed coordinates on the WGS84 ellipsoid, m."""
-    lat, lon = math.radians(p.lat), math.radians(p.lon)
-    h = p.elev or 0.0
-    n = prime_vertical_radius(p.lat)
-    x = (n + h) * math.cos(lat) * math.cos(lon)
-    y = (n + h) * math.cos(lat) * math.sin(lon)
-    z = (n * (1.0 - WGS84_E2) + h) * math.sin(lat)
-    return x, y, z
-
-
-def chord_distance(a: GeoPosition, b: GeoPosition) -> float:
-    """Straight-line distance through the earth between two positions.
-
-    For the short ranges this toolkit deals in, the chord and the
-    geodesic agree to well below a millimetre; this is the reference
-    distance used by the test suite.
-    """
-    ax, ay, az = ecef(a)
-    bx, by, bz = ecef(b)
-    return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)

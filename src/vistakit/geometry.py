@@ -8,6 +8,17 @@ Sign conventions for clearances: positive is a real gap, zero is touch,
 negative is interpenetration depth.  Directional (axis) clearances are
 only meaningful while the two bodies overlap when projected onto the
 *other* axis; outside that they are reported as +inf.
+
+Two kernels work on an (S, N, 2) stack of outlines, one per step,
+against one VUT outline, in one numpy pass chunked to bound memory:
+
+* :func:`axis_clearances` - the directional gaps and sides;
+  :func:`directional_clearance` is its one-step case.
+* :func:`first_contact_times` - the time to first contact under constant
+  relative velocity; :func:`first_contact_time` is its one-step case.
+  It computes the candidates of the per-vertex loop it replaced
+  (vertex-to-edge times both ways, vertex-on-vertex sliding), in the
+  same arithmetic and order, so results are identical to the last bit.
 """
 
 from __future__ import annotations
@@ -87,14 +98,23 @@ def rect(cx: float, cy: float, length: float, width: float,
 
 
 def _edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return pts, np.roll(pts, -1, axis=0)
+    """Start and end points of every edge of an (..., N, 2) outline."""
+    return pts, np.concatenate([pts[..., 1:, :], pts[..., :1, :]], axis=-2)
 
 
-def point_in_polygon(point, pts: np.ndarray) -> bool:
-    """Boundary-inclusive point-in-polygon test (crossing number)."""
-    x, y = float(point[0]), float(point[1])
-    a, b = _edges(pts)
-    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis through the same product as a 1-D
+    ``@``, which can round differently from an elementwise multiply and
+    add.  Leading axes broadcast."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _contains(points: np.ndarray, polys: np.ndarray) -> np.ndarray:
+    """Boundary-inclusive point-in-polygon test (crossing number) of each
+    (..., 2) point against the matching (..., N, 2) outline."""
+    x, y = points[..., 0, None], points[..., 1, None]
+    a, b = _edges(polys)
+    ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
     # On-boundary check first.
     dx, dy = bx - ax, by - ay
     cross = (x - ax) * dy - (y - ay) * dx
@@ -102,22 +122,25 @@ def point_in_polygon(point, pts: np.ndarray) -> bool:
     sq = dx * dx + dy * dy
     on = (np.abs(cross) <= 1e-9 * np.maximum(1.0, np.sqrt(sq))) & \
          (dot >= -1e-9) & (dot <= sq + 1e-9)
-    if bool(on.any()):
-        return True
     crosses = ((ay > y) != (by > y)) & \
               (x < ax + (y - ay) * dx / np.where(dy == 0, 1.0, dy))
-    return bool(np.count_nonzero(crosses) % 2 == 1)
+    return on.any(axis=-1) | (np.count_nonzero(crosses, axis=-1) % 2 == 1)
+
+
+def point_in_polygon(point, pts: np.ndarray) -> bool:
+    """Boundary-inclusive point-in-polygon test (crossing number)."""
+    return bool(_contains(np.asarray(point, dtype=float)[:2], pts))
 
 
 def _segments_intersect(a1, a2, b1, b2) -> np.ndarray:
     """Vectorized inclusive segment intersection.
 
-    a1/a2: (n, 2) edges, b1/b2: (m, 2) edges -> (n, m) bool.
+    a1/a2: (..., n, 2) edges, b1/b2: (..., m, 2) edges -> (..., n, m) bool.
     """
-    a1 = a1[:, None, :]
-    a2 = a2[:, None, :]
-    b1 = b1[None, :, :]
-    b2 = b2[None, :, :]
+    a1 = a1[..., :, None, :]
+    a2 = a2[..., :, None, :]
+    b1 = b1[..., None, :, :]
+    b2 = b2[..., None, :, :]
 
     def orient(p, q, r):
         return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - \
@@ -141,14 +164,18 @@ def _segments_intersect(a1, a2, b1, b2) -> np.ndarray:
     return proper | touch
 
 
-def polygons_intersect(a, b) -> bool:
-    """True when the polygons share any point (touching counts)."""
-    A, B = poly_array(a), poly_array(b)
+def _intersecting(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Whether each pair of outlines in two (..., N, 2) stacks shares any
+    point (touching counts)."""
     a1, a2 = _edges(A)
     b1, b2 = _edges(B)
-    if bool(_segments_intersect(a1, a2, b1, b2).any()):
-        return True
-    return point_in_polygon(A[0], B) or point_in_polygon(B[0], A)
+    return _segments_intersect(a1, a2, b1, b2).any(axis=(-2, -1)) | \
+        _contains(A[..., 0, :], B) | _contains(B[..., 0, :], A)
+
+
+def polygons_intersect(a, b) -> bool:
+    """True when the polygons share any point (touching counts)."""
+    return bool(_intersecting(poly_array(a), poly_array(b)))
 
 
 def _points_to_edges_dist(points: np.ndarray, e1: np.ndarray,
@@ -311,6 +338,93 @@ def directional_clearance(vut_poly, entity_poly) -> DirectionalClearance:
     )
 
 
+def _vertex_edge_times(P, E, vel, horizon):
+    """When each vertex of P, moving at ``vel``, meets each static edge of
+    E: (S, |P| * |E|) in vertex-major order, +inf where it does not.
+
+    ``P`` and ``E`` are (S, N, 2) or (1, N, 2), ``vel`` is (S, 2).
+    """
+    q1, q2 = (e[..., None, :, :] for e in _edges(E))
+    p, v = P[..., :, None, :], vel[:, None, None, :]
+    d = q2 - q1
+    denom = d[..., 0] * v[..., 1] - d[..., 1] * v[..., 0]
+    num = d[..., 0] * (p[..., 1] - q1[..., 1]) - \
+        d[..., 1] * (p[..., 0] - q1[..., 0])
+    t = -num / denom
+    hit = p + v * t[..., None]
+    seg_len2 = _rowdot(d, d)
+    s = _rowdot(hit - q1, d) / seg_len2
+    ok = (denom != 0.0) & (-1e-12 <= t) & (t <= horizon) & \
+        (seg_len2 != 0.0) & (-1e-9 <= s) & (s <= 1 + 1e-9)
+    return _clamped(ok, t).reshape(len(vel), -1)
+
+
+def _vertex_vertex_times(A, B, w, horizon):
+    """When each vertex of B, moving at ``w`` relative to A, passes
+    exactly over each vertex of A: (S, |B| * |A|), +inf where it does not.
+    This catches pure sliding along a shared line."""
+    w2 = _rowdot(w, w)
+    p, q, v = B[:, :, None, :], A[:, None, :, :], w[:, None, None, :]
+    t = _rowdot(q - p, v) / w2[:, None, None]
+    miss = p + v * t[..., None] - q
+    ok = (w2 > 0.0)[:, None, None] & (-1e-12 <= t) & (t <= horizon) & \
+        (np.hypot(miss[..., 0], miss[..., 1]) <= 1e-9)
+    return _clamped(ok, t).reshape(len(w), -1)
+
+
+def _clamped(ok, t):
+    # max(t, 0.0) as Python computes it: a -0.0 time stays -0.0.
+    return np.where(ok, np.where(t < 0.0, 0.0, t), np.inf)
+
+
+def first_contact_times(vut, outlines, rel_vels, horizon: float = 30.0):
+    """Earliest t in [0, horizon] at which ``vut`` and each outline of an
+    (S, N, 2) stack touch, when the outline moves at the matching row of
+    the (S, 2) ``rel_vels`` relative to ``vut``; +inf when that never
+    happens, 0.0 when they already touch.  Returns an (S,) array.
+
+    The first step with an unusable outline, or with a non-finite
+    velocity and no contact, raises the :func:`first_contact_time`
+    error for that step.
+    """
+    A = poly_array(vut)[None]
+    B = np.asarray(outlines, dtype=float)
+    w = np.asarray(rel_vels, dtype=float)
+    if w.shape != (len(B), 2):
+        raise ValueError(f"need one (vx, vy) per outline, got {w.shape}")
+    if not len(B):
+        return np.empty(0)
+    if B.ndim != 3 or B.shape[2] != 2 or B.shape[1] < 3:
+        raise DegeneratePolygon(
+            f"need an (N>=3, 2) vertex array, got {B.shape[1:]}")
+    chunk = max(1, _CHUNK_ELEMENTS // (8 * A.shape[1] * B.shape[1]))
+    return np.concatenate([
+        _contact_times(A, B[i:i + chunk], w[i:i + chunk], horizon,
+                       outline_faults(B[i:i + chunk]))
+        for i in range(0, len(B), chunk)])
+
+
+def _contact_times(A, B, w, horizon, faults):
+    """:func:`first_contact_times` of a validated (1, M, 2) ``A`` and an
+    (S, N, 2) ``B`` whose :func:`outline_faults` are ``faults``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        touching = _intersecting(A, B)
+        bad = np.array([f is not None for f in faults]) | \
+            ~(touching | np.isfinite(w).all(axis=1))
+        if bad.any():
+            fault = faults[int(bad.argmax())]
+            if fault is not None:
+                raise DegeneratePolygon(fault)
+            raise ValueError("velocities must be finite")
+        cand = np.concatenate([
+            _vertex_edge_times(B, A, w, horizon),
+            _vertex_edge_times(A, B, -w, horizon),
+            _vertex_vertex_times(A, B, w, horizon)], axis=1)
+    # argmin keeps the first of equal minima, as min() does.
+    first = np.take_along_axis(cand, cand.argmin(axis=1)[:, None], axis=1)
+    return np.where(touching, 0.0, first[:, 0])
+
+
 def first_contact_time(a, vel_a, b, vel_b, horizon: float = 30.0) -> float:
     """Earliest t in [0, horizon] at which the bodies touch when both
     keep their current velocity; +inf when that never happens.
@@ -318,50 +432,9 @@ def first_contact_time(a, vel_a, b, vel_b, horizon: float = 30.0) -> float:
     Velocities are (vx, vy) in the same frame as the vertices.
     """
     A, B = poly_array(a), poly_array(b)
-    if polygons_intersect(A, B):
-        return 0.0
     w = np.asarray(vel_b, dtype=float) - np.asarray(vel_a, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError("velocities must be finite")
-
-    candidates = []
-
-    def vertex_edge_times(points, edges_from, edges_to, vel):
-        # moving point p(t) = p + vel*t against static edges
-        for p in points:
-            for q1, q2 in zip(edges_from, edges_to):
-                d = q2 - q1
-                denom = d[0] * vel[1] - d[1] * vel[0]
-                num = d[0] * (p[1] - q1[1]) - d[1] * (p[0] - q1[0])
-                if denom == 0.0:
-                    continue
-                t = -num / denom
-                if t < -1e-12 or t > horizon:
-                    continue
-                hit = p + vel * t
-                seg_len2 = float(d @ d)
-                if seg_len2 == 0.0:
-                    continue
-                s = float((hit - q1) @ d) / seg_len2
-                if -1e-9 <= s <= 1 + 1e-9:
-                    candidates.append(max(t, 0.0))
-
-    a1, a2 = _edges(A)
-    b1, b2 = _edges(B)
-    vertex_edge_times(B, a1, a2, w)
-    vertex_edge_times(A, b1, b2, -w)
-
-    # Vertex-on-vertex catches pure sliding along a shared line.
-    w2 = float(w @ w)
-    if w2 > 0.0:
-        for p in B:
-            for q in A:
-                t = float((q - p) @ w) / w2
-                if -1e-12 <= t <= horizon and \
-                        float(np.hypot(*(p + w * t - q))) <= 1e-9:
-                    candidates.append(max(t, 0.0))
-
-    return float(min(candidates)) if candidates else math.inf
+    return float(_contact_times(A[None], B[None], w[None], horizon,
+                                [None])[0])
 
 
 def clip_to_rect(pts: np.ndarray, xmin: float, xmax: float,

@@ -76,12 +76,6 @@ class IntegrityReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def has(self, code: str) -> bool:
-        return any(f.code == code for f in self.findings)
-
-    def render(self) -> str:
-        return "\n".join(f.render() for f in self.findings)
-
 
 def check_frequency(trace, f_min: float) -> list:
     """Sample-rate findings for one trace.

@@ -22,13 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# Enumeration tags that appear verbatim in trace files.  Unknown tags are
-# carried through untouched ("extension" values), never rejected.
-DRIVE_STATUS_TAGS = ("autonomous", "manual", "teleoperation")
-SPECIAL_OP_TAGS = ("normal", "environmental_service")
-ACTOR_TYPE_TAGS = ("tsv", "vru_pedestrian", "vru_cyclist", "vru_pmd")
-PHASE_TAGS = ("go", "stop", "go_exclusive")
-
 INDICATOR_NAMES = frozenset(
     {"left_front", "left_rear", "right_front", "right_rear",
      "brake", "reverse", "hazard"}
@@ -42,19 +35,6 @@ VEHICLE_CLASSES = ("class3", "class4", "aesv_class3", "aesv_class4")
 # exclusion-zone rules.
 OBSTACLE_CODE_MIN = 100
 FIXED_INFRA_CODE_MIN = 500
-OBSTACLE_TYPE_NAMES = {
-    100: "construction_cones",
-    101: "debris",
-    102: "temporary_signage",
-    500: "lamppost",
-    501: "signpost",
-    502: "tree",
-    503: "kerbside_furniture",
-}
-
-
-def is_extension_tag(tag: str, known: tuple[str, ...]) -> bool:
-    return tag not in known
 
 
 def is_fixed_infrastructure(code: int) -> bool:
@@ -448,12 +428,6 @@ class Trace:
     @property
     def duration(self) -> float:
         return self.vut[-1].time - self.vut[0].time
-
-    def vut_at_step(self, step: int) -> VutState:
-        for rec in self.vut:
-            if rec.step == step:
-                return rec
-        raise KeyError(step)
 
 
 def actor_mimics_obstacle(a: ActorState) -> bool:

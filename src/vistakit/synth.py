@@ -29,7 +29,10 @@ import numpy as np
 
 from .errors import InfeasibleSpec
 from .frames import LocalFrame, enu_to_vcs
-from .geometry import first_contact_time, poly_array
+from .geometry import first_contact_times, poly_array
+# Not called here, but kept as ``synth.first_contact_time``: profilers
+# wrap that name.
+from .geometry import first_contact_time  # noqa: F401
 from .model import (
     ActorState,
     BoundingShape,
@@ -307,7 +310,7 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
     footprint = poly_array(spec.vut.footprint)
 
     vut_records = []
-    tsv_records = []
+    tsv_outlines = []
     for k in range(step_count):
         t = k / rate
         s, v, a = plan.eval(t)
@@ -349,15 +352,21 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
             drive_status="autonomous", special_op="normal",
         ))
 
-        rel = tsv_rel_all - np.array([e, n])
-        tsv_vcs = enu_to_vcs(rel, heading)
-        ttc = first_contact_time(footprint, np.array([v, 0.0]),
-                                 tsv_vcs, np.zeros(2))
-        tsv_records.append(ActorState(
-            time=t, step=k, actor_id="TSV-01", actor_type="tsv",
+        tsv_outlines.append(enu_to_vcs(tsv_rel_all - np.array([e, n]),
+                                       heading))
+
+    # The parked TSV's zero velocity minus the VUT's (speed, 0) in the VCS.
+    vut_vels = np.column_stack([[r.speed for r in vut_records],
+                                np.zeros(step_count)])
+    ttcs = first_contact_times(footprint, np.stack(tsv_outlines),
+                               np.zeros(2) - vut_vels)
+    tsv_records = [
+        ActorState(
+            time=r.time, step=r.step, actor_id="TSV-01", actor_type="tsv",
             pos=tsv_pos, bbox_true=tsv_shape, speed=0.0, vel_lat=0.0,
             vel_long=0.0, acc_lat=0.0, acc_long=0.0, ttc=ttc, heading=0.0,
-        ))
+        )
+        for r, ttc in zip(vut_records, ttcs.tolist())]
 
     return Trace(
         testcase_id=spec.testcase_id, run_id=run_id,
@@ -368,10 +377,13 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
 
 def synthesize_runs(spec: ScenarioSpec | None = None, case: int = 1,
                     count: int = 10, start_run: int = 1,
-                    speed_noise: float = 0.0, seed: int = 0) -> list:
-    """A batch of runs of one case, optionally with per-run speed noise."""
+                    speed_noise: float = 0.0, seed: int = 0,
+                    target_clearance: float | None = None) -> list:
+    """A batch of runs of one case, optionally with per-run speed noise
+    and the :func:`synthesize` clearance override."""
     spec = spec or ScenarioSpec()
-    base = synthesize(spec, case, run_id=start_run)
+    base = synthesize(spec, case, run_id=start_run,
+                      target_clearance=target_clearance)
     runs = []
     for i in range(count):
         trace = replace(base, run_id=start_run + i)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import integrity as it
@@ -54,16 +53,6 @@ _INDICATOR_COLUMNS = (
     ("VUT_ind_reverse", "reverse"),
     ("VUT_ind_hazard", "hazard"),
 )
-
-
-@dataclass(frozen=True)
-class FileLayout:
-    """Where one run lives on disk."""
-
-    kind: str               # "flat" | "distributed"
-    path: Path
-    testcase_id: str
-    run_id: int
 
 
 def detect_layout(path) -> str:
@@ -1035,6 +1024,17 @@ def write_flat(trace, directory, component_order: str = "lat_lon") -> Path:
     return path
 
 
+def _rows_by_step(table, keep=lambda rec: True) -> dict:
+    """step -> the kept records of every entity at that step, in entity
+    insertion order, then record order."""
+    by_step = {}
+    for recs in table.values():
+        for rec in recs:
+            if keep(rec):
+                by_step.setdefault(rec.step, []).append(rec)
+    return by_step
+
+
 def write_distributed(trace, directory,
                       component_order: str = "lat_lon") -> Path:
     """Write one run as a distributed folder; returns the folder path.
@@ -1068,75 +1068,33 @@ def write_distributed(trace, directory,
                         ttc=math.inf)],
             include_perceived=False,
         )
-    with open(root / schema.ROLE_ACTORS_TRUE, "w", encoding="utf-8",
-              newline="") as fh:
-        w = _new_writer(fh)
-        w.writerow(["Time", "Step_number"] + cols)
-        for vut in trace.vut:
-            for aid, recs in trace.actors.items():
-                for rec in recs:
-                    if rec.step == vut.step:
-                        w.writerow([_fmt(rec.time), _fmt(rec.step)]
-                                   + _actor_cells(rec, cols, component_order))
-
-    with open(root / schema.ROLE_ACTORS_PERCEIVED, "w", encoding="utf-8",
-              newline="") as fh:
-        w = _new_writer(fh)
-        w.writerow(["Time", "Step_number", "Actor_Id", "Actor_bbox_perceived"])
-        for vut in trace.vut:
-            for aid, recs in trace.actors.items():
-                for rec in recs:
-                    if rec.step == vut.step and rec.bbox_perceived is not None:
-                        w.writerow([
-                            _fmt(rec.time), _fmt(rec.step), rec.actor_id,
-                            shape_to_array(rec.bbox_perceived,
-                                           component_order=component_order),
-                        ])
-
-    ocols = ["Obst_Id", "Obst_type", "Obst_pos_lat", "Obst_pos_lon",
-             "Obst_poly_true", "Obst_NTD"]
-    with open(root / schema.ROLE_OBSTACLES_TRUE, "w", encoding="utf-8",
-              newline="") as fh:
-        w = _new_writer(fh)
-        w.writerow(["Time", "Step_number"] + ocols)
-        for vut in trace.vut:
-            for oid, recs in trace.obstacles.items():
-                for rec in recs:
-                    if rec.step == vut.step:
-                        w.writerow([_fmt(rec.time), _fmt(rec.step)]
-                                   + _obstacle_cells(rec, ocols,
-                                                     component_order))
-
-    with open(root / schema.ROLE_OBSTACLES_PERCEIVED, "w", encoding="utf-8",
-              newline="") as fh:
-        w = _new_writer(fh)
-        w.writerow(["Time", "Step_number", "Obst_Id", "Obst_poly_perceived"])
-        for vut in trace.vut:
-            for oid, recs in trace.obstacles.items():
-                for rec in recs:
-                    if rec.step == vut.step and rec.poly_perceived is not None:
-                        w.writerow([
-                            _fmt(rec.time), _fmt(rec.step), rec.obstacle_id,
-                            shape_to_array(rec.poly_perceived,
-                                           component_order=component_order),
-                        ])
-
-    with open(root / schema.ROLE_LIGHTS_TRUE, "w", encoding="utf-8",
-              newline="") as fh:
-        w = _new_writer(fh)
-        w.writerow(["Time", "Step_number"] + _CONTROLLER_COLUMNS)
-        for vut in trace.vut:
-            for cid, recs in trace.controllers.items():
-                for rec in recs:
-                    if rec.step == vut.step:
-                        w.writerow([_fmt(rec.time), _fmt(rec.step)]
-                                   + _controller_cells(rec,
-                                                       _CONTROLLER_COLUMNS))
-
-    with open(root / schema.ROLE_LIGHTS_PERCEIVED, "w", encoding="utf-8",
-              newline="") as fh:
-        w = _new_writer(fh)
-        w.writerow(["Time", "Step_number"] + _CONTROLLER_COLUMNS)
+    ocols = _obstacle_columns((), include_perceived=False)
+    roles = (
+        (schema.ROLE_ACTORS_TRUE, cols, _rows_by_step(trace.actors),
+         lambda rec: _actor_cells(rec, cols, component_order)),
+        (schema.ROLE_ACTORS_PERCEIVED, ["Actor_Id", "Actor_bbox_perceived"],
+         _rows_by_step(trace.actors, lambda r: r.bbox_perceived is not None),
+         lambda rec: [rec.actor_id, shape_to_array(
+             rec.bbox_perceived, component_order=component_order)]),
+        (schema.ROLE_OBSTACLES_TRUE, ocols, _rows_by_step(trace.obstacles),
+         lambda rec: _obstacle_cells(rec, ocols, component_order)),
+        (schema.ROLE_OBSTACLES_PERCEIVED, ["Obst_Id", "Obst_poly_perceived"],
+         _rows_by_step(trace.obstacles,
+                       lambda r: r.poly_perceived is not None),
+         lambda rec: [rec.obstacle_id, shape_to_array(
+             rec.poly_perceived, component_order=component_order)]),
+        (schema.ROLE_LIGHTS_TRUE, _CONTROLLER_COLUMNS,
+         _rows_by_step(trace.controllers),
+         lambda rec: _controller_cells(rec, _CONTROLLER_COLUMNS)),
+        (schema.ROLE_LIGHTS_PERCEIVED, _CONTROLLER_COLUMNS, {}, None),
+    )
+    for role, columns, by_step, cells in roles:
+        with open(root / role, "w", encoding="utf-8", newline="") as fh:
+            w = _new_writer(fh)
+            w.writerow(["Time", "Step_number"] + columns)
+            for vut in trace.vut:
+                for rec in by_step.get(vut.step, ()):
+                    w.writerow([_fmt(rec.time), _fmt(rec.step)] + cells(rec))
 
     return root
 
