@@ -30,6 +30,7 @@ from conftest import BASE, geo_quad, simple_vut
 GOLDEN = Path(__file__).parent / "data" / "golden"
 STDOUT = "evaluate_stdout.txt"
 DIGESTS = GOLDEN / "generate_sha256.json"
+IO_GOLDEN = "io_golden.json"  # tests/test_io_golden.py
 
 GENERATE_JOBS = [
     ["--case", str(case), "--runs", "2", "--speed-noise", "0.05",
@@ -54,7 +55,7 @@ def test_evaluate_outputs_match_golden_set(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / STDOUT).read_bytes()
 
     expected = sorted(p.name for p in GOLDEN.iterdir()
-                      if p.name not in (STDOUT, DIGESTS.name))
+                      if p.name not in (STDOUT, DIGESTS.name, IO_GOLDEN))
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
