@@ -29,7 +29,7 @@ from . import trace_io
 from .clearance import all_clearance_series, series_rows
 from .errors import InsufficientOverlap, VistaError
 from .model import VehicleProfile
-from .schema import DIR_NAME_RE, FLAT_NAME_RE
+from .schema import DIR_NAME_RE, FLAT_NAME_RE, ROLE_VUT
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -70,7 +70,7 @@ def _expand_inputs(paths) -> list:
         if p.is_file():
             out.append(p)
         elif p.is_dir():
-            if (p / "VUT_status.csv").is_file():
+            if (p / ROLE_VUT).is_file():
                 out.append(p)
                 continue
             hits = []
@@ -78,7 +78,7 @@ def _expand_inputs(paths) -> list:
                 if child.is_file() and FLAT_NAME_RE.match(child.name):
                     hits.append(child)
                 elif child.is_dir() and DIR_NAME_RE.match(child.name) and \
-                        (child / "VUT_status.csv").is_file():
+                        (child / ROLE_VUT).is_file():
                     hits.append(child)
             if not hits:
                 raise _CliError(f"{p}: no trace files or run folders inside")

@@ -77,6 +77,15 @@ class IntegrityReport:
         return not self.errors
 
 
+def median_period(times) -> float | None:
+    """The median spacing of consecutive times; None for fewer than two."""
+    if len(times) < 2:
+        return None
+    dts = sorted(b - a for a, b in zip(times, times[1:]))
+    mid = len(dts) // 2
+    return dts[mid] if len(dts) % 2 == 1 else 0.5 * (dts[mid - 1] + dts[mid])
+
+
 def check_frequency(trace, f_min: float) -> list:
     """Sample-rate findings for one trace.
 
@@ -93,9 +102,7 @@ def check_frequency(trace, f_min: float) -> list:
             f"cannot establish a sample rate from {len(times)} record(s)",
         ))
         return out
-    dts = sorted(b - a for a, b in zip(times, times[1:]))
-    mid = len(dts) // 2
-    med = dts[mid] if len(dts) % 2 == 1 else 0.5 * (dts[mid - 1] + dts[mid])
+    med = median_period(times)
     rate = 1.0 / med
     if rate < f_min * (1.0 - 1e-9):
         out.append(Finding(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from .clearance import ClearanceSeries, clearance_series
 from .frames import LocalFrame
 from .model import (
-    ActorState,
     GeoPosition,
     Trace,
     VehicleProfile,

@@ -4,6 +4,18 @@ The authoritative column list lives in ``data/column_schema.csv`` next to
 this module; everything here is a thin loader over it plus the handful of
 structural constants the readers and writers share.
 
+The schema is the trace codec (see ``trace_io``):
+
+* ``kind`` decides how a cell is decoded: float, int and code are
+  numbers, bool a 0/1 flag, ttc a time that may be ``inf``, tag and id
+  plain text, array a position array;
+* ``allow_empty`` decides whether an empty cell means "no value" or is a
+  fault; an empty id cell means "no record at this step";
+* ``required`` decides which columns a header must hold and which are
+  written: "yes" columns always, the others when some record fills them.
+  The "alt_pos" columns are two alternative position pairs, world
+  (lat/lon) and vehicle (x/y); a row fills exactly one of them.
+
 Flat layout: one CSV per run named ``results_<testcase_id>_r<run_id>.csv``
 holding the common columns, the VUT group, and one repetition of the
 actor/obstacle/controller group per entity (the group column names repeat
@@ -11,7 +23,7 @@ verbatim; groups are told apart by their leading id column).
 
 Distributed layout: one folder per run named ``<testcase_id>_r<run_id>``
 holding up to seven role files, VUT_status.csv being the only mandatory
-one.
+one.  ``ROLE_COLUMNS`` lists the columns each role file may hold.
 """
 
 from __future__ import annotations
@@ -20,15 +32,6 @@ import csv
 import re
 from dataclasses import dataclass
 from importlib import resources
-
-GROUPS = ("common", "vut", "actor", "obstacle", "controller")
-
-# A repeated group starts at its id column and runs through its last
-# column; the flat reader slices the header with these.
-GROUP_LEADERS = {"Actor_Id": "actor", "Obst_Id": "obstacle",
-                 "Traffic_Ctrl_Id": "controller"}
-GROUP_LAST = {"actor": "Actor_TTC", "obstacle": "Obst_NTD",
-              "controller": "Traffic_Ctrl_phase"}
 
 ROLE_VUT = "VUT_status.csv"
 ROLE_ACTORS_TRUE = "Environment_actors_true.csv"
@@ -96,26 +99,32 @@ def group_columns(group: str) -> tuple:
     return tuple(c for c in COLUMNS if c.group == group)
 
 
+def column_names(group: str) -> tuple:
+    return tuple(c.name for c in group_columns(group))
+
+
 def required_names(group: str) -> tuple:
     return tuple(c.name for c in group_columns(group) if c.required == "yes")
 
 
-# Column names per distributed role file, in writing order.  The
-# perceived role files carry only the overlay channel keyed by id.
+# A repeated group starts at its id column and runs through its last
+# column; the flat reader slices the header with these.
+GROUP_LEADERS = {c.name: c.group for c in COLUMNS if c.kind == "id"}
+GROUP_LAST = {g: column_names(g)[-1] for g in GROUP_LEADERS.values()}
+
+# The common columns that put every row of every file on the run's clock.
+CLOCK = ("Time", "Step_number")
+
+# The candidate columns of each distributed role file, in writing order.
+# The perceived role files carry only the overlay channel keyed by id.
 ROLE_COLUMNS = {
-    ROLE_VUT: ("Time", "Step_number") + tuple(c.name for c in group_columns("vut")),
-    ROLE_ACTORS_TRUE: ("Time", "Step_number") + tuple(
-        c.name for c in group_columns("actor") if c.name != "Actor_bbox_perceived"
-    ),
-    ROLE_ACTORS_PERCEIVED: ("Time", "Step_number", "Actor_Id", "Actor_bbox_perceived"),
-    ROLE_OBSTACLES_TRUE: ("Time", "Step_number") + tuple(
-        c.name for c in group_columns("obstacle") if c.name != "Obst_poly_perceived"
-    ),
-    ROLE_OBSTACLES_PERCEIVED: ("Time", "Step_number", "Obst_Id", "Obst_poly_perceived"),
-    ROLE_LIGHTS_TRUE: ("Time", "Step_number") + tuple(
-        c.name for c in group_columns("controller")
-    ),
-    ROLE_LIGHTS_PERCEIVED: ("Time", "Step_number") + tuple(
-        c.name for c in group_columns("controller")
-    ),
+    ROLE_VUT: CLOCK + column_names("vut"),
+    ROLE_ACTORS_TRUE: CLOCK + tuple(
+        c for c in column_names("actor") if c != "Actor_bbox_perceived"),
+    ROLE_ACTORS_PERCEIVED: CLOCK + ("Actor_Id", "Actor_bbox_perceived"),
+    ROLE_OBSTACLES_TRUE: CLOCK + tuple(
+        c for c in column_names("obstacle") if c != "Obst_poly_perceived"),
+    ROLE_OBSTACLES_PERCEIVED: CLOCK + ("Obst_Id", "Obst_poly_perceived"),
+    ROLE_LIGHTS_TRUE: CLOCK + column_names("controller"),
+    ROLE_LIGHTS_PERCEIVED: CLOCK + column_names("controller"),
 }

@@ -139,3 +139,27 @@ def test_entity_time_mismatch_warns(tmp_path):
                for f in rep.findings)
     # The VUT clock wins.
     assert trace.actors["A1"][0].time == pytest.approx(0.1)
+
+
+def test_median_period():
+    assert it.median_period([]) is None
+    assert it.median_period([0.0]) is None
+    assert it.median_period([0.0, 0.1, 0.3]) == pytest.approx(0.15)
+    assert it.median_period([0.0, 0.1, 0.2, 0.5]) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("layout", ["flat", "distributed"])
+def test_parse_takes_the_median_period_once(tmp_path, monkeypatch, layout):
+    from vistakit import trace_io
+    folder = tmp_path / "TC-MED-01_r01"
+    folder.mkdir()
+    (folder / "VUT_status.csv").write_text(
+        f"{MIN_HEADER}\n{ROW0}\n{ROW1}\n", encoding="utf-8")
+    path = folder if layout == "distributed" else _flat(
+        tmp_path, f"{MIN_HEADER}\n{ROW0}\n{ROW1}\n")
+    calls = []
+    monkeypatch.setattr(it, "median_period",
+                        lambda times: calls.append(1) or 0.1)
+    trace, rep = trace_io.parse_trace(path)
+    assert rep.ok and trace.declared_frequency == 10.0
+    assert len(calls) == 1

@@ -221,3 +221,67 @@ def test_missing_vut_file_in_folder(tmp_path):
     trace, rep = parse_trace(folder)
     assert trace is None
     assert any(f.code == it.MISSING_VUT_FILE for f in rep.findings)
+
+
+# Values each cell decodes but the record type rejects: (column, value).
+REJECTED = [("VUT_throttle", "1.5"), ("Step_number", "-1"),
+            ("VUT_speed", "-1.0"), ("VUT_pos_lat", "99"),
+            ("Actor_vel_abs", "-1")]
+ACTOR_COLUMNS = ("Actor_Id,Actor_type,Actor_pos_true_x,Actor_pos_true_y,"
+                 "Actor_vel_abs,Actor_vel_lat,Actor_vel_long,Actor_acc_lat,"
+                 "Actor_acc_long,Actor_heading,Actor_TTC")
+ACTOR_ROW = "A1,tsv,10,0,1.0,0.0,1.0,0.0,0.0,,inf"
+
+
+def _with(header, row, column, value):
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = value
+    return ",".join(cells)
+
+
+def _rejected_input(tmp_path, layout, column, value):
+    """A two-row run whose first row carries value in column."""
+    if column.startswith("Actor_"):
+        bad = _with(ACTOR_COLUMNS, ACTOR_ROW, column, value)
+        if layout == "flat":
+            body = "\n".join([f"{MIN_HEADER},{ACTOR_COLUMNS}",
+                               f"{ROW0},{bad}", f"{ROW1},{ACTOR_ROW}"])
+            return _flat(tmp_path, body), "results_TC-IO-01_r01.csv"
+        folder = tmp_path / "TC-IO-01_r01"
+        folder.mkdir()
+        (folder / "VUT_status.csv").write_text(
+            f"{MIN_HEADER}\n{ROW0}\n{ROW1}\n", encoding="utf-8")
+        (folder / "Environment_actors_true.csv").write_text(
+            f"Time,Step_number,{ACTOR_COLUMNS}\n0.0,0,{bad}\n",
+            encoding="utf-8")
+        return folder, "Environment_actors_true.csv"
+    body = "\n".join([MIN_HEADER, _with(MIN_HEADER, ROW0, column, value),
+                      ROW1]) + "\n"
+    if layout == "flat":
+        return _flat(tmp_path, body), "results_TC-IO-01_r01.csv"
+    folder = tmp_path / "TC-IO-01_r01"
+    folder.mkdir()
+    (folder / "VUT_status.csv").write_text(body, encoding="utf-8")
+    return folder, "VUT_status.csv"
+
+
+@pytest.mark.parametrize("layout", ["flat", "distributed"])
+@pytest.mark.parametrize("column,value", REJECTED)
+def test_rejected_value_is_a_finding(tmp_path, layout, column, value):
+    path, fname = _rejected_input(tmp_path, layout, column, value)
+    trace, rep = parse_trace(path)
+    assert trace is None
+    assert [(f.severity, f.code, f.file, f.row) for f in rep.findings] == \
+        [(it.ERROR, it.BAD_VALUE, fname, 2)]
+
+
+@pytest.mark.parametrize("layout", ["flat", "distributed"])
+@pytest.mark.parametrize("column,value", REJECTED)
+def test_validate_reports_rejected_value(tmp_path, capsys, layout, column,
+                                         value):
+    from vistakit import cli
+    path, fname = _rejected_input(tmp_path, layout, column, value)
+    assert cli.main(["validate", str(path)]) == cli.EXIT_FINDINGS
+    out = capsys.readouterr().out
+    assert f"{path}: ERROR BadValue {fname}:2 " in out
+    assert f"INVALID {path}" in out
