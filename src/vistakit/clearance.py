@@ -77,8 +77,18 @@ class _Unread:
     zone: ExclusionZone
     horizon: float
     outlines: list
-    vut_vels: np.ndarray
-    vels: np.ndarray
+    rel_vels: np.ndarray
+
+    @cached_property
+    def ntds(self) -> list:
+        """NTD of every sample: one :func:`geometry.first_contact_times`
+        call per vertex count."""
+        ntds = np.empty(len(self.outlines))
+        for idx in _by_vertex_count(self.outlines).values():
+            ntds[idx] = geometry.first_contact_times(
+                self.footprint, np.stack([self.outlines[i] for i in idx]),
+                self.rel_vels[idx], horizon=self.horizon)
+        return ntds.tolist()
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,8 @@ class ClearanceSample:
     -1 left/behind, 0 straddling).  The closing speeds are the velocity
     components of each party toward the other, used for attribution.
     ``euclidean_min``, ``ntd``, ``zone_hit`` and ``zone_depth`` feed no
-    rule, so each is computed on first read and then kept.
+    rule, so each is computed on first read and then kept: NTD for every
+    sample of the series at once, the others for this sample.
     """
 
     step: int
@@ -111,12 +122,9 @@ class ClearanceSample:
         u = self._unread
         return geometry.min_separation(u.footprint, u.outlines[self._index])
 
-    @cached_property
+    @property
     def ntd(self) -> float:
-        u, i = self._unread, self._index
-        return geometry.first_contact_time(u.footprint, u.vut_vels[i],
-                                          u.outlines[i], u.vels[i],
-                                          horizon=u.horizon)
+        return self._unread.ntds[self._index]
 
     @cached_property
     def _zone(self) -> tuple:
@@ -246,9 +254,9 @@ def clearance_series(trace: Trace, entity_id: str,
     All steps are measured in one pass.  Every logged outline is projected
     into the VCS of its step as one array and checked as a batch; the
     axis gaps of all outlines come from :func:`geometry.axis_clearances`,
-    one stack per vertex count.  An unusable actor outline falls back to
-    the default footprint and an unusable obstacle outline drops the
-    step, both with a note.
+    one stack per vertex count, as do the NTDs when first read.  An
+    unusable actor outline falls back to the default footprint and an
+    unusable obstacle outline drops the step, both with a note.
     """
     profile = profile or VehicleProfile()
     zone = zone or ExclusionZone()
@@ -348,7 +356,7 @@ def clearance_series(trace: Trace, entity_id: str,
     vut_closing = np.where(far, geometry._rowdot(vut_vel, u), 0.0)
     entity_closing = np.where(far, geometry._rowdot(ent_vel, -u), 0.0)
 
-    unread = _Unread(footprint, zone, horizon, outlines, vut_vel, ent_vel)
+    unread = _Unread(footprint, zone, horizon, outlines, ent_vel - vut_vel)
     samples = tuple(
         ClearanceSample(
             step=records[i].step, time=records[i].time, entity_id=entity_id,
@@ -364,8 +372,7 @@ def clearance_series(trace: Trace, entity_id: str,
 
 
 def all_clearance_series(trace: Trace, profile: VehicleProfile | None = None,
-                         zone: ExclusionZone | None = None,
-                         include_fixed_infrastructure: bool = False) -> list:
+                         zone: ExclusionZone | None = None) -> list:
     """Clearance series for every actor and every portable obstacle."""
     from .model import is_fixed_infrastructure
 
@@ -373,8 +380,7 @@ def all_clearance_series(trace: Trace, profile: VehicleProfile | None = None,
     for aid in trace.actors:
         out.append(clearance_series(trace, aid, profile=profile, zone=zone))
     for oid, recs in trace.obstacles.items():
-        if not include_fixed_infrastructure and recs and \
-                is_fixed_infrastructure(recs[0].obst_type):
+        if recs and is_fixed_infrastructure(recs[0].obst_type):
             continue
         out.append(clearance_series(trace, oid, profile=profile, zone=zone))
     return out

@@ -26,7 +26,8 @@ from . import integrity as it
 from . import rules as rules_mod
 from . import synth
 from . import trace_io
-from .clearance import all_clearance_series, series_rows
+# all_clearance_series is unused here: perfbench/tracer.py wraps this name.
+from .clearance import all_clearance_series, series_rows  # noqa: F401
 from .errors import InsufficientOverlap, VistaError
 from .model import VehicleProfile
 from .schema import DIR_NAME_RE, FLAT_NAME_RE, ROLE_VUT
@@ -40,25 +41,16 @@ class _CliError(Exception):
     pass
 
 
-def _env_float(name: str, fallback: float) -> float:
+def _env(name: str, fallback, kind=float):
+    """The environment variable ``name`` as a ``kind`` (float or int)."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise _CliError(f"environment variable {name} is not a number: "
-                        f"{raw!r}")
-
-
-def _env_int(name: str, fallback: int | None) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise _CliError(f"environment variable {name} is not an integer: "
+        what = "a number" if kind is float else "an integer"
+        raise _CliError(f"environment variable {name} is not {what}: "
                         f"{raw!r}")
 
 
@@ -102,6 +94,11 @@ def _print_findings(path, findings):
         print(f"{path}: {f.render()}")
 
 
+def _finding_dict(f) -> dict:
+    return {"severity": f.severity, "code": f.code, "message": f.message,
+            "file": f.file, "row": f.row, "column": f.column}
+
+
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -132,12 +129,7 @@ def _cmd_validate(args) -> int:
         payload.append({
             "input": str(path),
             "ok": ok,
-            "findings": [
-                {"severity": f.severity, "code": f.code,
-                 "message": f.message, "file": f.file, "row": f.row,
-                 "column": f.column}
-                for f in report.findings
-            ],
+            "findings": [_finding_dict(f) for f in report.findings],
         })
         print(f"{'OK' if ok else 'INVALID'} {path}")
 
@@ -157,12 +149,7 @@ def _cmd_validate(args) -> int:
         payload.append({
             "input": "run sets",
             "ok": all(f.severity != it.ERROR for f in set_findings),
-            "findings": [
-                {"severity": f.severity, "code": f.code,
-                 "message": f.message, "file": f.file, "row": f.row,
-                 "column": f.column}
-                for f in set_findings
-            ],
+            "findings": [_finding_dict(f) for f in set_findings],
         })
 
     if args.out:
@@ -212,8 +199,7 @@ def _cmd_evaluate(args) -> int:
                 stem = f"{tc}_r{trace.run_id:02d}"
                 _write_json(out_dir / f"{stem}_verdict.json", ev.to_dict())
                 if args.series:
-                    rows = series_rows(all_clearance_series(
-                        trace, profile=profile))
+                    rows = series_rows(ev.series)
                     target = out_dir / f"{stem}_series.csv"
                     with open(target, "w", encoding="utf-8",
                               newline="\n") as fh:
@@ -301,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("inputs", nargs="+",
                        help="trace files, run folders, or folders of runs")
     p_val.add_argument("--f-min", type=float,
-                       default=_env_float("VISTA_F_MIN", 10.0),
+                       default=_env("VISTA_F_MIN", 10.0),
                        help="minimum sample rate in Hz (0 disables; "
                             "default 10, env VISTA_F_MIN)")
     p_val.add_argument("--n-required", type=int,
-                       default=_env_int("VISTA_N_REQUIRED", None),
+                       default=_env("VISTA_N_REQUIRED", None, int),
                        help="required runs per test case; when given, "
                             "run-set completeness is always checked "
                             "(env VISTA_N_REQUIRED)")
@@ -320,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON rule overrides keyed by test case id "
                              "(env VISTA_RULES)")
     p_eval.add_argument("--n-required", type=int,
-                        default=_env_int("VISTA_N_REQUIRED", None),
+                        default=_env("VISTA_N_REQUIRED", None, int),
                         help="runs needed for a test case verdict "
                              "(default from the rule set, normally 10)")
     p_eval.add_argument("--vut-length", type=float, default=4.4,

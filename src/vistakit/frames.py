@@ -115,11 +115,9 @@ def enu_to_vcs(enu, heading_deg) -> np.ndarray:
 
 def vcs_to_world(vut_pos: GeoPosition, vut_heading: float,
                  p: VcsPosition, frame: LocalFrame | None = None) -> GeoPosition:
-    """Inverse of :func:`world_to_vcs`."""
+    """Inverse of :func:`world_to_vcs`; the rotation is its own inverse."""
     f = frame if frame is not None else LocalFrame.at(vut_pos)
-    h = math.radians(normalize_heading(vut_heading))
-    e = p.x * math.sin(h) + p.y * math.cos(h)
-    n = p.x * math.cos(h) - p.y * math.sin(h)
+    e, n = enu_to_vcs((p.x, p.y), normalize_heading(vut_heading)).tolist()
     ox, oy = f.to_local(vut_pos)
     return f.from_local(ox + e, oy + n, elev=p.z)
 

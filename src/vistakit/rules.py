@@ -177,6 +177,8 @@ class RunEvaluation:
     run_id: int
     verdicts: tuple
     notes: tuple = ()
+    # The clearance series the verdicts were judged on (for `--series`).
+    series: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -273,72 +275,56 @@ def _attribute(sample) -> str:
     return ATTR_VUT
 
 
+def _clearance_verdict(rule: str, samples: list, gap, limit, never: str,
+                       margin=None, label=lambda s: "") -> RuleVerdict:
+    """One clearance axis judged over the samples where it applies.
+
+    ``gap`` and ``limit`` give a sample's clearance and threshold.  The
+    worst sample is the first minimum of ``margin`` (the gap by default);
+    ``label`` gives the context named in the detail.
+    """
+    if not samples:
+        return RuleVerdict(rule=rule, outcome=NOT_APPLICABLE, detail=never)
+    worst = min(samples, key=margin or gap)
+    offending = [s for s in samples if gap(s) < limit(s)]
+    collision = any(gap(s) < 0.0 for s in offending)
+    attribution = _attribute(offending[0]) if offending else None
+    if not offending:
+        outcome = PASS
+    elif attribution == ATTR_OTHER and not collision:
+        outcome = WARNING
+    else:
+        outcome = FAIL
+    detail = "; ".join(filter(None, (label(worst),
+                                     "bodies overlap" if collision else "")))
+    return RuleVerdict(
+        rule=rule, outcome=outcome, measured=gap(worst),
+        threshold=limit(worst),
+        offending_steps=_offence_summary([s.step for s in offending]),
+        attribution=attribution, detail=detail)
+
+
 def evaluate_clearances(trace: Trace, series: ClearanceSeries,
                         rules: RuleSet) -> tuple:
     """Lateral and longitudinal verdicts for one entity's series."""
     eid = series.entity_id
     context, notes = classify_lateral_context(trace, eid, rules)
 
-    lat_samples = [s for s in series.samples if math.isfinite(s.lateral)]
-    if not lat_samples:
-        lat = RuleVerdict(rule=f"lateral_clearance[{eid}]",
-                          outcome=NOT_APPLICABLE,
-                          detail="never abreast of the vehicle")
-    else:
-        worst = min(lat_samples, key=lambda s: s.lateral - rules.
-                    lateral_threshold(context[s.step]))
-        offending = [s for s in lat_samples
-                     if s.lateral < rules.lateral_threshold(context[s.step])]
-        thr = rules.lateral_threshold(context[worst.step])
-        if not offending:
-            lat = RuleVerdict(rule=f"lateral_clearance[{eid}]", outcome=PASS,
-                              measured=worst.lateral, threshold=thr,
-                              detail=context[worst.step])
-        else:
-            onset = offending[0]
-            attribution = _attribute(onset)
-            collision = any(s.lateral < 0.0 for s in offending)
-            outcome = FAIL
-            if attribution == ATTR_OTHER and not collision:
-                outcome = WARNING
-            lat = RuleVerdict(
-                rule=f"lateral_clearance[{eid}]", outcome=outcome,
-                measured=worst.lateral, threshold=thr,
-                offending_steps=_offence_summary([s.step for s in offending]),
-                attribution=attribution,
-                detail=context[worst.step] + (
-                    "; bodies overlap" if collision else ""),
-            )
+    def lat_limit(s):
+        return rules.lateral_threshold(context[s.step])
 
-    lon_samples = [s for s in series.samples
-                   if math.isfinite(s.longitudinal)
-                   and s.longitudinal_side > 0]
-    if not lon_samples:
-        lon = RuleVerdict(rule=f"longitudinal_clearance[{eid}]",
-                          outcome=NOT_APPLICABLE,
-                          detail="never ahead of the vehicle")
-    else:
-        thr = rules.longitudinal_threshold
-        worst = min(lon_samples, key=lambda s: s.longitudinal)
-        offending = [s for s in lon_samples if s.longitudinal < thr]
-        if not offending:
-            lon = RuleVerdict(rule=f"longitudinal_clearance[{eid}]",
-                              outcome=PASS, measured=worst.longitudinal,
-                              threshold=thr)
-        else:
-            onset = offending[0]
-            attribution = _attribute(onset)
-            collision = any(s.longitudinal < 0.0 for s in offending)
-            outcome = FAIL
-            if attribution == ATTR_OTHER and not collision:
-                outcome = WARNING
-            lon = RuleVerdict(
-                rule=f"longitudinal_clearance[{eid}]", outcome=outcome,
-                measured=worst.longitudinal, threshold=thr,
-                offending_steps=_offence_summary([s.step for s in offending]),
-                attribution=attribution,
-                detail="bodies overlap" if collision else "",
-            )
+    lat = _clearance_verdict(
+        f"lateral_clearance[{eid}]",
+        [s for s in series.samples if math.isfinite(s.lateral)],
+        lambda s: s.lateral, lat_limit, "never abreast of the vehicle",
+        margin=lambda s: s.lateral - lat_limit(s),
+        label=lambda s: context[s.step])
+    lon = _clearance_verdict(
+        f"longitudinal_clearance[{eid}]",
+        [s for s in series.samples
+         if math.isfinite(s.longitudinal) and s.longitudinal_side > 0],
+        lambda s: s.longitudinal, lambda s: rules.longitudinal_threshold,
+        "never ahead of the vehicle")
     return (lat, lon), tuple(notes)
 
 
@@ -427,6 +413,7 @@ def evaluate_run(trace: Trace, rules: RuleSet | None = None,
     profile = profile or VehicleProfile()
     verdicts = []
     notes = []
+    all_series = []
 
     entity_ids = list(trace.actors)
     for oid, recs in trace.obstacles.items():
@@ -437,6 +424,7 @@ def evaluate_run(trace: Trace, rules: RuleSet | None = None,
         entity_ids.append(oid)
     for eid in entity_ids:
         series = clearance_series(trace, eid, profile=profile)
+        all_series.append(series)
         notes.extend(series.notes)
         pair, cnotes = evaluate_clearances(trace, series, rules)
         verdicts.extend(pair)
@@ -448,7 +436,8 @@ def evaluate_run(trace: Trace, rules: RuleSet | None = None,
     notes.extend(light_notes)
 
     return RunEvaluation(testcase_id=trace.testcase_id, run_id=trace.run_id,
-                         verdicts=tuple(verdicts), notes=tuple(notes))
+                         verdicts=tuple(verdicts), notes=tuple(notes),
+                         series=tuple(all_series))
 
 
 @dataclass(frozen=True)

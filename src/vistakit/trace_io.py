@@ -641,8 +641,7 @@ def _read_role(folder, role, rep):
     for idx, raw_name in enumerate(rows[0]):
         name = raw_name.strip()
         if name in colmap:
-            rep.add(it.WARNING, it.UNKNOWN_COLUMN,
-                    f"duplicate column {name!r} ignored", file=role, row=1)
+            _unknown(name, role, rep, "duplicate column {!r} ignored")
         elif name in schema.BY_NAME:
             colmap[name] = idx
         else:

@@ -173,8 +173,6 @@ def test_all_series_skips_fixed_infrastructure():
                          "WALL": obs("WALL", 510, -4.0)})
     default = all_clearance_series(t)
     assert sorted(s.entity_id for s in default) == ["A1", "CONE"]
-    everything = all_clearance_series(t, include_fixed_infrastructure=True)
-    assert sorted(s.entity_id for s in everything) == ["A1", "CONE", "WALL"]
 
 
 def test_series_rows_export():

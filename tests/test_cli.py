@@ -115,6 +115,19 @@ def test_f_min_env_variable(case3_set, capsys, monkeypatch):
     assert "FrequencyTooLow" in out
 
 
+@pytest.mark.parametrize("name, message", [
+    ("VISTA_F_MIN", "environment variable VISTA_F_MIN is not a number: "
+                    "'ten'"),
+    ("VISTA_N_REQUIRED", "environment variable VISTA_N_REQUIRED is not an "
+                         "integer: 'ten'"),
+])
+def test_bad_env_variable_is_named(monkeypatch, name, message):
+    monkeypatch.setenv(name, "ten")
+    with pytest.raises(cli._CliError) as exc:
+        cli.build_parser()
+    assert str(exc.value) == message
+
+
 def test_generate_infeasible_target(tmp_path, capsys):
     rc = cli.main(["generate", "--case", "3", "--runs", "1",
                    "--out", str(tmp_path), "--target-clearance", "20.0"])

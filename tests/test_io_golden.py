@@ -307,6 +307,13 @@ CHANGED = {
         FLAT, "mandatory value is empty", "Actor_type"),
     "dist actor two bad cells": _bad(
         ACTORS_TRUE, "mandatory value is empty", "Actor_type"),
+    # A duplicate role-file column is named, as in the flat reader.
+    "dist duplicate and unknown columns": [
+        f"WARNING UnknownColumn {ACTORS_TRUE}:1 duplicate column "
+        "'Actor_TTC' ignored [Actor_TTC]",
+        f"WARNING UnknownColumn {ACTORS_TRUE}:1 column 'Actor_colour' is "
+        "not in the schema [Actor_colour]",
+        "trace: 2 VUT rows; actor A1:2"],
 }
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vistakit import cli, clearance, geometry, synth, trace_io
+from vistakit import cli, clearance, geometry, rules, synth, trace_io
 from vistakit.clearance import DEFAULT_FOOTPRINTS, clearance_series
 from vistakit.frames import LocalFrame, world_to_vcs
 from vistakit.model import (
@@ -263,30 +263,75 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
+LAZY = ("first_contact_times", "min_separation", "rect_incursion")
+
+
 def test_unread_fields_not_computed_by_evaluate(tmp_path, monkeypatch):
     trace_io.write_flat(synth.synthesize(case=1), tmp_path / "runs")
-    counts = _count_calls(monkeypatch, ("first_contact_time",
-                                        "min_separation", "rect_incursion"))
+    counts = _count_calls(monkeypatch, LAZY)
     argv = ["evaluate", str(tmp_path / "runs"), "--n-required", "1",
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     assert counts == dict.fromkeys(counts, 0)
-    # --series writes separation and NTD, so it does compute them.
+    # --series writes separation and NTD, so it does compute them: NTD
+    # in one call for the one entity, whose outlines all have 4 vertices.
     assert cli.main(argv + ["--series"]) == 1
-    assert counts["first_contact_time"] > 0 and counts["min_separation"] > 0
-    assert counts["rect_incursion"] == 0
+    assert counts["first_contact_times"] == 1
+    assert counts["min_separation"] > 0 and counts["rect_incursion"] == 0
 
 
 def test_unread_fields_computed_once_on_read(monkeypatch):
     series = clearance_series(mixed_trace(), "CYC",
                               zone=clearance.ExclusionZone(lateral=1.0))
-    counts = _count_calls(monkeypatch, ("first_contact_time",
-                                        "min_separation", "rect_incursion"))
+    counts = _count_calls(monkeypatch, LAZY)
     assert len(series.samples) == STEPS
     assert counts == dict.fromkeys(counts, 0)
     first = series.samples[0]
     for _ in range(2):
         values = (first.ntd, first.euclidean_min, first.zone_hit,
                   first.zone_depth)
-    assert counts == dict.fromkeys(counts, 1)
+    # NTD comes for the whole series at once: one call per vertex count
+    # (4, including the default footprints, and the concave 8).
+    assert counts == {"first_contact_times": 2, "min_separation": 1,
+                      "rect_incursion": 1}
     assert values[2] and values[3] > 0.0
+    for _ in range(2):
+        [s.ntd for s in series.samples]
+    assert counts["first_contact_times"] == 2
+
+
+@pytest.mark.parametrize("entity_id", ["CYC", "CONE"])
+def test_batched_ntd_equals_per_sample_first_contact_time(entity_id):
+    trace = mixed_trace()
+    records = {**trace.actors, **trace.obstacles}[entity_id]
+    vut_by_step = {r.step: r for r in trace.vut}
+    footprint = VehicleProfile().footprint
+    series = clearance_series(trace, entity_id)
+    for rec, sample in zip(records, series.samples):
+        # Every entity of the mixed trace is at rest or of unknown
+        # velocity, so only the VUT moves.
+        vut = vut_by_step[rec.step]
+        want = geometry.first_contact_time(
+            footprint, (vut.speed, 0.0), _projected_outline(rec, vut),
+            (0.0, 0.0), horizon=clearance.NTD_HORIZON)
+        assert repr(sample.ntd) == repr(want), rec.step
+    assert any(math.isfinite(s.ntd) for s in series.samples)
+
+
+def test_evaluate_series_measures_each_entity_once(tmp_path, monkeypatch):
+    for trace in synth.synthesize_runs(case=1, count=2):
+        trace_io.write_flat(trace, tmp_path / "runs")
+    calls = []
+
+    def counted(trace, entity_id, *args, _fn=clearance_series, **kwargs):
+        calls.append((trace.run_id, entity_id))
+        return _fn(trace, entity_id, *args, **kwargs)
+    monkeypatch.setattr(clearance, "clearance_series", counted)
+    monkeypatch.setattr(rules, "clearance_series", counted)
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", str(tmp_path / "runs"), "--n-required", "2",
+                     "--out", str(out), "--series"]) == 1
+    assert sorted(calls) == [(1, "TSV-01"), (2, "TSV-01")]
+    assert sorted(p.name for p in out.glob("*_series.csv")) == [
+        "M2-CL4-S-TST-05-01_r01_series.csv",
+        "M2-CL4-S-TST-05-01_r02_series.csv"]
