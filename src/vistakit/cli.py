@@ -359,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # build_parser reads the environment, which can be malformed.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

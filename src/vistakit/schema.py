@@ -14,7 +14,11 @@ The schema is the trace codec (see ``trace_io``):
 * ``required`` decides which columns a header must hold and which are
   written: "yes" columns always, the others when some record fills them.
   The "alt_pos" columns are two alternative position pairs, world
-  (lat/lon) and vehicle (x/y); a row fills exactly one of them.
+  (lat/lon) and vehicle (x/y); a row fills exactly one of them;
+* ``min``/``max`` are inclusive value bounds and ``normalised`` marks a
+  heading in [0, 360).  The record types in ``model`` check the same
+  bounds on construction (the readers' column pass checks them in bulk,
+  and may be stricter: ``Time`` >= 0 holds for every group there).
 
 Flat layout: one CSV per run named ``results_<testcase_id>_r<run_id>.csv``
 holding the common columns, the VUT group, and one repetition of the
@@ -71,7 +75,14 @@ class ColumnSpec:
     unit: str
     required: str       # yes | no | alt_pos
     allow_empty: bool
+    min: float | None
+    max: float | None
+    normalised: bool
     description: str
+
+
+def _bound(cell: str):
+    return float(cell) if cell else None
 
 
 def _load_columns() -> tuple:
@@ -86,6 +97,9 @@ def _load_columns() -> tuple:
                 unit=row["unit"],
                 required=row["required"],
                 allow_empty=row["allow_empty"] == "yes",
+                min=_bound(row["min"]),
+                max=_bound(row["max"]),
+                normalised=row["normalised"] == "yes",
                 description=row["description"],
             ))
     return tuple(cols)

@@ -9,15 +9,27 @@ Two layouts carry the same information:
   one; the ``*_perceived`` overlays attach onto the true-channel rows).
 
 The column schema (``schema.COLUMNS``) is the codec.  A column's ``kind``
-picks its cell decoder and ``allow_empty`` says whether an empty cell is
-"no value" or a fault.  Each header is planned once, and every row
-decodes through that plan: the clock cells first, then the id cell
-(empty means "no record at this step"), then the other cells in file
-column order, so a row with several bad cells reports the first of them
-in that order.  The alt_pos position pairs are the one special case:
-exactly one pair is filled, whole, and it fixes the frame of the row's
-outlines.  Both writers write, in schema order, every column the schema
-requires and every other one that some record fills.
+picks its cell decoder, ``allow_empty`` says whether an empty cell is
+"no value" or a fault, and ``min``/``max``/``normalised`` bound its
+values.  Each header is planned once.  The row decoder reads one row
+through that plan: the clock cells first, then the id cell (empty means
+"no record at this step"), then the other cells in file column order, so
+a row with several bad cells reports the first of them in that order.
+The alt_pos position pairs are the one special case: exactly one pair is
+filled, whole, and it fixes the frame of the row's outlines.
+
+A file is read by a column pass first: each planned column is decoded in
+one pass with the row decoder's conversions and checked against its
+schema bounds in bulk, and the outline cells in the writer's form are
+parsed together and checked per vertex count.  A row that passes every
+check gets its record built once, without the record type's checks
+running again.  Any other row falls back to the row decoder, which
+reports it, so the findings are exactly those of reading row by row.
+The bulk checks may be stricter than the record types (``Time`` >= 0
+holds for every group): such a row merely takes the row decoder.
+
+Both writers write, in schema order, every column the schema requires
+and every other one that some record fills.
 
 Readers are total: malformed content never raises, it lands in the
 returned IntegrityReport, and a Trace is produced only when the report
@@ -33,11 +45,15 @@ WGS84 position arrays are read and written latitude first.
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
+import functools
+import itertools
 import math
-import operator
 from pathlib import Path
+
+import numpy as np
 
 from . import integrity as it
 from . import schema
@@ -163,48 +179,105 @@ _IDS = {c.group: (c.name, _FIELDS[c.group][c.name])
         for c in schema.COLUMNS if c.kind == "id"}
 
 
-_GETTERS = {group: (tuple(m), operator.attrgetter(*m.values()))
-            for group, m in _FIELDS.items()}
+def _getter(fields):
+    """r -> {column: r.<field>} for a {column: field} map.
+
+    The function is one dict display compiled from the map: it runs
+    once per written record, and costs half of ``dict(zip(...))`` over
+    an attrgetter.  Its source holds only the schema's names.
+    """
+    return eval("lambda r: {" + ", ".join(
+        f"{column!r}: r.{field}" for column, field in fields.items()) + "}")
 
 
-def _fields(group, v) -> dict:
-    return {f: v.get(c) for c, f in _FIELDS[group].items()}
+_FIELD_VALUES = {group: _getter(m) for group, m in _FIELDS.items()}
 
 
-def _values(group, r) -> dict:
-    columns, get = _GETTERS[group]
-    return dict(zip(columns, get(r)))
+def _build(cls, n, *fields) -> list:
+    """n records of cls from one value sequence per field, in field order.
+
+    ``__post_init__`` does not run: the column pass has already checked
+    every value against the bounds the constructors check, and the row
+    decoder runs the checks itself (``_checked``).  Fields are set as the
+    dataclass ``__init__`` sets them, one C-level pass per field.
+    """
+    if not n:
+        return []
+    names, fields = _NAMES[cls], [iter(f) for f in fields]
+    # One whole record first: CPython shares a class's attribute keys
+    # between its instances, but only once an instance has registered
+    # them; instances made in bulk before that get a dict each.
+    first = object.__new__(cls)
+    for name, values in zip(names, fields):
+        object.__setattr__(first, name, next(values))
+    rest = list(map(object.__new__, itertools.repeat(cls, n - 1)))
+    for name, values in zip(names, fields):
+        collections.deque(map(object.__setattr__, rest,
+                              itertools.repeat(name), values), maxlen=0)
+    return [first] + rest
 
 
-def _vut(v) -> VutState:
-    f = _fields("vut", v)
-    f["heading"] = normalize_heading(f["heading"])
-    return VutState(
-        **f, pos=GeoPosition(v["VUT_pos_lat"], v["VUT_pos_lon"],
-                             v.get("VUT_pos_z")),
-        indicators=frozenset(flag for col, flag in _INDICATORS if v[col]))
+_TYPES = {"vut": VutState, "actor": ActorState, "obstacle": ObstacleState,
+          "controller": TrafficControllerState}
+_NAMES = {cls: tuple(f.name for f in dataclasses.fields(cls))
+          for cls in (GeoPosition, VcsPosition, BoundingShape,
+                      *_TYPES.values())}
+
+
+@functools.lru_cache(maxsize=None)
+def _flags(*lit) -> frozenset:
+    """The indicator set of one row's VUT_ind_* flags (128 at most)."""
+    return frozenset(flag for (_, flag), on in zip(_INDICATORS, lit) if on)
+
+
+def _positions(frame, n, *fields) -> list:
+    return _build(GeoPosition if frame == "wgs84" else VcsPosition, n,
+                  *fields)
+
+
+def _records(group, cols, n) -> list:
+    """The records of n rows of one group from their decoded cells
+    (column -> values), built without running ``__post_init__``."""
+    cls = _TYPES[group]
+    none = [None] * n
+    f = {field: cols.get(col, none) for col, field in _FIELDS[group].items()}
+    if group == "vut":
+        f["pos"] = _positions("wgs84", n, cols["VUT_pos_lat"],
+                              cols["VUT_pos_lon"], cols.get("VUT_pos_z", none))
+        f["indicators"] = map(_flags, *(cols[c] for c, _ in _INDICATORS))
+    elif group == "actor":
+        # The alt_pos rule has made exactly one position pair whole.
+        f["pos"] = pos = [None] * n
+        for frame, *pair in _POS_PAIRS:
+            first = cols.get(pair[0], none)
+            rows = [k for k in range(n) if first[k] is not None]
+            for k, p in zip(rows, _positions(frame, len(rows), *(
+                    _pick(cols.get(c, none), rows)
+                    for c in pair + ["Actor_pos_true_z"]))):
+                pos[k] = p
+    elif group == "obstacle":
+        f["pos"] = _positions("wgs84", n, cols["Obst_pos_lat"],
+                              cols["Obst_pos_lon"], none)
+    return _build(cls, n, *(f[name] for name in _NAMES[cls]))
+
+
+def _checked(rec):
+    """rec once the checks of its constructors have passed, its
+    position's first, as constructing it would run them."""
+    pos = getattr(rec, "pos", None)
+    if pos is not None:
+        pos.__post_init__()
+    rec.__post_init__()
+    return rec
 
 
 def _vut_values(r: VutState) -> dict:
-    v = _values("vut", r)
+    v = _FIELD_VALUES["vut"](r)
     v.update(VUT_pos_lat=r.pos.lat, VUT_pos_lon=r.pos.lon,
              VUT_pos_z=r.pos.elev)
     for col, flag in _INDICATORS:
         v[col] = flag in r.indicators
     return v
-
-
-def _actor(v) -> ActorState:
-    f = _fields("actor", v)
-    if f["heading"] is not None:
-        f["heading"] = normalize_heading(f["heading"])
-    # The alt_pos rule has made exactly one position pair whole.
-    z = v.get("Actor_pos_true_z")
-    if v.get("Actor_pos_true_lat") is not None:
-        pos = GeoPosition(v["Actor_pos_true_lat"], v["Actor_pos_true_lon"], z)
-    else:
-        pos = VcsPosition(v["Actor_pos_true_x"], v["Actor_pos_true_y"], z)
-    return ActorState(**f, pos=pos)
 
 
 def _actor_values(r: ActorState) -> dict:
@@ -213,7 +286,7 @@ def _actor_values(r: ActorState) -> dict:
             f"actor {r.actor_id!r}: bbox frame {r.bbox_true.frame!r} "
             f"differs from position frame {r.pos_frame!r}"
         )
-    v = _values("actor", r)
+    v = _FIELD_VALUES["actor"](r)
     p = r.pos
     geo = isinstance(p, GeoPosition)
     v.update(Actor_pos_true_lat=p.lat if geo else None,
@@ -224,23 +297,15 @@ def _actor_values(r: ActorState) -> dict:
     return v
 
 
-def _obstacle(v) -> ObstacleState:
-    return ObstacleState(**_fields("obstacle", v),
-                         pos=GeoPosition(v["Obst_pos_lat"], v["Obst_pos_lon"]))
-
-
 def _obstacle_values(r: ObstacleState) -> dict:
-    v = _values("obstacle", r)
+    v = _FIELD_VALUES["obstacle"](r)
     v.update(Obst_pos_lat=r.pos.lat, Obst_pos_lon=r.pos.lon)
     return v
 
 
-_BUILD = {"vut": _vut, "actor": _actor, "obstacle": _obstacle,
-          "controller": lambda v: TrafficControllerState(
-              **_fields("controller", v))}
 _VALUES = {"vut": _vut_values, "actor": _actor_values,
            "obstacle": _obstacle_values,
-           "controller": lambda r: _values("controller", r)}
+           "controller": _FIELD_VALUES["controller"]}
 
 _TRUE_ROLES = ((schema.ROLE_ACTORS_TRUE, "actor"),
                (schema.ROLE_OBSTACLES_TRUE, "obstacle"),
@@ -276,6 +341,9 @@ def _plan(cols, frame) -> list:
             # on this module's name sees every call.
             def decode(cell):
                 return shape_from_array(cell, frame=frame)
+        elif spec.normalised:
+            def decode(cell):
+                return normalize_heading(_cell_float(cell))
         else:
             decode = _DECODERS[spec.kind]
         plan.append((idx, name, decode,
@@ -303,7 +371,8 @@ class _Reader:
 
     The header is planned once: the clock cells, the id cell, the alt_pos
     pairs, and per position frame every other cell of the group in file
-    column order.
+    column order.  ``read`` decodes one row through that plan;
+    ``read_columns`` decodes all rows of a file column by column.
     """
 
     def __init__(self, group, colmap):
@@ -350,19 +419,279 @@ class _Reader:
             vals[self.id_col] = eid
         _decode(row, self.plans[self.frame(row)], vals)
         try:
-            return _BUILD[self.group](vals)
+            return _checked(_records(
+                self.group, {k: (v,) for k, v in vals.items()}, 1)[0])
         except (ValueError, TypeError) as exc:
             raise _RowProblem(None, str(exc)) from None
 
+    def read_columns(self, table) -> list:
+        """The column pass over a file's rows, ``_by_column(rows)``.
 
-def _read(reader, row, fname, rownum, rep):
-    """reader.read with a bad row reported as an error finding."""
+        Per row: its record, None when it holds none, or _REREAD.  Each
+        planned column is decoded in one pass, with the row decoder's
+        conversions, and checked against its schema bounds in bulk; a row
+        that passes every check gets its record built once.  A row that
+        fails any check, or is not as wide as the header, is left
+        _REREAD, for the row decoder to read and report.
+        """
+        n, keep, columns = table
+        out = [_REREAD] * n
+        vals, faults = {}, set()
+        for idx, name, decode, empty_ok in self.clock:
+            vals[name], bad = _bulk(columns[idx], name, decode, empty_ok)
+            faults.update(bad)
+        live = [k for k in range(len(keep)) if k not in faults]
+        if self.id_idx is not None:
+            ids = list(map(str.strip, columns[self.id_idx]))
+            for k in live:
+                if not ids[k]:
+                    out[keep[k]] = None
+            live = [k for k in live if ids[k]]
+            vals[self.id_col] = ids
+        vals = {name: _pick(v, live) for name, v in vals.items()}
+        frames, bad = self._frames(columns, live)
+        faults = set(bad)
+        # The wgs84 plan: array cells are decoded in each row's own frame.
+        for idx, name, decode, empty_ok in self.plans["wgs84"]:
+            cells = _pick(columns[idx], live)
+            if schema.BY_NAME[name].kind == "array":
+                vals[name], bad = _outlines(cells, frames, empty_ok)
+            else:
+                vals[name], bad = _bulk(cells, name, decode, empty_ok)
+            faults.update(bad)
+        good = [m for m in range(len(live)) if m not in faults]
+        vals = {name: _pick(v, good) for name, v in vals.items()}
+        for k, rec in zip(_pick(live, good),
+                          _records(self.group, vals, len(good))):
+            out[keep[k]] = rec
+        return out
+
+    def _frames(self, columns, live):
+        """(frames, faults) of the live rows: each row's position frame by
+        the alt_pos rule, and the positions of the rows that break it."""
+        if not self.pairs:
+            return ["wgs84"] * len(live), []
+        filled = {frame: sum(np.array([bool(c.strip()) for c in
+                                       _pick(columns[i], live)], dtype=int)
+                             for i in (a, b) if i is not None)
+                  for frame, a, b in self.pairs}
+        whole = {frame: n == 2 for frame, n in filled.items()}
+        bad = sum(whole.values()) != 1
+        for n in filled.values():
+            bad |= n == 1
+        vcs = whole.get("vcs", np.zeros(len(live), dtype=bool))
+        return (np.where(vcs, "vcs", "wgs84").tolist(),
+                np.flatnonzero(bad).tolist())
+
+
+def _read(reader, row, fname, rownum, rep, got):
+    """The row's record: ``got`` from the column pass, or, when that is
+    _REREAD, reader.read with a bad row reported as an error finding."""
+    if got is not _REREAD:
+        return got
     try:
         return reader.read(row)
     except _RowProblem as exc:
         rep.add(it.ERROR, it.BAD_VALUE, str(exc), file=fname, row=rownum,
                 column=exc.column)
         return None
+
+
+# ---------------------------------------------------------------------------
+# the column pass
+
+_REREAD = object()      # a row the column pass leaves to the row decoder
+
+_FLAGS = {"0": False, "1": True}
+# Per kind, the conversion the column pass tries on a whole column at
+# once.  Wherever it succeeds it gives the row decoder's value (float and
+# int ignore the surrounding whitespace that the row decoder strips); a
+# column where it fails anywhere is decoded cell by cell.
+_WHOLE = {"float": float, "ttc": float, "int": int, "code": int,
+          "bool": _FLAGS.__getitem__, "tag": str.strip, "id": str.strip}
+
+
+def _by_column(rows, width):
+    """(n, keep, columns) of a file's data rows: their number, the
+    positions of those exactly as wide as the header, and the cells of
+    those column by column."""
+    keep = [i for i, row in enumerate(rows) if len(row) == width]
+    fit = rows if len(keep) == len(rows) else [rows[i] for i in keep]
+    return len(rows), keep, list(zip(*fit)) if fit else [()] * width
+
+
+def _pick(values, positions):
+    """values at positions, an ascending subset of their indices."""
+    if len(positions) == len(values):
+        return values
+    return [values[k] for k in positions]
+
+
+def _bulk(cells, name, decode, empty_ok):
+    """(values, faults) of one column: its cells decoded, and the
+    positions of those the row decoder rejects or that break the
+    column's schema bounds."""
+    spec = schema.BY_NAME[name]
+    try:
+        values = list(map(_WHOLE[spec.kind], cells))
+        faults = [] if spec.kind not in ("tag", "id") or all(values) \
+            else None
+    except (ValueError, KeyError):
+        faults = None
+    if faults is None:
+        values, faults = [], []
+        for k, cell in enumerate(cells):
+            cell = cell.strip()
+            value = None
+            if cell:
+                try:
+                    value = decode(cell)
+                except (ValueError, TypeError, VistaError):
+                    faults.append(k)
+            elif not empty_ok:
+                faults.append(k)
+            values.append(value)
+    if spec.kind in ("int", "code"):
+        lo = -math.inf if spec.min is None else spec.min
+        hi = math.inf if spec.max is None else spec.max
+        faults += [k for k, v in enumerate(values)
+                   if v is not None and not lo <= v <= hi]
+    elif spec.kind in ("float", "ttc"):
+        a = np.array(values, dtype=float)       # None -> nan
+        with np.errstate(invalid="ignore"):
+            out = np.isnan(a) if spec.kind == "ttc" else ~np.isfinite(a)
+            if spec.min is not None:
+                out |= a < spec.min
+            if spec.max is not None:
+                out |= a > spec.max
+            if spec.normalised:
+                out |= (a < 0.0) | (a >= 360.0)
+        if None in values:                      # empty cells allowed here
+            out &= np.array([v is not None for v in values])
+        faults += np.flatnonzero(out).tolist()
+    return values, faults
+
+
+# The bounds of a world outline's vertices: those of a world position.
+_LAT, _LON = (schema.BY_NAME[c] for c in _POS_PAIRS[0][1:])
+
+
+def _outlines(cells, frames, empty_ok):
+    """(shapes, faults) of one array column: each cell read in its row's
+    frame as shape_from_array reads it, and the positions of the cells
+    the row decoder rejects.
+
+    Each distinct cell is read once, and its rows share the (immutable)
+    shape: a stationary entity repeats its outline verbatim at every
+    step.
+    """
+    keys = list(zip(map(str.strip, cells), frames))
+    distinct = [key for key in dict.fromkeys(keys) if key[0]]
+    shapes, bad = _shapes(distinct)
+    shape_of = dict(zip(distinct, shapes))
+    bad = {distinct[j] for j in bad}
+    faults = [k for k, key in enumerate(keys)
+              if key in bad or not (key[0] or empty_ok)]
+    return [shape_of.get(key) for key in keys], faults
+
+
+def _shapes(items):
+    """(shapes, faults) of (array text, frame) pairs.
+
+    Texts in the writer's form ``|a b|c d|...|`` are parsed together and
+    checked per vertex count as GeoPosition and BoundingShape check them.
+    Any other text (a ``<n`` prefix, a ``>`` terminator, a z component)
+    and one those checks refuse (a closed ring, say) goes to
+    shape_from_array on its own.
+    """
+    shapes, faults, odd, plain = [None] * len(items), [], [], []
+    for k, (c, _) in enumerate(items):
+        if c[0] == "|" == c[-1] and "<" not in c and ">" not in c \
+                and "," not in c:
+            plain.append(k)
+        else:
+            odd.append(k)
+    try:
+        counts, flat = _vertices([items[k][0][1:-1] for k in plain])
+    except ValueError:
+        ok = []
+        for k in plain:
+            try:
+                _vertices([items[k][0][1:-1]])
+                ok.append(k)
+            except ValueError:
+                odd.append(k)
+        plain = ok
+        counts, flat = _vertices([items[k][0][1:-1] for k in plain])
+    xy = np.array(flat, dtype=float).reshape(-1, 2)
+    starts = list(itertools.accumulate(counts, initial=0))
+    groups = {}
+    for j, k in enumerate(plain):
+        groups.setdefault((items[k][1], counts[j]), []).append(j)
+    vertices = {}
+    for (frame, n), js in groups.items():
+        if frame not in vertices:
+            vertices[frame] = _positions(frame, len(flat) // 2, flat[::2],
+                                         flat[1::2], itertools.repeat(None))
+        verts = vertices[frame]
+        at = np.array(starts)[js]
+        standing = _standing(xy[at[:, None] + np.arange(n)], frame).tolist()
+        good = [j for j, ok in zip(js, standing) if ok]
+        odd += [plain[j] for j, ok in zip(js, standing) if not ok]
+        for j, shape in zip(good, _build(
+                BoundingShape, len(good), itertools.repeat(frame),
+                [tuple(verts[s:s + n]) for s in _pick(starts, good)])):
+            shapes[plain[j]] = shape
+    for k in odd:
+        try:
+            shapes[k] = shape_from_array(*items[k])
+        except (ValueError, TypeError, VistaError):
+            faults.append(k)
+    return shapes, faults
+
+
+def _vertices(texts):
+    """(vertex counts, components) of array texts stripped of their outer
+    pipes; ValueError unless every vertex is two numbers."""
+    if not texts:
+        return [], []
+    vertices = list(map(str.split, "|".join(texts).split("|")))
+    if list(map(len, vertices)).count(2) != len(vertices):
+        raise ValueError("not two components per vertex")
+    return ([t.count("|") + 1 for t in texts],
+            list(map(float, itertools.chain.from_iterable(vertices))))
+
+
+def _orient(a, b, c):
+    """model._segments_properly_cross's orientation, over stacks."""
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
+def _standing(o, frame) -> np.ndarray:
+    """Which outlines of an (m, n, 2) stack, vertices in file component
+    order, stand as read: every vertex a valid position of the frame, the
+    first not repeated last, at least 3 distinct vertices and no two
+    edges properly crossing.  These are the checks of GeoPosition,
+    VcsPosition, shape_from_array and BoundingShape, in their arithmetic.
+    """
+    n = o.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = np.isfinite(o).all(axis=(1, 2))
+        pts = o
+        if frame == "wgs84":
+            for spec, c in ((_LAT, o[..., 0]), (_LON, o[..., 1])):
+                ok &= ((c >= spec.min) & (c <= spec.max)).all(axis=1)
+            pts = o[..., ::-1]              # BoundingShape checks (lon, lat)
+        ok &= ~(o[:, 0] == o[:, -1]).all(axis=1)
+        same = (pts[:, :, None] == pts[:, None]).all(axis=-1)
+        ok &= n - np.tril(same, k=-1).any(axis=2).sum(axis=1) >= 3
+        i, j = np.triu_indices(n, k=1)
+        p1, p2 = pts[:, i], pts[:, (i + 1) % n]
+        q1, q2 = pts[:, j], pts[:, (j + 1) % n]
+        ok &= ~((_orient(q1, q2, p1) * _orient(q1, q2, p2) < 0)
+                & (_orient(p1, p2, q1) * _orient(p1, p2, q2) < 0)).any(axis=1)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +713,15 @@ def _run_ids(name, pattern, what, form, rep):
 
 
 def _load(path, fname, rep):
-    """The rows of a CSV file; None, with a finding, when it is empty."""
+    """The rows of a CSV file; None, with a finding, when it is empty or
+    not UTF-8 CSV text."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            rep.add(it.ERROR, it.BAD_VALUE, f"file is not UTF-8 CSV text: "
+                    f"{exc}", file=fname)
+            return None
     if not rows:
         rep.add(it.ERROR, it.MISSING_HEADER, "file is empty", file=fname)
         return None
@@ -602,15 +937,20 @@ def parse_flat(path):
     clock = {name: base[name] for name in schema.CLOCK}
     readers = [(group, _Reader(group, {**colmap, **clock}))
                for group, colmap in groups]
+    # The column pass of every reader first; it adds no findings.
+    table = _by_column(rows[1:], len(rows[0]))
+    vut_got = vut_reader.read_columns(table)
+    readers = [(group, reader, reader.read_columns(table))
+               for group, reader in readers]
     vut_rows = []
     entity_rows = {group: [] for group in _ENTITY_GROUPS}
-    for rownum, row in _padded(rows, fname, rep):
-        vut = _read(vut_reader, row, fname, rownum, rep)
+    for i, (rownum, row) in enumerate(_padded(rows, fname, rep)):
+        vut = _read(vut_reader, row, fname, rownum, rep, vut_got[i])
         if vut is None:
             continue
         vut_rows.append((rownum, vut))
-        for group, reader in readers:
-            rec = _read(reader, row, fname, rownum, rep)
+        for group, reader, got in readers:
+            rec = _read(reader, row, fname, rownum, rep, got[i])
             if rec is not None:
                 entity_rows[group].append((rownum, rec))
 
@@ -632,7 +972,8 @@ def parse_flat(path):
 # distributed layout
 
 def _read_role(folder, role, rep):
-    """Read one role file -> (colmap, [(rownum, row)]) or None."""
+    """Read one role file -> (colmap, [(rownum, row)], header width) or
+    None."""
     p = folder / role
     rows = _load(p, role, rep) if p.exists() else None
     if rows is None:
@@ -650,7 +991,17 @@ def _read_role(folder, role, rep):
                 if schema.BY_NAME[c].required == "yes"]
     if not _require_columns(colmap, required, role, rep):
         return None
-    return colmap, list(_padded(rows, role, rep))
+    return colmap, list(_padded(rows, role, rep)), len(rows[0])
+
+
+def _read_rows(reader, got, fname, rep):
+    """(rownum, record or None) of each row of a role file read by
+    _read_role, column pass first; a row's findings are added when it is
+    yielded."""
+    _, rows, width = got
+    done = reader.read_columns(_by_column([row for _, row in rows], width))
+    for (rownum, row), rec in zip(rows, done):
+        yield rownum, _read(reader, row, fname, rownum, rep, rec)
 
 
 def parse_distributed(path):
@@ -676,11 +1027,8 @@ def parse_distributed(path):
             rep.add(it.ERROR, it.MISSING_VUT_FILE,
                     f"{schema.ROLE_VUT} is missing", file=folder.name)
         return None, rep
-    colmap, rows = got
-    reader = _Reader("vut", colmap)
-    vut_rows = [(rownum, rec) for rownum, row in rows
-                if (rec := _read(reader, row, schema.ROLE_VUT, rownum, rep))
-                is not None]
+    vut_rows = [(rownum, rec) for rownum, rec in _read_rows(
+        _Reader("vut", got[0]), got, schema.ROLE_VUT, rep) if rec is not None]
     clock = _vut_clock(vut_rows, schema.ROLE_VUT, rep, "no usable VUT rows")
     if clock is None:
         return None, rep
@@ -694,10 +1042,8 @@ def parse_distributed(path):
         if got is None or (group == "actor" and not _check_actor_pos_columns(
                 got[0], role, rep)):
             continue
-        colmap, rows = got
-        reader = _Reader(group, colmap)
-        for rownum, row in rows:
-            rec = _read(reader, row, role, rownum, rep)
+        for rownum, rec in _read_rows(_Reader(group, got[0]), got, role,
+                                      rep):
             if rec is not None:
                 _join(table, group, rec, step_times, half_period, role,
                       rownum, rep)
@@ -718,7 +1064,7 @@ def _attach(folder, role, tables, rep):
     got = _read_role(folder, role, rep)
     if got is None:
         return
-    colmap, rows = got
+    colmap, rows, _ = got
     table = tables[group]
     if field is not None:
         keep = ("Step_number", _IDS[group][0], column)

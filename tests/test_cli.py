@@ -121,11 +121,13 @@ def test_f_min_env_variable(case3_set, capsys, monkeypatch):
     ("VISTA_N_REQUIRED", "environment variable VISTA_N_REQUIRED is not an "
                          "integer: 'ten'"),
 ])
-def test_bad_env_variable_is_named(monkeypatch, name, message):
+def test_bad_env_variable_is_named(monkeypatch, capsys, name, message):
     monkeypatch.setenv(name, "ten")
     with pytest.raises(cli._CliError) as exc:
         cli.build_parser()
     assert str(exc.value) == message
+    assert cli.main(["validate", "."]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_generate_infeasible_target(tmp_path, capsys):
