@@ -19,8 +19,10 @@ and raises ``ValueError``/``TypeError`` on violations.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 INDICATOR_NAMES = frozenset(
     {"left_front", "left_rear", "right_front", "right_rear",
@@ -320,6 +322,36 @@ class TrafficControllerState:
             raise ValueError("controller_id must be non-empty")
         if not self.phase:
             raise ValueError("phase must be non-empty")
+
+
+_NAMES = {cls: tuple(f.name for f in fields(cls))
+          for cls in (GeoPosition, VcsPosition, BoundingShape, VutState,
+                      ActorState, ObstacleState, TrafficControllerState)}
+
+
+def _build(cls, n, *values) -> list:
+    """n records of cls from one value sequence per field, in field order.
+
+    ``__post_init__`` does not run: the caller has checked every value
+    against the bounds the constructors check (the trace reader's column
+    pass, ``synth.perturb``'s bulk checks) or runs the checks itself (the
+    reader's row decoder).  Fields are set as the dataclass ``__init__``
+    sets them, one C-level pass per field.
+    """
+    if not n:
+        return []
+    names, values = _NAMES[cls], [iter(v) for v in values]
+    # One whole record first: CPython shares a class's attribute keys
+    # between its instances, but only once an instance has registered
+    # them; instances made in bulk before that get a dict each.
+    first = object.__new__(cls)
+    for name, column in zip(names, values):
+        object.__setattr__(first, name, next(column))
+    rest = list(map(object.__new__, itertools.repeat(cls, n - 1)))
+    for name, column in zip(names, values):
+        collections.deque(map(object.__setattr__, rest,
+                              itertools.repeat(name), column), maxlen=0)
+    return [first] + rest
 
 
 def default_footprint(length: float = 4.4, width: float = 1.8) -> BoundingShape:

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import InfeasibleSpec
-from .frames import LocalFrame, enu_to_vcs
+from .frames import MAX_EXTENT_M, LocalFrame, enu_to_vcs
 from .geometry import first_contact_times, poly_array
 # Not called here, but kept as ``synth.first_contact_time``: profilers
 # wrap that name.
@@ -40,6 +41,8 @@ from .model import (
     Trace,
     VehicleProfile,
     VutState,
+    _NAMES,
+    _build,
     normalize_heading,
 )
 
@@ -398,27 +401,67 @@ def perturb(trace: Trace, pos_sigma: float = 0.0, speed_sigma: float = 0.0,
     """A noisy twin of a trace: jittered fixes, jittered speed, shifted clock.
 
     The same seed always yields the same twin.  Only the vehicle channel
-    is perturbed; environment records just follow the clock shift.
+    is perturbed, and its elevation is kept; environment records just
+    follow the clock shift.  Each channel is one numpy pass of what
+    :func:`_jitter` does per row, checked in bulk; a row the checks refuse
+    goes through :func:`_jitter`, which raises the row's error.
     """
     rng = np.random.default_rng(seed)
-    frame = LocalFrame.at(trace.vut[0].pos)
-    new_vut = []
-    for r in trace.vut:
-        e, n = frame.to_local(r.pos)
-        e += float(rng.normal(0.0, 1.0)) * pos_sigma
-        n += float(rng.normal(0.0, 1.0)) * pos_sigma
-        speed = max(0.0, r.speed + float(rng.normal(0.0, 1.0)) * speed_sigma)
-        new_vut.append(replace(r, time=r.time + time_shift,
-                               pos=frame.from_local(e, n), speed=speed))
-
-    def _shift(records):
-        return tuple(replace(r, time=r.time + time_shift) for r in records)
-
+    vut = trace.vut
+    frame = LocalFrame.at(vut[0].pos)
+    o, k_lat, k_lon = frame.origin, frame.m_per_deg_lat, frame.m_per_deg_lon
+    # noise[k] is row k's east, north and speed draw: one (n, 3) draw
+    # gives the stream of 3n scalar draws in that order.
+    noise = rng.normal(0.0, 1.0, size=(len(vut), 3))
+    x = (np.array([r.pos.lon for r in vut], float) - o.lon) * k_lon
+    y = (np.array([r.pos.lat for r in vut], float) - o.lat) * k_lat
+    e = x + noise[:, 0] * pos_sigma
+    n = y + noise[:, 1] * pos_sigma
+    lat, lon = o.lat + n / k_lat, o.lon + e / k_lon
+    s = np.array([r.speed for r in vut], float) + noise[:, 2] * speed_sigma
+    speed = np.where(s > 0.0, s, 0.0)   # max(0.0, s): np.maximum keeps -0.0
+    t = np.array([r.time + time_shift for r in vut], float)
+    ok = (np.abs(np.stack([x, y, e, n])) <= MAX_EXTENT_M).all(axis=0) \
+        & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0) \
+        & np.isfinite(t) & (t >= 0.0) & np.isfinite(speed)
+    for k in np.flatnonzero(~ok).tolist():     # raises at the first
+        _jitter(frame, vut[k], noise[k].tolist(), pos_sigma, speed_sigma,
+                time_shift)
+    pos = _build(GeoPosition, len(vut), lat.tolist(), lon.tolist(),
+                 [r.pos.elev for r in vut])
+    env = {table: {k: _shifted(v, time_shift)
+                   for k, v in getattr(trace, table).items()}
+           for table in ("actors", "obstacles", "controllers")}
     return Trace(
         testcase_id=trace.testcase_id, run_id=trace.run_id,
-        vut=tuple(new_vut),
-        actors={k: _shift(v) for k, v in trace.actors.items()},
-        obstacles={k: _shift(v) for k, v in trace.obstacles.items()},
-        controllers={k: _shift(v) for k, v in trace.controllers.items()},
-        declared_frequency=trace.declared_frequency,
-    )
+        vut=_shifted(vut, time_shift, pos=pos, speed=speed.tolist()),
+        declared_frequency=trace.declared_frequency, **env)
+
+
+def _jitter(frame, r, noise, pos_sigma, speed_sigma, time_shift):
+    """One VUT row of :func:`perturb`, checked by the constructors."""
+    e, n = frame.to_local(r.pos)
+    e += noise[0] * pos_sigma
+    n += noise[1] * pos_sigma
+    speed = max(0.0, r.speed + noise[2] * speed_sigma)
+    return replace(r, time=r.time + time_shift,
+                   pos=frame.from_local(e, n, r.pos.elev), speed=speed)
+
+
+def _shifted(records, time_shift, **columns) -> tuple:
+    """records rebuilt once, their clock shifted and the named fields'
+    values replaced; records that would come out the same are returned
+    as they are.  A time no longer finite, the one check a shift can
+    fail, raises the constructor's error."""
+    time = [r.time + time_shift for r in records]
+    if not records or (not columns and time_shift == 0.0 and repr(time)
+                       == repr([r.time for r in records])):
+        return tuple(records)
+    columns["time"] = time
+    for r, t in zip(records, time):
+        if not math.isfinite(t):
+            replace(r, time=t)
+    cls = type(records[0])
+    return tuple(_build(cls, len(records), *(
+        columns[name] if name in columns else map(attrgetter(name), records)
+        for name in _NAMES[cls])))

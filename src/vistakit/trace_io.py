@@ -29,7 +29,9 @@ The bulk checks may be stricter than the record types (``Time`` >= 0
 holds for every group): such a row merely takes the row decoder.
 
 Both writers write, in schema order, every column the schema requires
-and every other one that some record fills.
+and every other one that some record fills.  They work by column: each
+written column is gathered once and formatted in one pass (each outline
+object once per write), and the rows are the columns zipped.
 
 Readers are total: malformed content never raises, it lands in the
 returned IntegrityReport, and a Trace is produced only when the report
@@ -45,7 +47,6 @@ WGS84 position arrays are read and written latitude first.
 
 from __future__ import annotations
 
-import collections
 import csv
 import dataclasses
 import functools
@@ -68,6 +69,8 @@ from .model import (
     TrafficControllerState,
     VcsPosition,
     VutState,
+    _NAMES,
+    _build,
     actor_mimics_obstacle,
     normalize_heading,
     obstacle_from_actor,
@@ -126,16 +129,11 @@ _DECODERS = {"float": _cell_float, "int": int, "code": int,
 
 
 def _fmt(v) -> str:
-    # Exact classes first, most frequent first: this runs once per cell.
-    cls = v.__class__
-    if cls is float:
-        return "inf" if math.isinf(v) else repr(v)
-    if cls is str:
-        return v
-    if cls is bool:
-        return "1" if v else "0"
+    # One cell; _cells formats whole columns to match it.
     if v is None:
         return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
     if isinstance(v, BoundingShape):
         return shape_to_array(v)
     if isinstance(v, float):
@@ -193,35 +191,8 @@ def _getter(fields):
 _FIELD_VALUES = {group: _getter(m) for group, m in _FIELDS.items()}
 
 
-def _build(cls, n, *fields) -> list:
-    """n records of cls from one value sequence per field, in field order.
-
-    ``__post_init__`` does not run: the column pass has already checked
-    every value against the bounds the constructors check, and the row
-    decoder runs the checks itself (``_checked``).  Fields are set as the
-    dataclass ``__init__`` sets them, one C-level pass per field.
-    """
-    if not n:
-        return []
-    names, fields = _NAMES[cls], [iter(f) for f in fields]
-    # One whole record first: CPython shares a class's attribute keys
-    # between its instances, but only once an instance has registered
-    # them; instances made in bulk before that get a dict each.
-    first = object.__new__(cls)
-    for name, values in zip(names, fields):
-        object.__setattr__(first, name, next(values))
-    rest = list(map(object.__new__, itertools.repeat(cls, n - 1)))
-    for name, values in zip(names, fields):
-        collections.deque(map(object.__setattr__, rest,
-                              itertools.repeat(name), values), maxlen=0)
-    return [first] + rest
-
-
 _TYPES = {"vut": VutState, "actor": ActorState, "obstacle": ObstacleState,
           "controller": TrafficControllerState}
-_NAMES = {cls: tuple(f.name for f in dataclasses.fields(cls))
-          for cls in (GeoPosition, VcsPosition, BoundingShape,
-                      *_TYPES.values())}
 
 
 @functools.lru_cache(maxsize=None)
@@ -1137,11 +1108,38 @@ def _columns(candidates, rows, always=()) -> list:
     return cols
 
 
-def _write(path, header, rows) -> None:
+def _write(path, header, columns) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows(zip(*columns))
+
+
+def _cells(values, shapes) -> list:
+    """``_fmt`` of each value of a column, in one pass for a column of one
+    exact type or of outlines.  ``shapes`` (id -> text) holds the outlines
+    this write call has formatted, so each object is formatted once."""
+    kinds = set(map(type, values))
+    kind = next(iter(kinds)) if len(kinds) == 1 else None
+    if kind is float:
+        cells = list(map(float.__repr__, values))
+        return cells if "-inf" not in cells else list(map(_fmt, values))
+    if kind is str or kind is int:
+        return list(map(str, values))
+    if kind is bool:
+        return ["1" if v else "0" for v in values]
+    if kinds <= {BoundingShape, type(None)}:
+        new = {id(v): v for v in values
+               if v is not None and id(v) not in shapes}
+        shapes.update((k, shape_to_array(v)) for k, v in new.items())
+        return [shapes[id(v)] if v is not None else "" for v in values]
+    return list(map(_fmt, values))
+
+
+def _table(cols, rows, shapes) -> list:
+    """The cells of the named columns of {column: value} rows, column by
+    column."""
+    return [_cells([v[c] for v in rows], shapes) for c in cols]
 
 
 def _entity_values(trace, group) -> list:
@@ -1156,28 +1154,21 @@ def write_flat(trace, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / schema.flat_filename(trace.testcase_id, trace.run_id)
+    shapes = {}
     vut = [_vut_values(r) for r in trace.vut]
-    vut_cols = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
-    segments = []
+    header = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
+    columns = _table(header, vut, shapes)
     for group in _ENTITY_GROUPS:
         for entity in _entity_values(trace, group):
             cols = _columns(schema.column_names(group),
                             [v for _, v in entity])
-            segments.append((cols, {r.step: v for r, v in entity}))
-
-    def rows():
-        for rec, values in zip(trace.vut, vut):
-            row = [_fmt(values[c]) for c in vut_cols]
-            for cols, by_step in segments:
-                ent = by_step.get(rec.step)
-                if ent is None:
-                    row += [""] * len(cols)
-                else:
-                    row += [_fmt(ent[c]) for c in cols]
-            yield row
-
-    _write(path, vut_cols + [c for cols, _ in segments for c in cols],
-           rows())
+            # Indexed by VUT step; a step without a record is blank.
+            by_step = {r.step: v for r, v in entity}
+            blank = dict.fromkeys(cols)
+            columns += _table(cols, [by_step.get(r.step, blank)
+                                     for r in trace.vut], shapes)
+            header += cols
+    _write(path, header, columns)
     return path
 
 
@@ -1190,12 +1181,12 @@ def write_distributed(trace, directory) -> Path:
     """
     root = Path(directory) / schema.dir_name(trace.testcase_id, trace.run_id)
     root.mkdir(parents=True, exist_ok=True)
+    shapes = {}
     values = {group: [rv for entity in _entity_values(trace, group)
                       for rv in entity] for group in _ENTITY_GROUPS}
     vut = [_vut_values(r) for r in trace.vut]
     cols = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
-    _write(root / schema.ROLE_VUT, cols,
-           ([_fmt(v[c]) for c in cols] for v in vut))
+    _write(root / schema.ROLE_VUT, cols, _table(cols, vut, shapes))
     roles = [(role, values[group], ()) for role, group in _TRUE_ROLES]
     roles += [(role, [(r, v) for r, v in values[group]
                       if field is not None and getattr(r, field) is not None],
@@ -1207,9 +1198,8 @@ def write_distributed(trace, directory) -> Path:
         by_step = {}
         for r, v in records:
             by_step.setdefault(r.step, []).append(v)
-        _write(root / role, cols,
-               ([_fmt(v[c]) for c in cols]
-                for rec in trace.vut for v in by_step.get(rec.step, ())))
+        rows = [v for rec in trace.vut for v in by_step.get(rec.step, ())]
+        _write(root / role, cols, _table(cols, rows, shapes))
     return root
 
 
