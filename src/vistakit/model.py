@@ -34,7 +34,7 @@ VEHICLE_CLASSES = ("class3", "class4", "aesv_class3", "aesv_class4")
 # Numeric obstacle type codes.  Codes below FIXED_INFRA_CODE_MIN are
 # portable objects that take part in clearance evaluation; codes at or
 # above it are fixed roadside infrastructure, which is exempt from the
-# exclusion-zone rules.
+# clearance rules (``rules.evaluate_run`` notes each one it skips).
 OBSTACLE_CODE_MIN = 100
 FIXED_INFRA_CODE_MIN = 500
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .clearance import ClearanceSeries, clearance_series
+from .errors import VistaError
 from .frames import LocalFrame
 from .model import (
     GeoPosition,
@@ -408,7 +409,12 @@ def evaluate_traffic_lights(trace: Trace, rules: RuleSet) -> tuple:
 
 def evaluate_run(trace: Trace, rules: RuleSet | None = None,
                  profile: VehicleProfile | None = None) -> RunEvaluation:
-    """Every rule applied to one run."""
+    """Every rule applied to one run.
+
+    An entity whose clearance cannot be measured (a point beyond the safe
+    extent of the VUT's frame, say) fails both clearance rules, with the
+    reason in their detail and in a note.
+    """
     rules = rules or RuleSet()
     profile = profile or VehicleProfile()
     verdicts = []
@@ -423,7 +429,17 @@ def evaluate_run(trace: Trace, rules: RuleSet | None = None,
             continue
         entity_ids.append(oid)
     for eid in entity_ids:
-        series = clearance_series(trace, eid, profile=profile)
+        try:
+            series = clearance_series(trace, eid, profile=profile)
+        except VistaError as exc:
+            # What cannot be measured fails; the other entities and runs
+            # are still judged.
+            detail = f"not evaluable: {exc}"
+            verdicts.extend(RuleVerdict(rule=f"{axis}_clearance[{eid}]",
+                                        outcome=FAIL, detail=detail)
+                            for axis in ("lateral", "longitudinal"))
+            notes.append(f"{eid}: {detail}")
+            continue
         all_series.append(series)
         notes.extend(series.notes)
         pair, cnotes = evaluate_clearances(trace, series, rules)

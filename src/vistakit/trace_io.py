@@ -28,10 +28,13 @@ reports it, so the findings are exactly those of reading row by row.
 The bulk checks may be stricter than the record types (``Time`` >= 0
 holds for every group): such a row merely takes the row decoder.
 
-Both writers write, in schema order, every column the schema requires
-and every other one that some record fills.  They work by column: each
-written column is gathered once and formatted in one pass (each outline
-object once per write), and the rows are the columns zipped.
+Both writers gather each column straight from the records, through the
+one record/column map the readers build records with, and write, in
+schema order, every column the schema requires and every other one that
+some record fills.  Each written column is formatted in one pass (each
+outline object once per write), and the rows are the columns zipped.
+An outline out of its record's position frame, and a table with both
+world and VCS actor positions, raise ValueError before any file is made.
 
 Readers are total: malformed content never raises, it lands in the
 returned IntegrityReport, and a Trace is produced only when the report
@@ -52,6 +55,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -78,13 +82,6 @@ from .model import (
 from .positions import shape_from_array, shape_to_array
 
 _ENTITY_GROUPS = tuple(schema.GROUP_LEADERS.values())
-# The VUT's flag columns, VUT_ind_<indicator>, and their indicators.
-_INDICATORS = tuple((c.name, c.name[len("VUT_ind_"):])
-                    for c in schema.group_columns("vut") if c.kind == "bool")
-# The alt_pos pairs, world first: (frame, first column, second column).
-_POS_PAIRS = (("wgs84", "Actor_pos_true_lat", "Actor_pos_true_lon"),
-              ("vcs", "Actor_pos_true_x", "Actor_pos_true_y"))
-_POS_COLUMN = _POS_PAIRS[0][1]     # where a pair fault is reported
 
 
 def detect_layout(path) -> str:
@@ -144,7 +141,7 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# record types: decoded cells -> record, record -> {column: value}
+# record types: the one map between records and columns, both ways
 
 # Per group, the columns that map one to one onto a record field.
 _FIELDS = {
@@ -172,24 +169,28 @@ _FIELDS = {
                    "Traffic_Ctrl_Id": "controller_id",
                    "Traffic_Ctrl_phase": "phase"},
 }
+# Per group and position frame, the columns of the record's ``pos``, in
+# the order of the position type's fields (None: a field no column holds).
+# The actor's two frames are the alt_pos pairs, world first.
+_POS = {
+    "vut": {"wgs84": ("VUT_pos_lat", "VUT_pos_lon", "VUT_pos_z")},
+    "actor": {"wgs84": ("Actor_pos_true_lat", "Actor_pos_true_lon",
+                        "Actor_pos_true_z"),
+              "vcs": ("Actor_pos_true_x", "Actor_pos_true_y",
+                      "Actor_pos_true_z")},
+    "obstacle": {"wgs84": ("Obst_pos_lat", "Obst_pos_lon", None)},
+}
+_POS_TYPES = {"wgs84": GeoPosition, "vcs": VcsPosition}
+_POS_COLUMN = _POS["actor"]["wgs84"][0]     # where a pair fault is reported
+# The VUT's flag columns, VUT_ind_<indicator>, and their indicators.
+_INDICATORS = tuple((c.name, c.name[len("VUT_ind_"):])
+                    for c in schema.group_columns("vut") if c.kind == "bool")
 # Entity group -> (id column, id field).
 _IDS = {c.group: (c.name, _FIELDS[c.group][c.name])
         for c in schema.COLUMNS if c.kind == "id"}
-
-
-def _getter(fields):
-    """r -> {column: r.<field>} for a {column: field} map.
-
-    The function is one dict display compiled from the map: it runs
-    once per written record, and costs half of ``dict(zip(...))`` over
-    an attrgetter.  Its source holds only the schema's names.
-    """
-    return eval("lambda r: {" + ", ".join(
-        f"{column!r}: r.{field}" for column, field in fields.items()) + "}")
-
-
-_FIELD_VALUES = {group: _getter(m) for group, m in _FIELDS.items()}
-
+# Per group, its outline columns; an outline is in its position's frame.
+_OUTLINES = {g: [c for c in _FIELDS[g] if schema.BY_NAME[c].kind == "array"]
+             for g in _FIELDS}
 
 _TYPES = {"vut": VutState, "actor": ActorState, "obstacle": ObstacleState,
           "controller": TrafficControllerState}
@@ -202,34 +203,59 @@ def _flags(*lit) -> frozenset:
 
 
 def _positions(frame, n, *fields) -> list:
-    return _build(GeoPosition if frame == "wgs84" else VcsPosition, n,
-                  *fields)
+    return _build(_POS_TYPES[frame], n, *fields)
 
 
 def _records(group, cols, n) -> list:
     """The records of n rows of one group from their decoded cells
-    (column -> values), built without running ``__post_init__``."""
-    cls = _TYPES[group]
+    (column -> values), built without running ``__post_init__``.  A row's
+    position is in the frame whose first column it fills (the alt_pos
+    rule has made exactly one actor pair whole)."""
     none = [None] * n
     f = {field: cols.get(col, none) for col, field in _FIELDS[group].items()}
     if group == "vut":
-        f["pos"] = _positions("wgs84", n, cols["VUT_pos_lat"],
-                              cols["VUT_pos_lon"], cols.get("VUT_pos_z", none))
         f["indicators"] = map(_flags, *(cols[c] for c, _ in _INDICATORS))
-    elif group == "actor":
-        # The alt_pos rule has made exactly one position pair whole.
+    if group in _POS:
         f["pos"] = pos = [None] * n
-        for frame, *pair in _POS_PAIRS:
-            first = cols.get(pair[0], none)
-            rows = [k for k in range(n) if first[k] is not None]
+        for frame, pcols in _POS[group].items():
+            rows = [k for k, v in enumerate(cols.get(pcols[0], none))
+                    if v is not None]
             for k, p in zip(rows, _positions(frame, len(rows), *(
-                    _pick(cols.get(c, none), rows)
-                    for c in pair + ["Actor_pos_true_z"]))):
+                    _pick(cols.get(c, none), rows) for c in pcols))):
                 pos[k] = p
-    elif group == "obstacle":
-        f["pos"] = _positions("wgs84", n, cols["Obst_pos_lat"],
-                              cols["Obst_pos_lon"], none)
+    cls = _TYPES[group]
     return _build(cls, n, *(f[name] for name in _NAMES[cls]))
+
+
+def _gather(group, records) -> dict:
+    """{column: values} of records of one group, the inverse of _records.
+
+    A position column holds None where the record's position is in the
+    other frame.  An outline in a frame other than its record's position
+    frame is refused: it would read back in the position frame.
+    """
+    values = {col: list(map(attrgetter(field), records))
+              for col, field in _FIELDS[group].items()}
+    if group == "vut":
+        sets = list(map(attrgetter("indicators"), records))
+        for col, flag in _INDICATORS:
+            values[col] = [flag in s for s in sets]
+    pos = list(map(attrgetter("pos"), records)) if group in _POS else ()
+    frames = ["wgs84" if isinstance(p, GeoPosition) else "vcs" for p in pos]
+    for frame, pcols in _POS.get(group, {}).items():
+        for col, name in zip(pcols, _NAMES[_POS_TYPES[frame]]):
+            if col is not None:
+                values[col] = [getattr(p, name) if f == frame else v
+                               for p, f, v in zip(pos, frames, values.get(
+                                   col, itertools.repeat(None)))]
+    for col in _OUTLINES[group]:
+        for shape, frame, r in zip(values[col], frames, records):
+            if shape is not None and shape.frame != frame:
+                raise ValueError(
+                    f"{_IDS[group][0]}={getattr(r, _IDS[group][1])}: {col} "
+                    f"at step {r.step} is in the {shape.frame} frame, its "
+                    f"position in the {frame} frame")
+    return values
 
 
 def _checked(rec):
@@ -241,42 +267,6 @@ def _checked(rec):
     rec.__post_init__()
     return rec
 
-
-def _vut_values(r: VutState) -> dict:
-    v = _FIELD_VALUES["vut"](r)
-    v.update(VUT_pos_lat=r.pos.lat, VUT_pos_lon=r.pos.lon,
-             VUT_pos_z=r.pos.elev)
-    for col, flag in _INDICATORS:
-        v[col] = flag in r.indicators
-    return v
-
-
-def _actor_values(r: ActorState) -> dict:
-    if r.bbox_true is not None and r.bbox_true.frame != r.pos_frame:
-        raise ValueError(
-            f"actor {r.actor_id!r}: bbox frame {r.bbox_true.frame!r} "
-            f"differs from position frame {r.pos_frame!r}"
-        )
-    v = _FIELD_VALUES["actor"](r)
-    p = r.pos
-    geo = isinstance(p, GeoPosition)
-    v.update(Actor_pos_true_lat=p.lat if geo else None,
-             Actor_pos_true_lon=p.lon if geo else None,
-             Actor_pos_true_x=None if geo else p.x,
-             Actor_pos_true_y=None if geo else p.y,
-             Actor_pos_true_z=p.elev if geo else p.z)
-    return v
-
-
-def _obstacle_values(r: ObstacleState) -> dict:
-    v = _FIELD_VALUES["obstacle"](r)
-    v.update(Obst_pos_lat=r.pos.lat, Obst_pos_lon=r.pos.lon)
-    return v
-
-
-_VALUES = {"vut": _vut_values, "actor": _actor_values,
-           "obstacle": _obstacle_values,
-           "controller": _FIELD_VALUES["controller"]}
 
 _TRUE_ROLES = ((schema.ROLE_ACTORS_TRUE, "actor"),
                (schema.ROLE_OBSTACLES_TRUE, "obstacle"),
@@ -358,8 +348,9 @@ class _Reader:
         rest = [c for c in cols if c[1] not in schema.CLOCK]
         self.plans = {f: _plan(rest, f) for f in ("wgs84", "vcs")}
         self.pairs = [(f, colmap.get(a), colmap.get(b))
-                      for f, a, b in _POS_PAIRS
-                      if a in names and (a in colmap or b in colmap)]
+                      for f, (a, b, _) in _POS.get(group, {}).items()
+                      if schema.BY_NAME[a].required == "alt_pos"
+                      and (a in colmap or b in colmap)]
 
     def frame(self, row) -> str:
         """The alt_pos rule: exactly one position pair is filled, whole."""
@@ -544,7 +535,7 @@ def _bulk(cells, name, decode, empty_ok):
 
 
 # The bounds of a world outline's vertices: those of a world position.
-_LAT, _LON = (schema.BY_NAME[c] for c in _POS_PAIRS[0][1:])
+_LAT, _LON = (schema.BY_NAME[c] for c in _POS["actor"]["wgs84"][:2])
 
 
 def _outlines(cells, frames, empty_ok):
@@ -766,7 +757,8 @@ def _require_columns(colmap, names, fname, rep) -> bool:
 
 
 def _check_actor_pos_columns(colmap, fname, rep) -> bool:
-    if not any(a in colmap and b in colmap for _, a, b in _POS_PAIRS):
+    if not any(a in colmap and b in colmap
+               for a, b, _ in _POS["actor"].values()):
         rep.add(it.ERROR, it.MISSING_MANDATORY_COLUMN,
                 "actor group needs either Actor_pos_true_lat/lon or "
                 "Actor_pos_true_x/y", file=fname, row=1)
@@ -1087,24 +1079,25 @@ def parse_trace(path):
 # ---------------------------------------------------------------------------
 # writing
 
-def _columns(candidates, rows, always=()) -> list:
+def _columns(candidates, values, always=()) -> list:
     """The candidate columns a table writes, in schema order.
 
     A column is written when the schema requires it, when it is in
-    ``always``, or when some row has a value for it.  Of the alt_pos
-    pairs, the filled one is written; a table that fills both is
-    refused, and one that fills neither (it has no rows) writes the
-    world pair.
+    ``always``, or when some record has a value for it in ``values``
+    ({column: values}).  Of the alt_pos pairs, the filled one is written;
+    a table that fills both is refused, and one that fills neither (it
+    has no records) writes the world pair.
     """
     cols = [c for c in candidates
             if schema.BY_NAME[c].required == "yes" or c in always
-            or any(r[c] is not None for r in rows)]
+            or any(v is not None for v in values[c])]
     pos = [c for c in cols if schema.BY_NAME[c].required == "alt_pos"]
     if len(pos) > 2:
         raise ValueError("cannot write world and VCS actor positions in "
                          "one table")
     if not pos and _POS_COLUMN in candidates:
-        cols = [c for c in candidates if c in cols or c in _POS_PAIRS[0][1:]]
+        world = _POS["actor"]["wgs84"][:2]
+        cols = [c for c in candidates if c in cols or c in world]
     return cols
 
 
@@ -1136,39 +1129,36 @@ def _cells(values, shapes) -> list:
     return list(map(_fmt, values))
 
 
-def _table(cols, rows, shapes) -> list:
-    """The cells of the named columns of {column: value} rows, column by
-    column."""
-    return [_cells([v[c] for v in rows], shapes) for c in cols]
-
-
-def _entity_values(trace, group) -> list:
-    """[(record, values)] of one group, entity by entity."""
-    table = {"actor": trace.actors, "obstacle": trace.obstacles,
-             "controller": trace.controllers}[group]
-    return [[(r, _VALUES[group](r)) for r in recs] for recs in table.values()]
+def _entities(trace) -> dict:
+    """group -> {entity id: records} of a trace."""
+    return {"actor": trace.actors, "obstacle": trace.obstacles,
+            "controller": trace.controllers}
 
 
 def write_flat(trace, directory) -> Path:
     """Write one run as a flat results file; returns the file path."""
+    values = _gather("vut", trace.vut)
+    header = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], values)
+    tables = [(header, values)]
+    steps = [r.step for r in trace.vut]
+    for group, table in _entities(trace).items():
+        for records in table.values():
+            values = _gather(group, records)
+            cols = _columns(schema.column_names(group), values)
+            # Aligned to the VUT clock: a step without a record reads the
+            # None past the records' end, a blank cell.
+            at = {r.step: k for k, r in enumerate(records)}
+            rows = [at.get(step, len(records)) for step in steps]
+            tables.append((cols, {c: list(map((values[c] + [None])
+                                              .__getitem__, rows))
+                                  for c in cols}))
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / schema.flat_filename(trace.testcase_id, trace.run_id)
     shapes = {}
-    vut = [_vut_values(r) for r in trace.vut]
-    header = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
-    columns = _table(header, vut, shapes)
-    for group in _ENTITY_GROUPS:
-        for entity in _entity_values(trace, group):
-            cols = _columns(schema.column_names(group),
-                            [v for _, v in entity])
-            # Indexed by VUT step; a step without a record is blank.
-            by_step = {r.step: v for r, v in entity}
-            blank = dict.fromkeys(cols)
-            columns += _table(cols, [by_step.get(r.step, blank)
-                                     for r in trace.vut], shapes)
-            header += cols
-    _write(path, header, columns)
+    _write(path, [c for cols, _ in tables for c in cols],
+           [_cells(values[c], shapes) for cols, values in tables
+            for c in cols])
     return path
 
 
@@ -1179,27 +1169,34 @@ def write_distributed(trace, directory) -> Path:
     header-only.  Entity rows follow the VUT clock: VUT step order, then
     entity order, then record order; records off the clock are dropped.
     """
+    steps = [r.step for r in trace.vut]
+    # (role, {column: values}, the rows written, columns always written)
+    tables = [(schema.ROLE_VUT, _gather("vut", trace.vut), range(len(steps)),
+               ())]
+    gathered = {}
+    for role, group in _TRUE_ROLES:
+        records = list(itertools.chain(*_entities(trace)[group].values()))
+        at = {}
+        for k, r in enumerate(records):
+            at.setdefault(r.step, []).append(k)
+        gathered[group] = (_gather(group, records),
+                           [k for step in steps for k in at.get(step, ())])
+        tables.append((role, *gathered[group], ()))
+    # Every overlay column is required or always written, so choosing
+    # them from the whole group's values chooses the same ones.
+    for role, (group, column, field) in _OVERLAYS.items():
+        values, rows = gathered[group]
+        tables.append((role, values, [] if field is None else [
+            k for k in rows if values[column][k] is not None], (column,)))
+    tables = [(role, _columns(schema.ROLE_COLUMNS[role], values, always),
+               values, rows) for role, values, rows, always in tables]
     root = Path(directory) / schema.dir_name(trace.testcase_id, trace.run_id)
     root.mkdir(parents=True, exist_ok=True)
     shapes = {}
-    values = {group: [rv for entity in _entity_values(trace, group)
-                      for rv in entity] for group in _ENTITY_GROUPS}
-    vut = [_vut_values(r) for r in trace.vut]
-    cols = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
-    _write(root / schema.ROLE_VUT, cols, _table(cols, vut, shapes))
-    roles = [(role, values[group], ()) for role, group in _TRUE_ROLES]
-    roles += [(role, [(r, v) for r, v in values[group]
-                      if field is not None and getattr(r, field) is not None],
-               (column,))
-              for role, (group, column, field) in _OVERLAYS.items()]
-    for role, records, always in roles:
-        cols = _columns(schema.ROLE_COLUMNS[role], [v for _, v in records],
-                        always)
-        by_step = {}
-        for r, v in records:
-            by_step.setdefault(r.step, []).append(v)
-        rows = [v for rec in trace.vut for v in by_step.get(rec.step, ())]
-        _write(root / role, cols, _table(cols, rows, shapes))
+    for role, cols, values, rows in tables:
+        _write(root / role, cols, [
+            _cells(list(map(values[c].__getitem__, rows)), shapes)
+            for c in cols])
     return root
 
 

@@ -8,10 +8,12 @@ the console script is wired up.
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from vistakit import cli
+from vistakit import cli, trace_io
+from vistakit.model import BoundingShape
 
 from test_trace_io import MIN_HEADER, ROW0, _flat
 
@@ -235,6 +237,57 @@ def test_generate_distributed_layout_validates(tmp_path, capsys):
     rc = cli.main(["validate", str(tmp_path), "--n-required", "2"])
     assert rc == cli.EXIT_OK
     capsys.readouterr()
+
+
+def test_evaluate_judges_every_run_past_an_unmeasurable_entity(tmp_path,
+                                                               capsys):
+    # Run 2's TSV, outline and all, lies 1 degree of latitude north of
+    # the VUT: beyond the safe extent of the VUT's frame.
+    runs = tmp_path / "runs"
+    assert cli.main(["generate", "--case", "1", "--runs", "2",
+                     "--out", str(runs)]) == cli.EXIT_OK
+    first, second = sorted(runs.iterdir())
+    trace, _ = trace_io.parse_trace(second)
+
+    def north(p):
+        return replace(p, lat=p.lat + 1.0)
+
+    far = {aid: tuple(replace(r, pos=north(r.pos), bbox_true=BoundingShape(
+        "wgs84", tuple(map(north, r.bbox_true.vertices)))) for r in recs)
+        for aid, recs in trace.actors.items()}
+    trace_io.write_flat(replace(trace, actors=far), runs)
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / first.name).write_bytes(first.read_bytes())
+    assert cli.main(["evaluate", str(alone),
+                     "--out", str(tmp_path / "one")]) == cli.EXIT_FINDINGS
+    assert cli.main(["evaluate", str(runs),
+                     "--out", str(tmp_path / "both")]) == cli.EXIT_FINDINGS
+    assert "error" not in capsys.readouterr().out
+
+    def verdicts(out, run):
+        return json.loads((tmp_path / out / f"M2-CL4-S-TST-05-01_r0{run}"
+                           "_verdict.json").read_text())
+
+    # Run 1 is judged as it is on its own.
+    r1 = verdicts("both", 1)
+    assert r1 == verdicts("one", 1)
+    assert [v["outcome"] for v in r1["verdicts"]] == \
+        ["fail", "pass", "pass", "warning"]
+    # Run 2 fails both clearance rules of the TSV, unmeasured, and its
+    # kinematic rules are judged as run 1's.
+    r2 = verdicts("both", 2)
+    detail = r2["verdicts"][0]["detail"]
+    assert detail.startswith("not evaluable: point ")
+    assert detail.endswith(" m from the frame origin")
+    assert r2["verdicts"][:2] == [
+        {"rule": f"{axis}_clearance[TSV-01]", "outcome": "fail",
+         "measured": None, "threshold": None, "offending_steps": [],
+         "attribution": None, "detail": detail}
+        for axis in ("lateral", "longitudinal")]
+    assert r2["verdicts"][2:] == r1["verdicts"][2:]
+    assert r2["notes"] == [f"TSV-01: {detail}"]
+    assert not r2["passed"]
 
 
 def test_console_script_entry_point():

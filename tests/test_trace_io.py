@@ -1,11 +1,20 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vistakit import integrity as it
-from vistakit.model import GeoPosition, Trace, VcsPosition
+from vistakit.frames import LocalFrame
+from vistakit.model import (
+    ActorState,
+    BoundingShape,
+    GeoPosition,
+    ObstacleState,
+    Trace,
+    VcsPosition,
+)
 from vistakit.trace_io import (
     detect_layout,
     parse_trace,
@@ -13,7 +22,7 @@ from vistakit.trace_io import (
     write_trace,
 )
 
-from conftest import random_trace, simple_vut
+from conftest import BASE, geo_quad, random_trace, simple_vut
 
 MIN_HEADER = ("Time,Step_number,VUT_pos_lat,VUT_pos_lon,VUT_travelled,"
               "VUT_speed,VUT_acc_long,VUT_acc_lat,VUT_yaw_rate,VUT_heading,"
@@ -189,8 +198,59 @@ def test_distributed_rejects_mixed_actor_frames(tmp_path):
     b = ActorState(time=0.0, step=0, actor_id="A2", actor_type="tsv",
                    pos=GeoPosition(1.354, 103.696), **kw)
     t = Trace("TC-MIX-01", 1, vut, actors={"A1": (a,), "A2": (b,)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="world and VCS actor positions"):
         write_distributed(t, tmp_path)
+    # Refused before the run folder is made, so no partial run is left.
+    assert list(tmp_path.iterdir()) == []
+    # One actor in both frames is refused in the flat layout too.
+    b = replace(b, actor_id="A1", step=1, time=0.1)
+    t = Trace("TC-MIX-01", 1, vut, actors={"A1": (a, b)})
+    for layout in ("flat", "distributed"):
+        with pytest.raises(ValueError, match="world and VCS actor positions"):
+            write_trace(t, tmp_path / layout, layout)
+        assert not (tmp_path / layout).exists()
+
+
+VCS_BOX = BoundingShape("vcs", (VcsPosition(1, 1), VcsPosition(-1, 1),
+                                VcsPosition(-1, -1), VcsPosition(1, -1)))
+
+
+def _misframed(column):
+    """A trace whose one outline in column is in the VCS frame while its
+    record's position is a world one."""
+    vut = (simple_vut(0, 0.0), simple_vut(1, 0.1))
+    frame = LocalFrame.at(BASE)
+    box = geo_quad(frame, 0.0, 10.0, 1.0, 1.0)
+    if column.startswith("Obst_"):
+        obst = ObstacleState(time=0.0, step=0, obstacle_id="O1",
+                             obst_type=100, pos=frame.from_local(0.0, 10.0),
+                             poly_true=box, ntd=math.inf)
+        field = "poly_true" if column == "Obst_poly_true" else \
+            "poly_perceived"
+        return Trace("TC-FRAME-01", 1, vut,
+                     obstacles={"O1": (replace(obst, **{field: VCS_BOX}),)})
+    actor = ActorState(time=0.1, step=1, actor_id="A1", actor_type="tsv",
+                       pos=frame.from_local(0.0, 10.0), bbox_true=box,
+                       speed=0.0, vel_lat=0.0, vel_long=0.0, acc_lat=0.0,
+                       acc_long=0.0, ttc=math.inf)
+    field = "bbox_true" if column == "Actor_bbox_true" else "bbox_perceived"
+    return Trace("TC-FRAME-01", 1, vut,
+                 actors={"A1": (replace(actor, **{field: VCS_BOX}),)})
+
+
+@pytest.mark.parametrize("layout", ["flat", "distributed"])
+@pytest.mark.parametrize("column", ["Actor_bbox_true", "Actor_bbox_perceived",
+                                    "Obst_poly_true", "Obst_poly_perceived"])
+def test_writers_refuse_an_outline_out_of_its_position_frame(
+        tmp_path, layout, column):
+    # Written, the outline would read back in the position's frame: a
+    # different trace.  Nothing is written.
+    eid = "O1" if column.startswith("Obst_") else "A1"
+    with pytest.raises(ValueError, match=f"={eid}: {column} at step "
+                       r"\d+ is in the vcs frame, its position in the "
+                       "wgs84 frame"):
+        write_trace(_misframed(column), tmp_path / "out", layout)
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_is_deterministic(tmp_path, rng):

@@ -1,8 +1,10 @@
 """The column-wise trace writers against the row-wise writers they replaced.
 
-``_rowwise_flat`` and ``_rowwise_distributed`` format every cell on its
-own with ``_fmt``, row by row, as the writers did before they formatted
-by column; each is the reference its writer must match byte for byte.  The traces are built by hand to reach what ``random_trace`` and
+``_rowwise_flat`` and ``_rowwise_distributed`` build one {column: value}
+dict per record and format every cell on its own with ``_fmt``, row by
+row, as the writers did before they gathered and formatted by column;
+each is the reference its writer must match byte for byte.  The traces
+are built by hand to reach what ``random_trace`` and
 ``generate`` never write: signed zeros, subnormals, large and non-finite
 floats, numpy scalars and plain ints in float fields, columns filled on
 some rows only, equal but distinct outline objects, and records missing
@@ -30,6 +32,7 @@ from vistakit.model import (
 from vistakit.positions import shape_to_array
 
 from conftest import BASE, geo_quad, random_trace, simple_vut
+from test_golden import edge_trace
 
 
 def _fmt(v) -> str:
@@ -49,6 +52,52 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _vut_values(r) -> dict:
+    v = {col: getattr(r, field)
+         for col, field in trace_io._FIELDS["vut"].items()}
+    v.update(VUT_pos_lat=r.pos.lat, VUT_pos_lon=r.pos.lon,
+             VUT_pos_z=r.pos.elev)
+    for col, flag in trace_io._INDICATORS:
+        v[col] = flag in r.indicators
+    return v
+
+
+def _entity_value(group, r) -> dict:
+    v = {col: getattr(r, field)
+         for col, field in trace_io._FIELDS[group].items()}
+    if group == "actor":
+        p = r.pos
+        geo = isinstance(p, GeoPosition)
+        v.update(Actor_pos_true_lat=p.lat if geo else None,
+                 Actor_pos_true_lon=p.lon if geo else None,
+                 Actor_pos_true_x=None if geo else p.x,
+                 Actor_pos_true_y=None if geo else p.y,
+                 Actor_pos_true_z=p.elev if geo else p.z)
+    elif group == "obstacle":
+        v.update(Obst_pos_lat=r.pos.lat, Obst_pos_lon=r.pos.lon)
+    return v
+
+
+def _entity_values(trace, group) -> list:
+    """[(record, values)] of one group, entity by entity."""
+    table = {"actor": trace.actors, "obstacle": trace.obstacles,
+             "controller": trace.controllers}[group]
+    return [[(r, _entity_value(group, r)) for r in recs]
+            for recs in table.values()]
+
+
+def _columns(candidates, rows, always=()) -> list:
+    cols = [c for c in candidates
+            if schema.BY_NAME[c].required == "yes" or c in always
+            or any(r[c] is not None for r in rows)]
+    pos = [c for c in cols if schema.BY_NAME[c].required == "alt_pos"]
+    assert len(pos) <= 2
+    if not pos and "Actor_pos_true_lat" in candidates:
+        cols = [c for c in candidates if c in cols or c in (
+            "Actor_pos_true_lat", "Actor_pos_true_lon")]
+    return cols
+
+
 def _write_rows(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -59,12 +108,12 @@ def _write_rows(path, header, rows):
 def _rowwise_flat(trace, directory):
     directory.mkdir(parents=True)
     path = directory / schema.flat_filename(trace.testcase_id, trace.run_id)
-    vut = [trace_io._vut_values(r) for r in trace.vut]
-    vut_cols = trace_io._columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
+    vut = [_vut_values(r) for r in trace.vut]
+    vut_cols = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
     segments = []
     for group in trace_io._ENTITY_GROUPS:
-        for entity in trace_io._entity_values(trace, group):
-            cols = trace_io._columns(schema.column_names(group),
+        for entity in _entity_values(trace, group):
+            cols = _columns(schema.column_names(group),
                                      [v for _, v in entity])
             segments.append((cols, {r.step: v for r, v in entity}))
     rows = []
@@ -83,10 +132,10 @@ def _rowwise_flat(trace, directory):
 def _rowwise_distributed(trace, directory):
     root = directory / schema.dir_name(trace.testcase_id, trace.run_id)
     root.mkdir(parents=True)
-    values = {group: [rv for entity in trace_io._entity_values(trace, group)
+    values = {group: [rv for entity in _entity_values(trace, group)
                       for rv in entity] for group in trace_io._ENTITY_GROUPS}
-    vut = [trace_io._vut_values(r) for r in trace.vut]
-    cols = trace_io._columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
+    vut = [_vut_values(r) for r in trace.vut]
+    cols = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], vut)
     _write_rows(root / schema.ROLE_VUT, cols,
                 [[_fmt(v[c]) for c in cols] for v in vut])
     roles = [(role, values[group], ())
@@ -96,7 +145,7 @@ def _rowwise_distributed(trace, directory):
                (column,))
               for role, (group, column, field) in trace_io._OVERLAYS.items()]
     for role, records, always in roles:
-        cols = trace_io._columns(schema.ROLE_COLUMNS[role],
+        cols = _columns(schema.ROLE_COLUMNS[role],
                                  [v for _, v in records], always)
         by_step = {}
         for r, v in records:
@@ -203,7 +252,7 @@ def _non_finite_trace():
 
 
 @pytest.mark.parametrize("make", [_world_trace, _vcs_trace,
-                                  _non_finite_trace])
+                                  _non_finite_trace, edge_trace])
 def test_column_writers_match_rowwise_reference(make, tmp_path):
     _assert_same_bytes(make(), tmp_path)
 
