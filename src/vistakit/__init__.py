@@ -10,10 +10,8 @@ known outcomes for pipeline tests.
 from .clearance import (
     ClearanceSample,
     ClearanceSeries,
-    ExclusionZone,
     all_clearance_series,
     clearance_series,
-    zone_incursion,
 )
 from .errors import (
     CoincidentPoints,
@@ -77,7 +75,6 @@ __all__ = [
     "CountMismatch",
     "DegeneratePolygon",
     "EmptyArray",
-    "ExclusionZone",
     "ExtentExceeded",
     "FidelityReport",
     "FidelityTolerances",
@@ -123,5 +120,4 @@ __all__ = [
     "vcs_to_world",
     "world_to_vcs",
     "write_trace",
-    "zone_incursion",
 ]

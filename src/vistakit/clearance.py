@@ -5,10 +5,6 @@ step where the entity has a record: the entity outline is projected into
 the VCS, then measured against the vehicle footprint.  Entities without a
 logged outline get a default footprint for their type (noted on the
 series).
-
-The exclusion zone is the footprint's bounding box dilated by the zone
-extents; an incursion is any entity point inside it, and the depth is how
-far the deepest point would have to move to leave again.
 """
 
 from __future__ import annotations
@@ -43,52 +39,34 @@ FALLBACK_FOOTPRINT = (4.4, 1.8)
 
 
 @dataclass(frozen=True)
-class ExclusionZone:
-    """Zone extents beyond the vehicle footprint, metres."""
-
-    lateral: float = 0.0
-    front: float = 0.0
-    rear: float = 0.0
-
-    def __post_init__(self):
-        for name in ("lateral", "front", "rear"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"zone extent {name} must be >= 0")
-
-    def bounds(self, footprint) -> tuple:
-        fp = geometry.poly_array(footprint)
-        xs, ys = fp[:, 0], fp[:, 1]
-        return (float(xs.min()) - self.rear, float(xs.max()) + self.front,
-                float(ys.min()) - self.lateral, float(ys.max()) + self.lateral)
-
-
-def zone_incursion(zone: ExclusionZone, vut_footprint,
-                   entity_poly) -> tuple[bool, float]:
-    """Does the entity outline enter the zone around the footprint?"""
-    return geometry.rect_incursion(zone.bounds(vut_footprint), entity_poly)
-
-
-@dataclass(frozen=True)
 class _Unread:
     """What the sample fields no rule reads are computed from: shared by
     the samples of one series, indexed by sample."""
 
     footprint: np.ndarray
-    zone: ExclusionZone
-    horizon: float
-    outlines: list
+    groups: list        # (sample indices, outline stack) per vertex count
     rel_vels: np.ndarray
+
+    def _per_group(self, measure) -> list:
+        """``measure(stack, idx)`` of every group, in sample order."""
+        out = np.empty(len(self.rel_vels))
+        for idx, stack in self.groups:
+            out[idx] = measure(stack, idx)
+        return out.tolist()
 
     @cached_property
     def ntds(self) -> list:
         """NTD of every sample: one :func:`geometry.first_contact_times`
         call per vertex count."""
-        ntds = np.empty(len(self.outlines))
-        for idx in _by_vertex_count(self.outlines).values():
-            ntds[idx] = geometry.first_contact_times(
-                self.footprint, np.stack([self.outlines[i] for i in idx]),
-                self.rel_vels[idx], horizon=self.horizon)
-        return ntds.tolist()
+        return self._per_group(lambda stack, idx: geometry.first_contact_times(
+            self.footprint, stack, self.rel_vels[idx], horizon=NTD_HORIZON))
+
+    @cached_property
+    def separations(self) -> list:
+        """Euclidean separation of every sample: one
+        :func:`geometry.separations` call per vertex count."""
+        return self._per_group(
+            lambda stack, idx: geometry.separations(self.footprint, stack))
 
 
 @dataclass(frozen=True)
@@ -100,9 +78,8 @@ class ClearanceSample:
     interpenetrate); the side fields locate the entity (+1 right/ahead,
     -1 left/behind, 0 straddling).  The closing speeds are the velocity
     components of each party toward the other, used for attribution.
-    ``euclidean_min``, ``ntd``, ``zone_hit`` and ``zone_depth`` feed no
-    rule, so each is computed on first read and then kept: NTD for every
-    sample of the series at once, the others for this sample.
+    ``euclidean_min`` and ``ntd`` feed no rule, so each is computed on
+    first read, for every sample of the series at once, and then kept.
     """
 
     step: int
@@ -117,27 +94,13 @@ class ClearanceSample:
     _unread: _Unread = field(repr=False, compare=False)
     _index: int = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def euclidean_min(self) -> float:
-        u = self._unread
-        return geometry.min_separation(u.footprint, u.outlines[self._index])
+        return self._unread.separations[self._index]
 
     @property
     def ntd(self) -> float:
         return self._unread.ntds[self._index]
-
-    @cached_property
-    def _zone(self) -> tuple:
-        u = self._unread
-        return zone_incursion(u.zone, u.footprint, u.outlines[self._index])
-
-    @property
-    def zone_hit(self) -> bool:
-        return self._zone[0]
-
-    @property
-    def zone_depth(self) -> float:
-        return self._zone[1]
 
 
 @dataclass(frozen=True)
@@ -200,20 +163,21 @@ class _Projected:
                 self.frames[self.owners[j]].to_local(self.points[j])
 
 
-def _by_vertex_count(outlines: list) -> dict:
-    """Indices of the given outlines, grouped by vertex count."""
+def _by_vertex_count(outlines: list) -> list:
+    """(indices, stack) of the given outlines per vertex count; None
+    entries are left out."""
     groups: dict = {}
     for i, poly in enumerate(outlines):
         if poly is not None:
             groups.setdefault(len(poly), []).append(i)
-    return groups
+    return [(idx, np.stack([outlines[i] for i in idx]))
+            for idx in groups.values()]
 
 
 def _faults(outlines: list) -> list:
     """outline_faults for each outline (None where there is no outline)."""
     faults = [None] * len(outlines)
-    for idx in _by_vertex_count(outlines).values():
-        stack = np.stack([outlines[i] for i in idx])
+    for idx, stack in _by_vertex_count(outlines):
         for i, fault in zip(idx, geometry.outline_faults(stack)):
             faults[i] = fault
     return faults
@@ -246,20 +210,17 @@ def _default_outline(rec: ActorState, vut, centre) -> np.ndarray:
 
 
 def clearance_series(trace: Trace, entity_id: str,
-                     profile: VehicleProfile | None = None,
-                     zone: ExclusionZone | None = None,
-                     horizon: float = NTD_HORIZON) -> ClearanceSeries:
+                     profile: VehicleProfile | None = None) -> ClearanceSeries:
     """Clearance metrics against one entity for every step it appears in.
 
     All steps are measured in one pass.  Every logged outline is projected
     into the VCS of its step as one array and checked as a batch; the
     axis gaps of all outlines come from :func:`geometry.axis_clearances`,
-    one stack per vertex count, as do the NTDs when first read.  An
-    unusable actor outline falls back to the default footprint and an
-    unusable obstacle outline drops the step, both with a note.
+    one stack per vertex count, as do the separations and NTDs when first
+    read.  An unusable actor outline falls back to the default footprint
+    and an unusable obstacle outline drops the step, both with a note.
     """
     profile = profile or VehicleProfile()
-    zone = zone or ExclusionZone()
     records = _records(trace, entity_id)
     vut_by_step = {r.step: r for r in trace.vut}
     vuts = [vut_by_step[r.step] for r in records]
@@ -338,8 +299,8 @@ def clearance_series(trace: Trace, entity_id: str,
     lateral, longitudinal = np.empty(n), np.empty(n)
     lat_side, lon_side = np.empty(n, dtype=int), np.empty(n, dtype=int)
     centroid = np.empty((n, 2))
-    for idx in _by_vertex_count(outlines).values():
-        stack = np.stack([outlines[i] for i in idx])
+    groups = _by_vertex_count(outlines)
+    for idx, stack in groups:
         lateral[idx], longitudinal[idx], lat_side[idx], lon_side[idx] = \
             geometry.axis_clearances(footprint, stack)
         centroid[idx] = stack.mean(axis=1)
@@ -356,7 +317,7 @@ def clearance_series(trace: Trace, entity_id: str,
     vut_closing = np.where(far, geometry._rowdot(vut_vel, u), 0.0)
     entity_closing = np.where(far, geometry._rowdot(ent_vel, -u), 0.0)
 
-    unread = _Unread(footprint, zone, horizon, outlines, ent_vel - vut_vel)
+    unread = _Unread(footprint, groups, ent_vel - vut_vel)
     samples = tuple(
         ClearanceSample(
             step=records[i].step, time=records[i].time, entity_id=entity_id,
@@ -371,18 +332,18 @@ def clearance_series(trace: Trace, entity_id: str,
                            notes=tuple(notes))
 
 
-def all_clearance_series(trace: Trace, profile: VehicleProfile | None = None,
-                         zone: ExclusionZone | None = None) -> list:
+def all_clearance_series(trace: Trace,
+                         profile: VehicleProfile | None = None) -> list:
     """Clearance series for every actor and every portable obstacle."""
     from .model import is_fixed_infrastructure
 
     out = []
     for aid in trace.actors:
-        out.append(clearance_series(trace, aid, profile=profile, zone=zone))
+        out.append(clearance_series(trace, aid, profile=profile))
     for oid, recs in trace.obstacles.items():
         if recs and is_fixed_infrastructure(recs[0].obst_type):
             continue
-        out.append(clearance_series(trace, oid, profile=profile, zone=zone))
+        out.append(clearance_series(trace, oid, profile=profile))
     return out
 
 

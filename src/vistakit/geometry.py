@@ -9,9 +9,11 @@ negative is interpenetration depth.  Directional (axis) clearances are
 only meaningful while the two bodies overlap when projected onto the
 *other* axis; outside that they are reported as +inf.
 
-Two kernels work on an (S, N, 2) stack of outlines, one per step,
+Three kernels work on an (S, N, 2) stack of outlines, one per step,
 against one VUT outline, in one numpy pass chunked to bound memory:
 
+* :func:`separations` - the Euclidean separation; :func:`min_separation`
+  is its one-step case.
 * :func:`axis_clearances` - the directional gaps and sides;
   :func:`directional_clearance` is its one-step case.
 * :func:`first_contact_times` - the time to first contact under constant
@@ -178,30 +180,49 @@ def polygons_intersect(a, b) -> bool:
     return bool(_intersecting(poly_array(a), poly_array(b)))
 
 
-def _points_to_edges_dist(points: np.ndarray, e1: np.ndarray,
-                          e2: np.ndarray) -> float:
+# Elements per kernel chunk; bounds temporary memory.
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _vertex_edge_dists(P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Distance from each vertex of P to each edge of E, (S, |P|, |E|).
+
+    ``P`` and ``E`` are (S, N, 2) or (1, N, 2).
+    """
+    e1, e2 = (e[..., None, :, :] for e in _edges(E))
     d = e2 - e1
-    pa = points[:, None, :] - e1[None, :, :]
+    pa = P[..., :, None, :] - e1
     denom = (d * d).sum(axis=-1)
     denom_safe = np.where(denom > 0, denom, 1.0)
-    t = np.clip((pa * d[None]).sum(axis=-1) / denom_safe, 0.0, 1.0)
-    proj = e1[None] + t[..., None] * d[None]
-    diff = points[:, None, :] - proj
-    return float(np.sqrt((diff * diff).sum(axis=-1)).min())
+    t = np.clip((pa * d).sum(axis=-1) / denom_safe, 0.0, 1.0)
+    proj = e1 + t[..., None] * d
+    diff = P[..., :, None, :] - proj
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def separations(vut: np.ndarray, outlines: np.ndarray) -> np.ndarray:
+    """Smallest Euclidean distance between ``vut`` and each outline of an
+    (S, N, 2) stack; 0 where they meet.  Returns an (S,) array.
+
+    ``vut`` is one validated (M, 2) outline and ``outlines`` are already
+    validated (see :func:`outline_faults`).
+    """
+    A = vut[None]
+    chunk = max(1, _CHUNK_ELEMENTS // (8 * A.shape[1] * outlines.shape[1]))
+    parts = [np.empty(0)]
+    for i in range(0, len(outlines), chunk):
+        B = outlines[i:i + chunk]
+        to_b = _vertex_edge_dists(A, B).min(axis=(1, 2))
+        to_a = _vertex_edge_dists(B, A).min(axis=(1, 2))
+        # min(to_b, to_a) as Python computes it: the first of equals.
+        parts.append(np.where(_intersecting(A, B), 0.0,
+                              np.where(to_a < to_b, to_a, to_b)))
+    return np.concatenate(parts)
 
 
 def min_separation(a, b) -> float:
     """Smallest Euclidean distance between two polygons; 0 when they meet."""
-    A, B = poly_array(a), poly_array(b)
-    if polygons_intersect(A, B):
-        return 0.0
-    b1, b2 = _edges(B)
-    a1, a2 = _edges(A)
-    return min(_points_to_edges_dist(A, b1, b2), _points_to_edges_dist(B, a1, a2))
-
-
-# Candidate slices x edges per axis-gap chunk; bounds temporary memory.
-_CHUNK_ELEMENTS = 1 << 18
+    return float(separations(poly_array(a), poly_array(b)[None])[0])
 
 
 def _slice_intervals(P: np.ndarray, axis: int, c: np.ndarray):

@@ -354,6 +354,15 @@ def evaluate_kinematics(trace: Trace, rules: RuleSet) -> tuple:
     return speed, decel
 
 
+def _not_evaluable(names, subject, exc, verdicts, notes) -> None:
+    """Fail the named rules, unmeasured, with the reason as their detail
+    and in a note on ``subject``; the other rules and runs are judged."""
+    detail = f"not evaluable: {exc}"
+    verdicts.extend(RuleVerdict(rule=name, outcome=FAIL, detail=detail)
+                    for name in names)
+    notes.append(f"{subject}: {detail}")
+
+
 def evaluate_traffic_lights(trace: Trace, rules: RuleSet) -> tuple:
     """Stop-line verdicts, one per signal controller seen in the trace."""
     verdicts = []
@@ -373,9 +382,13 @@ def evaluate_traffic_lights(trace: Trace, rules: RuleSet) -> tuple:
         fe, fn = math.sin(h), math.cos(h)
         phase_by_step = {r.step: r.phase for r in records}
         progress = []
-        for r in trace.vut:
-            e, n = frame.to_local(r.pos)
-            progress.append((r.step, e * fe + n * fn))
+        try:
+            for r in trace.vut:
+                e, n = frame.to_local(r.pos)
+                progress.append((r.step, e * fe + n * fn))
+        except VistaError as exc:
+            _not_evaluable([rule], cid, exc, verdicts, notes)
+            continue
         crossing = None
         for (s0, p0), (s1, p1) in zip(progress, progress[1:]):
             if p0 < 0.0 <= p1:
@@ -413,7 +426,8 @@ def evaluate_run(trace: Trace, rules: RuleSet | None = None,
 
     An entity whose clearance cannot be measured (a point beyond the safe
     extent of the VUT's frame, say) fails both clearance rules, with the
-    reason in their detail and in a note.
+    reason in their detail and in a note; a stop line too far from the
+    VUT fails its signal rule the same way.
     """
     rules = rules or RuleSet()
     profile = profile or VehicleProfile()
@@ -432,13 +446,9 @@ def evaluate_run(trace: Trace, rules: RuleSet | None = None,
         try:
             series = clearance_series(trace, eid, profile=profile)
         except VistaError as exc:
-            # What cannot be measured fails; the other entities and runs
-            # are still judged.
-            detail = f"not evaluable: {exc}"
-            verdicts.extend(RuleVerdict(rule=f"{axis}_clearance[{eid}]",
-                                        outcome=FAIL, detail=detail)
-                            for axis in ("lateral", "longitudinal"))
-            notes.append(f"{eid}: {detail}")
+            _not_evaluable([f"{axis}_clearance[{eid}]"
+                            for axis in ("lateral", "longitudinal")],
+                           eid, exc, verdicts, notes)
             continue
         all_series.append(series)
         notes.extend(series.notes)

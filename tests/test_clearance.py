@@ -4,12 +4,10 @@ import pytest
 
 from vistakit.clearance import (
     DEFAULT_FOOTPRINTS,
-    ExclusionZone,
     SERIES_COLUMNS,
     all_clearance_series,
     clearance_series,
     series_rows,
-    zone_incursion,
 )
 from vistakit.errors import UnknownEntity
 from vistakit.frames import LocalFrame
@@ -20,7 +18,6 @@ from vistakit.model import (
     ObstacleState,
     Trace,
     VcsPosition,
-    default_footprint,
 )
 
 from conftest import BASE, geo_quad, straight_vut_series
@@ -99,27 +96,6 @@ def test_moving_actor_without_heading_noted():
     assert all(x.entity_closing == 0.0 for x in s.samples)
 
 
-def test_zone_incursion_function():
-    zone = ExclusionZone(lateral=1.0)
-    fp = default_footprint(4.4, 1.8)
-    intruder = rect(0.0, 0.9 + 0.21 + 0.5, 2.0, 1.0)
-    hit, depth = zone_incursion(zone, fp, intruder)
-    assert hit
-    assert depth == pytest.approx(0.79, abs=1e-6)
-    clear = rect(0.0, 0.9 + 1.2 + 0.5, 2.0, 1.0)
-    hit, depth = zone_incursion(zone, fp, clear)
-    assert not hit and depth == 0.0
-
-
-def test_zone_incursion_in_series():
-    vut = straight_vut_series(4)
-    y = 0.9 + 0.21 + DEFAULT_FOOTPRINTS["vru_cyclist"][1] / 2.0
-    t = Trace("TC-CL-06", 1, vut,
-              actors={"A1": tuple(_vcs_actor(k, y) for k in range(4))})
-    s = clearance_series(t, "A1", zone=ExclusionZone(lateral=1.0))
-    assert all(x.zone_hit for x in s.samples)
-    assert s.samples[0].zone_depth == pytest.approx(0.79, abs=1e-6)
-
 
 def test_touching_entity_zero_euclidean():
     vut = straight_vut_series(2)
@@ -189,13 +165,3 @@ def test_series_rows_export():
     assert first["entity_id"] == "A1"
     assert float(first["lateral"]) == pytest.approx(3.0 - 0.9 - 0.3)
     assert float(first["ntd"]) == math.inf
-
-
-def test_exclusion_zone_validation():
-    with pytest.raises(ValueError):
-        ExclusionZone(lateral=-0.1)
-    z = ExclusionZone(lateral=1.0, front=2.0, rear=0.5)
-    xmin, xmax, ymin, ymax = z.bounds(default_footprint())
-    assert xmax == pytest.approx(2.2 + 2.0)
-    assert xmin == pytest.approx(-2.2 - 0.5)
-    assert ymax == pytest.approx(0.9 + 1.0)

@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import pytest
 
-from vistakit import cli, trace_io
-from vistakit.model import BoundingShape
+from vistakit import cli, synth, trace_io
+from vistakit.model import BoundingShape, TrafficControllerState
 
 from test_trace_io import MIN_HEADER, ROW0, _flat
 
@@ -288,6 +288,42 @@ def test_evaluate_judges_every_run_past_an_unmeasurable_entity(tmp_path,
     assert r2["verdicts"][2:] == r1["verdicts"][2:]
     assert r2["notes"] == [f"TSV-01: {detail}"]
     assert not r2["passed"]
+
+
+def test_evaluate_judges_every_run_past_a_far_stop_line(tmp_path, capsys):
+    # A stop line 1 degree of latitude north of the VUT lies beyond the
+    # safe extent of its frame: the signal rule fails as not evaluable,
+    # and every other rule of every run is still judged.
+    runs = tmp_path / "runs"
+    for trace in synth.synthesize_runs(case=3, count=2):
+        lights = {"TL1": tuple(TrafficControllerState(
+            time=r.time, step=r.step, controller_id="TL1", phase="stop")
+            for r in trace.vut)}
+        trace_io.write_flat(replace(trace, controllers=lights), runs)
+    start = trace.vut[0].pos
+    rules_file = tmp_path / "rules.json"
+    rules_file.write_text(json.dumps({"default": {"stop_lines": {"TL1": {
+        "lat": start.lat + 1.0, "lon": start.lon, "heading_deg": 0.0}}}}))
+    plain = tmp_path / "plain"
+    assert cli.main(["evaluate", str(runs), "--n-required", "2",
+                     "--out", str(plain)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", str(runs), "--n-required", "2",
+                     "--rules", str(rules_file),
+                     "--out", str(out)]) == cli.EXIT_FINDINGS
+    assert "error" not in capsys.readouterr().out
+    for verdict_file in sorted(plain.glob("*_verdict.json")):
+        want = json.loads(verdict_file.read_text())
+        got = json.loads((out / verdict_file.name).read_text())
+        signal = got["verdicts"][-1]
+        assert signal["rule"] == "signal_compliance[TL1]"
+        assert signal["outcome"] == "fail"
+        assert signal["detail"].startswith("not evaluable: point ")
+        assert signal["detail"].endswith(" m from the frame origin")
+        assert got["notes"][-1] == f"TL1: {signal['detail']}"
+        assert got["verdicts"][:-1] == want["verdicts"][:-1]
+        assert got["notes"][:-1] == want["notes"][:-1]
+        assert not got["passed"]
 
 
 def test_console_script_entry_point():

@@ -263,7 +263,7 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-LAZY = ("first_contact_times", "min_separation", "rect_incursion")
+LAZY = ("first_contact_times", "separations")
 
 
 def test_unread_fields_not_computed_by_evaluate(tmp_path, monkeypatch):
@@ -273,31 +273,26 @@ def test_unread_fields_not_computed_by_evaluate(tmp_path, monkeypatch):
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     assert counts == dict.fromkeys(counts, 0)
-    # --series writes separation and NTD, so it does compute them: NTD
+    # --series writes separation and NTD, so it does compute them: each
     # in one call for the one entity, whose outlines all have 4 vertices.
     assert cli.main(argv + ["--series"]) == 1
-    assert counts["first_contact_times"] == 1
-    assert counts["min_separation"] > 0 and counts["rect_incursion"] == 0
+    assert counts == dict.fromkeys(counts, 1)
 
 
 def test_unread_fields_computed_once_on_read(monkeypatch):
-    series = clearance_series(mixed_trace(), "CYC",
-                              zone=clearance.ExclusionZone(lateral=1.0))
+    series = clearance_series(mixed_trace(), "CYC")
     counts = _count_calls(monkeypatch, LAZY)
     assert len(series.samples) == STEPS
     assert counts == dict.fromkeys(counts, 0)
     first = series.samples[0]
-    for _ in range(2):
-        values = (first.ntd, first.euclidean_min, first.zone_hit,
-                  first.zone_depth)
-    # NTD comes for the whole series at once: one call per vertex count
+    reads = [(first.ntd, first.euclidean_min) for _ in range(2)]
+    assert reads[0] == reads[1]
+    # Each comes for the whole series at once: one call per vertex count
     # (4, including the default footprints, and the concave 8).
-    assert counts == {"first_contact_times": 2, "min_separation": 1,
-                      "rect_incursion": 1}
-    assert values[2] and values[3] > 0.0
+    assert counts == dict.fromkeys(counts, 2)
     for _ in range(2):
-        [s.ntd for s in series.samples]
-    assert counts["first_contact_times"] == 2
+        [(s.ntd, s.euclidean_min) for s in series.samples]
+    assert counts == dict.fromkeys(counts, 2)
 
 
 @pytest.mark.parametrize("entity_id", ["CYC", "CONE"])
@@ -316,6 +311,20 @@ def test_batched_ntd_equals_per_sample_first_contact_time(entity_id):
             (0.0, 0.0), horizon=clearance.NTD_HORIZON)
         assert repr(sample.ntd) == repr(want), rec.step
     assert any(math.isfinite(s.ntd) for s in series.samples)
+
+
+@pytest.mark.parametrize("entity_id", ["CYC", "CONE"])
+def test_batched_separation_equals_per_sample_min_separation(entity_id):
+    trace = mixed_trace()
+    records = {**trace.actors, **trace.obstacles}[entity_id]
+    vut_by_step = {r.step: r for r in trace.vut}
+    footprint = VehicleProfile().footprint
+    series = clearance_series(trace, entity_id)
+    for rec, sample in zip(records, series.samples):
+        want = geometry.min_separation(
+            footprint, _projected_outline(rec, vut_by_step[rec.step]))
+        assert repr(sample.euclidean_min) == repr(want), rec.step
+    assert any(s.euclidean_min > 0.0 for s in series.samples)
 
 
 def test_evaluate_series_measures_each_entity_once(tmp_path, monkeypatch):
