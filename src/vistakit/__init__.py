@@ -22,6 +22,7 @@ from .errors import (
     InfeasibleSpec,
     InsufficientOverlap,
     MalformedArray,
+    MalformedRules,
     UnknownEntity,
     VistaError,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "IntegrityReport",
     "LocalFrame",
     "MalformedArray",
+    "MalformedRules",
     "ObstacleState",
     "RuleSet",
     "RuleVerdict",

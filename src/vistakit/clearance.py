@@ -47,26 +47,16 @@ class _Unread:
     groups: list        # (sample indices, outline stack) per vertex count
     rel_vels: np.ndarray
 
-    def _per_group(self, measure) -> list:
-        """``measure(stack, idx)`` of every group, in sample order."""
-        out = np.empty(len(self.rel_vels))
+    @cached_property
+    def measured(self) -> tuple:
+        """(separations, NTDs) of every sample, as lists: one
+        :func:`geometry.separations_and_contact_times` call per vertex
+        count."""
+        seps, ntds = (np.empty(len(self.rel_vels)) for _ in range(2))
         for idx, stack in self.groups:
-            out[idx] = measure(stack, idx)
-        return out.tolist()
-
-    @cached_property
-    def ntds(self) -> list:
-        """NTD of every sample: one :func:`geometry.first_contact_times`
-        call per vertex count."""
-        return self._per_group(lambda stack, idx: geometry.first_contact_times(
-            self.footprint, stack, self.rel_vels[idx], horizon=NTD_HORIZON))
-
-    @cached_property
-    def separations(self) -> list:
-        """Euclidean separation of every sample: one
-        :func:`geometry.separations` call per vertex count."""
-        return self._per_group(
-            lambda stack, idx: geometry.separations(self.footprint, stack))
+            seps[idx], ntds[idx] = geometry.separations_and_contact_times(
+                self.footprint, stack, self.rel_vels[idx], horizon=NTD_HORIZON)
+        return seps.tolist(), ntds.tolist()
 
 
 @dataclass(frozen=True)
@@ -78,8 +68,9 @@ class ClearanceSample:
     interpenetrate); the side fields locate the entity (+1 right/ahead,
     -1 left/behind, 0 straddling).  The closing speeds are the velocity
     components of each party toward the other, used for attribution.
-    ``euclidean_min`` and ``ntd`` feed no rule, so each is computed on
-    first read, for every sample of the series at once, and then kept.
+    ``euclidean_min`` and ``ntd`` feed no rule, so both are computed on
+    the first read of either, for every sample of the series at once, and
+    then kept.
     """
 
     step: int
@@ -96,11 +87,11 @@ class ClearanceSample:
 
     @property
     def euclidean_min(self) -> float:
-        return self._unread.separations[self._index]
+        return self._unread.measured[0][self._index]
 
     @property
     def ntd(self) -> float:
-        return self._unread.ntds[self._index]
+        return self._unread.measured[1][self._index]
 
 
 @dataclass(frozen=True)
@@ -216,9 +207,10 @@ def clearance_series(trace: Trace, entity_id: str,
     All steps are measured in one pass.  Every logged outline is projected
     into the VCS of its step as one array and checked as a batch; the
     axis gaps of all outlines come from :func:`geometry.axis_clearances`,
-    one stack per vertex count, as do the separations and NTDs when first
-    read.  An unusable actor outline falls back to the default footprint
-    and an unusable obstacle outline drops the step, both with a note.
+    one stack per vertex count, as do the separations and NTDs, together,
+    when first read.  An unusable actor outline falls back to the default
+    footprint and an unusable obstacle outline drops the step, both with a
+    note.
     """
     profile = profile or VehicleProfile()
     records = _records(trace, entity_id)

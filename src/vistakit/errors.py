@@ -42,5 +42,9 @@ class InsufficientOverlap(VistaError):
     """Two traces do not overlap in time enough to be compared."""
 
 
+class MalformedRules(VistaError, ValueError):
+    """A rule override file or entry cannot be read as rules."""
+
+
 class InfeasibleSpec(VistaError):
     """A synthesis request cannot be realized on the scenario geometry."""

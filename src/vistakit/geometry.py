@@ -15,12 +15,19 @@ against one VUT outline, in one numpy pass chunked to bound memory:
 * :func:`separations` - the Euclidean separation; :func:`min_separation`
   is its one-step case.
 * :func:`axis_clearances` - the directional gaps and sides;
-  :func:`directional_clearance` is its one-step case.
+  :func:`directional_clearance` is its one-step case.  Each gap is the
+  smallest slice gap over candidate lines across the axis.  No line is
+  sliced where the shared window on the other axis is empty (the gap is
+  +inf); the window ends and the vertices are sliced everywhere else,
+  and the boundary crossings only on the steps whose outlines cross.
 * :func:`first_contact_times` - the time to first contact under constant
   relative velocity; :func:`first_contact_time` is its one-step case.
   It computes the candidates of the per-vertex loop it replaced
   (vertex-to-edge times both ways, vertex-on-vertex sliding), in the
   same arithmetic and order, so results are identical to the last bit.
+
+:func:`separations_and_contact_times` gives the first and the third for
+outlines already checked, with one contact test shared between them.
 """
 
 from __future__ import annotations
@@ -171,8 +178,9 @@ def _intersecting(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     point (touching counts)."""
     a1, a2 = _edges(A)
     b1, b2 = _edges(B)
-    return _segments_intersect(a1, a2, b1, b2).any(axis=(-2, -1)) | \
-        _contains(A[..., 0, :], B) | _contains(B[..., 0, :], A)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _segments_intersect(a1, a2, b1, b2).any(axis=(-2, -1)) | \
+            _contains(A[..., 0, :], B) | _contains(B[..., 0, :], A)
 
 
 def polygons_intersect(a, b) -> bool:
@@ -182,6 +190,12 @@ def polygons_intersect(a, b) -> bool:
 
 # Elements per kernel chunk; bounds temporary memory.
 _CHUNK_ELEMENTS = 1 << 18
+
+
+def _pair_chunk(A: np.ndarray, B: np.ndarray) -> int:
+    """Outlines per chunk for the kernels that pair every vertex of one
+    outline with every edge of the other."""
+    return max(1, _CHUNK_ELEMENTS // (8 * A.shape[1] * B.shape[1]))
 
 
 def _vertex_edge_dists(P: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -200,6 +214,15 @@ def _vertex_edge_dists(P: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def _separations(A, B, touching):
+    """:func:`separations` of a (1, M, 2) ``A`` and an (S, N, 2) ``B``
+    where :func:`_intersecting` gave ``touching``."""
+    to_b = _vertex_edge_dists(A, B).min(axis=(1, 2))
+    to_a = _vertex_edge_dists(B, A).min(axis=(1, 2))
+    # min(to_b, to_a) as Python computes it: the first of equals.
+    return np.where(touching, 0.0, np.where(to_a < to_b, to_a, to_b))
+
+
 def separations(vut: np.ndarray, outlines: np.ndarray) -> np.ndarray:
     """Smallest Euclidean distance between ``vut`` and each outline of an
     (S, N, 2) stack; 0 where they meet.  Returns an (S,) array.
@@ -208,15 +231,11 @@ def separations(vut: np.ndarray, outlines: np.ndarray) -> np.ndarray:
     validated (see :func:`outline_faults`).
     """
     A = vut[None]
-    chunk = max(1, _CHUNK_ELEMENTS // (8 * A.shape[1] * outlines.shape[1]))
+    chunk = _pair_chunk(A, outlines)
     parts = [np.empty(0)]
     for i in range(0, len(outlines), chunk):
         B = outlines[i:i + chunk]
-        to_b = _vertex_edge_dists(A, B).min(axis=(1, 2))
-        to_a = _vertex_edge_dists(B, A).min(axis=(1, 2))
-        # min(to_b, to_a) as Python computes it: the first of equals.
-        parts.append(np.where(_intersecting(A, B), 0.0,
-                              np.where(to_a < to_b, to_a, to_b)))
+        parts.append(_separations(A, B, _intersecting(A, B)))
     return np.concatenate(parts)
 
 
@@ -281,21 +300,42 @@ def _axis_gaps(A: np.ndarray, B: np.ndarray, axis: int) -> np.ndarray:
 
     The gap is the smallest slice gap over the candidate slices: the
     window ends, every vertex and every boundary crossing inside it.
+    Only slices that can reach that minimum are computed: none on a row
+    whose window is empty, and the crossing lines only on the rows whose
+    boundaries cross inside the window.  The other slices would give
+    +inf, so the result is the same to the last bit.
     """
     other = 1 - axis
     a_lo, a_hi = A[:, :, other].min(axis=1), A[:, :, other].max(axis=1)
     b_lo, b_hi = B[:, :, other].min(axis=1), B[:, :, other].max(axis=1)
-    lo = np.where(b_lo > a_lo, b_lo, a_lo)[:, None]
-    hi = np.where(b_hi < a_hi, b_hi, a_hi)[:, None]
+    lo = np.where(b_lo > a_lo, b_lo, a_lo)
+    hi = np.where(b_hi < a_hi, b_hi, a_hi)
+    gaps = np.full(len(B), np.inf)
+    rows = np.flatnonzero(lo <= hi)
+    if not len(rows):
+        return gaps
+    B, lo, hi = B[rows], lo[rows, None], hi[rows, None]
+    n = len(rows)
+    ends_and_vertices = np.concatenate([
+        lo, hi, np.broadcast_to(A[:, :, other], (n, A.shape[1])),
+        B[:, :, other]], axis=1)
     crossing, found = _crossing_coords(A, B, other)
-    n = B.shape[0]
-    cand = np.concatenate([
-        np.broadcast_to(lo, (n, 1)), np.broadcast_to(hi, (n, 1)),
-        np.broadcast_to(A[:, :, other], (n, A.shape[1])), B[:, :, other],
-        crossing], axis=1)
-    keep = (lo <= cand) & (cand <= hi)
-    keep[:, cand.shape[1] - crossing.shape[1]:] &= found
-    cand = np.where(keep, cand, np.inf)
+    found &= (lo <= crossing) & (crossing <= hi)
+    crosses = found.any(axis=1)
+    crossing = np.where(found, crossing, np.inf)
+    for sel, extra in ((~crosses, crossing[:, :0]), (crosses, crossing)):
+        if sel.any():
+            cand = np.concatenate([ends_and_vertices[sel], extra[sel]], axis=1)
+            gaps[rows[sel]] = _min_slice_gap(A, B[sel], other, cand,
+                                             lo[sel], hi[sel])
+    return gaps
+
+
+def _min_slice_gap(A, B, other, cand, lo, hi):
+    """Smallest gap between A and each outline of B over the slices
+    {coordinate[other] == c} for the (S, K) candidates ``cand`` that lie
+    in [lo, hi]; +inf where no candidate slices both."""
+    cand = np.where((lo <= cand) & (cand <= hi), cand, np.inf)
     sa_lo, sa_hi = _slice_intervals(A, other, cand)
     sb_lo, sb_hi = _slice_intervals(B, other, cand)
     sliced = (sa_lo <= sa_hi) & (sb_lo <= sb_hi)
@@ -418,18 +458,40 @@ def first_contact_times(vut, outlines, rel_vels, horizon: float = 30.0):
     if B.ndim != 3 or B.shape[2] != 2 or B.shape[1] < 3:
         raise DegeneratePolygon(
             f"need an (N>=3, 2) vertex array, got {B.shape[1:]}")
-    chunk = max(1, _CHUNK_ELEMENTS // (8 * A.shape[1] * B.shape[1]))
-    return np.concatenate([
-        _contact_times(A, B[i:i + chunk], w[i:i + chunk], horizon,
-                       outline_faults(B[i:i + chunk]))
-        for i in range(0, len(B), chunk)])
+    chunk = _pair_chunk(A, B)
+    parts = []
+    for i in range(0, len(B), chunk):
+        Bc = B[i:i + chunk]
+        parts.append(_contact_times(A, Bc, w[i:i + chunk], horizon,
+                                    outline_faults(Bc), _intersecting(A, Bc)))
+    return np.concatenate(parts)
 
 
-def _contact_times(A, B, w, horizon, faults):
-    """:func:`first_contact_times` of a validated (1, M, 2) ``A`` and an
-    (S, N, 2) ``B`` whose :func:`outline_faults` are ``faults``."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+def separations_and_contact_times(vut, outlines, rel_vels,
+                                  horizon: float = 30.0) -> tuple:
+    """(:func:`separations`, :func:`first_contact_times`) of already
+    validated outlines, sharing one contact test per chunk.
+
+    Unlike :func:`first_contact_times` it does not check the outlines
+    again; a non-finite velocity with no contact still raises.
+    """
+    A = vut[None]
+    chunk = _pair_chunk(A, outlines)
+    seps, times = [np.empty(0)], [np.empty(0)]
+    for i in range(0, len(outlines), chunk):
+        B = outlines[i:i + chunk]
         touching = _intersecting(A, B)
+        seps.append(_separations(A, B, touching))
+        times.append(_contact_times(A, B, rel_vels[i:i + chunk], horizon,
+                                    [None] * len(B), touching))
+    return np.concatenate(seps), np.concatenate(times)
+
+
+def _contact_times(A, B, w, horizon, faults, touching):
+    """:func:`first_contact_times` of a validated (1, M, 2) ``A`` and an
+    (S, N, 2) ``B`` whose :func:`outline_faults` are ``faults`` and
+    :func:`_intersecting` is ``touching``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bad = np.array([f is not None for f in faults]) | \
             ~(touching | np.isfinite(w).all(axis=1))
         if bad.any():
@@ -452,10 +514,10 @@ def first_contact_time(a, vel_a, b, vel_b, horizon: float = 30.0) -> float:
 
     Velocities are (vx, vy) in the same frame as the vertices.
     """
-    A, B = poly_array(a), poly_array(b)
+    A, B = poly_array(a)[None], poly_array(b)[None]
     w = np.asarray(vel_b, dtype=float) - np.asarray(vel_a, dtype=float)
-    return float(_contact_times(A[None], B[None], w[None], horizon,
-                                [None])[0])
+    return float(_contact_times(A, B, w[None], horizon, [None],
+                                _intersecting(A, B))[0])
 
 
 def clip_to_rect(pts: np.ndarray, xmin: float, xmax: float,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .clearance import ClearanceSeries, clearance_series
-from .errors import VistaError
+from .errors import MalformedRules, VistaError
 from .frames import LocalFrame
 from .model import (
     GeoPosition,
@@ -95,30 +95,46 @@ class RuleSet:
         return max(self.lateral_thresholds.values())
 
 
-def _ruleset_from_dict(base: RuleSet, data: dict) -> RuleSet:
+def _stop_lines(raw) -> dict:
+    return {str(cid): StopLine(
+        pos=GeoPosition(float(sl["lat"]), float(sl["lon"])),
+        heading_deg=normalize_heading(float(sl["heading_deg"])))
+        for cid, sl in raw.items()}
+
+
+# Override key -> (RuleSet field, conversion of the JSON value).
+_OVERRIDES = {
+    "lateral_thresholds_m": ("lateral_thresholds", lambda raw: {
+        str(k): float(v) for k, v in raw.items()}),
+    "longitudinal_threshold_m": ("longitudinal_threshold", float),
+    "speed_limit_mps": ("speed_limit", float),
+    "speed_tolerance_mps": ("speed_tolerance", float),
+    "decel_warning_mps2": ("decel_warning", float),
+    "stopped_speed_eps_mps": ("stopped_speed_eps", float),
+    "n_required": ("n_required", int),
+    "stop_lines": ("stop_lines", _stop_lines),
+}
+
+
+def _ruleset_from_dict(base: RuleSet, data, where: str) -> RuleSet:
+    """``base`` with the overrides of ``data`` applied; MalformedRules
+    names ``where`` and the key at fault."""
+    if not isinstance(data, dict):
+        raise MalformedRules(f"{where}: expected an object of rule "
+                             f"overrides, got {data!r}")
     kw = {}
-    if "lateral_thresholds_m" in data:
-        merged = dict(base.lateral_thresholds)
-        merged.update({str(k): float(v)
-                       for k, v in data["lateral_thresholds_m"].items()})
-        kw["lateral_thresholds"] = merged
-    for src, dst in (("longitudinal_threshold_m", "longitudinal_threshold"),
-                     ("speed_limit_mps", "speed_limit"),
-                     ("speed_tolerance_mps", "speed_tolerance"),
-                     ("decel_warning_mps2", "decel_warning"),
-                     ("stopped_speed_eps_mps", "stopped_speed_eps")):
-        if src in data:
-            kw[dst] = float(data[src])
-    if "n_required" in data:
-        kw["n_required"] = int(data["n_required"])
-    if "stop_lines" in data:
-        lines = {}
-        for cid, sl in data["stop_lines"].items():
-            lines[str(cid)] = StopLine(
-                pos=GeoPosition(float(sl["lat"]), float(sl["lon"])),
-                heading_deg=normalize_heading(float(sl["heading_deg"])),
-            )
-        kw["stop_lines"] = lines
+    for key, (dst, convert) in _OVERRIDES.items():
+        if key not in data:
+            continue
+        try:
+            kw[dst] = convert(data[key])
+        except KeyError as exc:
+            raise MalformedRules(f"{where}: {key}: missing {exc}") from None
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise MalformedRules(f"{where}: {key}: {exc}") from None
+    if "lateral_thresholds" in kw:
+        kw["lateral_thresholds"] = {**base.lateral_thresholds,
+                                    **kw["lateral_thresholds"]}
     return replace(base, **kw)
 
 
@@ -127,22 +143,29 @@ def load_rules(path) -> dict:
 
     The file maps test case ids to override objects; the reserved key
     ``default`` applies to every case first.  Returns a mapping that
-    :func:`ruleset_for` consults.
+    :func:`ruleset_for` consults.  Every entry is checked here, so a
+    file that is not JSON, not an object, or holds a value that does not
+    convert raises MalformedRules naming the file and the key.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise MalformedRules(f"{path}: not a JSON rule file: {exc}") \
+                from None
     if not isinstance(raw, dict):
-        raise ValueError("rule file must contain a JSON object")
+        raise MalformedRules(f"{path}: rule file must contain a JSON object")
+    for key, data in raw.items():
+        _ruleset_from_dict(RuleSet(), data, f"{path}: {key}")
     return raw
 
 
 def ruleset_for(testcase_id: str, overrides: dict | None = None) -> RuleSet:
     rs = RuleSet()
     if overrides:
-        if "default" in overrides:
-            rs = _ruleset_from_dict(rs, overrides["default"])
-        if testcase_id in overrides:
-            rs = _ruleset_from_dict(rs, overrides[testcase_id])
+        for key in ("default", testcase_id):
+            if key in overrides:
+                rs = _ruleset_from_dict(rs, overrides[key], key)
     return rs
 
 

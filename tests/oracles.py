@@ -120,6 +120,50 @@ def sampled_axis_gap(A, B, axis: int, step: float = 0.001) -> float:
     return float(gap[valid].min())
 
 
+def _interval_unions(poly, coords: np.ndarray, along: int) -> np.ndarray:
+    """Where each line across ``along`` runs inside a simple polygon.
+
+    The lines are {coordinate[1 - along] == c} for c in ``coords``.
+    Returns a (K, N) array of the boundary crossings along ``along``,
+    sorted and padded with NaN; the line is inside the polygon between
+    columns 2i and 2i + 1 (even-odd rule, vertices counted half-open).
+    Concave polygons are fine: a line may cross them several times.
+    """
+    pts = np.asarray(poly, dtype=float)
+    a, b = pts, np.roll(pts, -1, axis=0)
+    cut = 1 - along
+    ca, cb, c = a[:, cut], b[:, cut], coords[:, None]
+    crosses = (ca <= c) != (cb <= c)
+    t = (c - ca) / np.where(ca == cb, 1.0, cb - ca)
+    x = a[:, along] + t * (b[:, along] - a[:, along])
+    return np.sort(np.where(crosses, x, np.nan), axis=1)
+
+
+def sliced_axis_gap(A, B, axis: int, step: float = 0.001) -> float:
+    """Directional gap along ``axis`` between two disjoint simple
+    polygons, concave ones included.
+
+    The slices are the lines across ``axis`` through every sampled
+    boundary point of both outlines.  On each slice, each body covers a
+    union of intervals, from the exact boundary crossings; the slice gap
+    is the smallest distance between an interval of one and an interval
+    of the other.  +inf when no slice meets both bodies.
+    """
+    other = 1 - axis
+    coords = np.unique(np.concatenate([boundary_points(A, step)[:, other],
+                                       boundary_points(B, step)[:, other]]))
+    ia = _interval_unions(A, coords, axis)
+    ib = _interval_unions(B, coords, axis)
+    # A line crosses a closed outline an even number of times.
+    ia, ib = ia[:, :ia.shape[1] // 2 * 2], ib[:, :ib.shape[1] // 2 * 2]
+    a_lo, a_hi = ia[:, 0::2, None], ia[:, 1::2, None]
+    b_lo, b_hi = ib[:, None, 0::2], ib[:, None, 1::2]
+    # NaN wherever either interval is padding.
+    gap = np.maximum(b_lo - a_hi, a_lo - b_hi)
+    gap = gap[~np.isnan(gap)]
+    return float(gap.min()) if gap.size else math.inf
+
+
 def _edge_normals(P: np.ndarray) -> np.ndarray:
     E = np.roll(P, -1, axis=0) - P
     N = np.column_stack([-E[:, 1], E[:, 0]])

@@ -189,6 +189,23 @@ def test_evaluate_rule_override_flips_verdict(case1_file, tmp_path, capsys):
     assert rc == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "not a JSON rule file: Expecting property name enclosed in "
+             "double quotes: line 1 column 2 (char 1)"),
+    ("[1]", "rule file must contain a JSON object"),
+    ('{"default": {"speed_limit_mps": "x"}}',
+     "default: speed_limit_mps: could not convert string to float: 'x'"),
+], ids=["not-json", "not-an-object", "bad-value"])
+def test_evaluate_malformed_rule_file_is_usage_error(case1_file, tmp_path,
+                                                     capsys, text, message):
+    rules = tmp_path / "rules.json"
+    rules.write_text(text)
+    rc = cli.main(["evaluate", str(case1_file), "--n-required", "1",
+                   "--rules", str(rules)])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {rules}: {message}\n"
+
+
 def test_fidelity_self_comparison(case3_set, capsys):
     target = str(case3_set / "results_M2-CL4-S-TST-05-01_r01.csv")
     rc = cli.main(["fidelity", target, target])

@@ -6,6 +6,7 @@ from scipy.spatial import ConvexHull
 
 from vistakit.errors import DegeneratePolygon
 from vistakit.geometry import (
+    axis_clearances,
     clip_to_rect,
     directional_clearance,
     first_contact_time,
@@ -21,6 +22,7 @@ from oracles import (
     boundary_points,
     sampled_axis_gap,
     sampled_min_separation,
+    sliced_axis_gap,
     stepped_first_contact,
 )
 
@@ -249,3 +251,63 @@ def test_polygons_intersect_cases():
     assert not polygons_intersect(a, rect(5, 0, 2, 2))
     # Full containment intersects even with no crossing edges.
     assert polygons_intersect(a, rect(0, 0, 0.5, 0.5))
+
+
+def _random_star(rng, cx, cy):
+    """A star-shaped outline around (cx, cy): concave in general."""
+    n = int(rng.integers(5, 9))
+    angles = np.sort(rng.uniform(0, 2 * math.pi, size=n))
+    radii = rng.uniform(0.3, 2.5, size=n)
+    return np.column_stack([cx + radii * np.cos(angles),
+                            cy + radii * np.sin(angles)])
+
+
+def _random_u(rng):
+    """A U whose mouth faces the VUT's front or back end from 1-3 m off
+    the origin, so that the end often sits inside it without touching:
+    then a slice crosses the U twice with the VUT in between."""
+    h, d = rng.uniform(1.2, 2.5), rng.uniform(1.0, 4.0)
+    t = rng.uniform(0.2, 0.5)
+    # Mouth at x = 0, opening towards -x.
+    u = np.array([(0.0, -h), (d, -h), (d, h), (0.0, h), (0.0, h - t),
+                  (d - t, h - t), (d - t, t - h), (0.0, t - h)])
+    phi = rng.choice([0.0, math.pi]) + rng.uniform(-0.3, 0.3)
+    rot = np.array([(math.cos(phi), -math.sin(phi)),
+                    (math.sin(phi), math.cos(phi))])
+    return u @ rot.T + rng.uniform(1.0, 3.0) * rot[:, 0]
+
+
+def test_concave_axis_gaps_err_on_the_safe_side():
+    # A concave slice is covered by its overall span, which contains the
+    # true union of intervals, so the kernel's gap may fall short of the
+    # oracle's but never exceed it by more than the sampling step.
+    step = 0.005
+    rng = np.random.default_rng(5)
+    vut = rect(0.0, 0.0, 4.4, 1.8)
+    concave = [_random_star(rng, *rng.uniform(-7.0, 7.0, 2)) if k % 2
+               else _random_u(rng) for k in range(200)]
+    disjoint = [s for s in concave
+                if sampled_min_separation(vut, s, step) > 2 * step]
+    short, gaps = 0, 0
+    for n in sorted({len(s) for s in disjoint}):
+        stack = np.stack([s for s in disjoint if len(s) == n])
+        lateral, longitudinal, _, _ = axis_clearances(vut, stack)
+        for outline, lat, lon in zip(stack, lateral.tolist(),
+                                     longitudinal.tolist()):
+            for axis, got in ((1, lat), (0, lon)):
+                want = sliced_axis_gap(vut, outline, axis, step)
+                assert got <= want + step, (outline.tolist(), axis, got, want)
+                gaps += math.isfinite(got)
+                short += got < want - 0.1
+    # Most pairs have a gap on some axis, and on some the span does cut
+    # the gap short: the oracle sees the pocket that the span covers.
+    assert len(disjoint) > 120 and gaps > 150 and short > 20, (
+        len(disjoint), gaps, short)
+    # Where both oracles apply, on convex pairs, they agree.
+    for _ in range(30):
+        a = _random_convex(rng, 0.0, 0.0)
+        b = _random_convex(rng, *rng.uniform(4.5, 7.0, 2))
+        for axis in (0, 1):
+            want = sampled_axis_gap(a, b, axis, step)
+            got = sliced_axis_gap(a, b, axis, step)
+            assert got == want or abs(got - want) <= step, (axis, got, want)

@@ -230,8 +230,20 @@ def _random_outline(rng, kind):
     return np.round(pts, 1) if kind == 2 else pts
 
 
+def _row_class(A, B, axis):
+    """Which slices the kernel computes for the pair along ``axis``."""
+    other = 1 - axis
+    lo = max(A[:, other].min(), B[:, other].min())
+    hi = min(A[:, other].max(), B[:, other].max())
+    if lo > hi:
+        return "empty window"
+    if any(lo <= c <= hi for c in _loop_crossings(A, B, other)):
+        return "crossing"
+    return "no crossing"
+
+
 @pytest.mark.parametrize("vut_kind", [None, 1])
-def test_kernel_matches_loop_reference(vut_kind):
+def test_kernel_matches_loop_reference(vut_kind, monkeypatch):
     rng = np.random.default_rng(11)
     vut = geometry.poly_array(VehicleProfile().footprint) if vut_kind is None \
         else geometry.poly_array(_random_outline(rng, vut_kind))
@@ -241,14 +253,24 @@ def test_kernel_matches_loop_reference(vut_kind):
         if geometry.outline_faults(poly[None])[0] is None:
             by_count.setdefault(len(poly), []).append(i)
     assert sum(map(len, by_count.values())) > 350
-    for idx in by_count.values():
-        got = zip(*(a.tolist() for a in geometry.axis_clearances(
-            vut, np.stack([outlines[i] for i in idx]))))
-        for i, row in zip(idx, got):
-            B = outlines[i]
-            want = (_loop_axis_gap(vut, B, 1), _loop_axis_gap(vut, B, 0),
-                    _loop_side(vut, B, 1), _loop_side(vut, B, 0))
-            assert repr(row) == repr(want), i
+    classes = {0: set(), 1: set()}
+    # The second pass cuts the stacks into chunks of a few outlines, so
+    # rows of every class share chunks and sit on both sides of their
+    # edges.
+    for chunk in (geometry._CHUNK_ELEMENTS, 1000):
+        monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", chunk)
+        for idx in by_count.values():
+            got = zip(*(a.tolist() for a in geometry.axis_clearances(
+                vut, np.stack([outlines[i] for i in idx]))))
+            for i, row in zip(idx, got):
+                B = outlines[i]
+                want = (_loop_axis_gap(vut, B, 1), _loop_axis_gap(vut, B, 0),
+                        _loop_side(vut, B, 1), _loop_side(vut, B, 0))
+                assert repr(row) == repr(want), (chunk, i)
+                for axis in classes:
+                    classes[axis].add(_row_class(vut, B, axis))
+    assert classes == dict.fromkeys(
+        classes, {"empty window", "no crossing", "crossing"})
 
 
 def _count_calls(monkeypatch, names):
@@ -263,36 +285,41 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-LAZY = ("first_contact_times", "separations")
+# Separation and NTD come from one kernel call that shares the contact
+# test; the kernels that would compute either alone are not called.
+LAZY = ("separations_and_contact_times", "_intersecting")
+UNUSED = ("separations", "first_contact_times")
 
 
 def test_unread_fields_not_computed_by_evaluate(tmp_path, monkeypatch):
     trace_io.write_flat(synth.synthesize(case=1), tmp_path / "runs")
-    counts = _count_calls(monkeypatch, LAZY)
+    counts = _count_calls(monkeypatch, LAZY + UNUSED)
     argv = ["evaluate", str(tmp_path / "runs"), "--n-required", "1",
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     assert counts == dict.fromkeys(counts, 0)
-    # --series writes separation and NTD, so it does compute them: each
-    # in one call for the one entity, whose outlines all have 4 vertices.
+    # --series writes separation and NTD, so it does compute them: in one
+    # call, with one contact test, for the one entity, whose outlines all
+    # have 4 vertices.
     assert cli.main(argv + ["--series"]) == 1
-    assert counts == dict.fromkeys(counts, 1)
+    assert counts == {**dict.fromkeys(LAZY, 1), **dict.fromkeys(UNUSED, 0)}
 
 
 def test_unread_fields_computed_once_on_read(monkeypatch):
     series = clearance_series(mixed_trace(), "CYC")
-    counts = _count_calls(monkeypatch, LAZY)
+    counts = _count_calls(monkeypatch, LAZY + ("outline_faults",))
     assert len(series.samples) == STEPS
     assert counts == dict.fromkeys(counts, 0)
     first = series.samples[0]
     reads = [(first.ntd, first.euclidean_min) for _ in range(2)]
     assert reads[0] == reads[1]
-    # Each comes for the whole series at once: one call per vertex count
-    # (4, including the default footprints, and the concave 8).
-    assert counts == dict.fromkeys(counts, 2)
+    # Both come for the whole series at once: one call per vertex count
+    # (4, including the default footprints, and the concave 8), and the
+    # outlines, checked when the series was built, are not checked again.
+    assert counts == {**dict.fromkeys(LAZY, 2), "outline_faults": 0}
     for _ in range(2):
         [(s.ntd, s.euclidean_min) for s in series.samples]
-    assert counts == dict.fromkeys(counts, 2)
+    assert counts == {**dict.fromkeys(LAZY, 2), "outline_faults": 0}
 
 
 @pytest.mark.parametrize("entity_id", ["CYC", "CONE"])

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from vistakit.clearance import DEFAULT_FOOTPRINTS, clearance_series
+from vistakit.errors import MalformedRules
 from vistakit.frames import LocalFrame
 from vistakit.model import (
     ActorState,
@@ -348,6 +349,29 @@ def test_rule_overrides_from_file(tmp_path):
     other = ruleset_for("TC-ELSE-01", overrides)
     assert other.speed_limit == 8.0
     assert other.lateral_threshold(STOPPED_VEHICLE) == 1.0
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"stop_lines": {"L1": {"lon": 1.0, "heading_deg": 0.0}}},
+     "stop_lines: missing 'lat'"),
+    ({"stop_lines": {"L1": {"lat": 91.0, "lon": 1.0, "heading_deg": 0.0}}},
+     "stop_lines: latitude out of range: 91.0"),
+    ({"lateral_thresholds_m": [1.0]},
+     "lateral_thresholds_m: 'list' object has no attribute 'items'"),
+    ({"n_required": math.inf},
+     "n_required: cannot convert float infinity to integer"),
+    (3, "expected an object of rule overrides, got 3"),
+])
+def test_malformed_rule_entry_names_file_and_key(tmp_path, entry, message):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"default": {}, "TC-OVR-01": entry}))
+    with pytest.raises(MalformedRules) as exc:
+        load_rules(path)
+    assert str(exc.value) == f"{path}: TC-OVR-01: {message}"
+    # Library callers that pass overrides straight in get the same check.
+    with pytest.raises(MalformedRules) as exc:
+        ruleset_for("TC-OVR-01", {"TC-OVR-01": entry})
+    assert str(exc.value) == f"TC-OVR-01: {message}"
 
 
 def test_render_text_mentions_verdicts():

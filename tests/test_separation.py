@@ -55,7 +55,14 @@ def test_kernel_matches_loop_reference(vut_kind, chunk, monkeypatch):
     assert sum(map(len, by_count.values())) > 1900
     outcomes = set()
     for idx in by_count.values():
-        got = geometry.separations(vut, np.stack([outlines[i] for i in idx]))
+        stack = np.stack([outlines[i] for i in idx])
+        got = geometry.separations(vut, stack)
+        # The shared-contact-test kernel gives both results bit for bit.
+        vels = rng.normal(0.0, 3.0, (len(idx), 2))
+        seps, times = geometry.separations_and_contact_times(vut, stack, vels)
+        assert repr(seps.tolist()) == repr(got.tolist())
+        assert repr(times.tolist()) == repr(
+            geometry.first_contact_times(vut, stack, vels).tolist())
         for i, d in zip(idx, got.tolist()):
             want = _loop_min_separation(vut, outlines[i])
             assert repr(d) == repr(want), i
