@@ -165,6 +165,15 @@ def _by_vertex_count(outlines: list) -> list:
             for idx in groups.values()]
 
 
+def _concave(stack: np.ndarray) -> np.ndarray:
+    """Which outlines of an (m, n, 2) stack are concave: consecutive
+    edges turn both ways, which is exact for simple outlines."""
+    edge = np.roll(stack, -1, axis=1) - stack
+    after = np.roll(edge, -1, axis=1)
+    turn = edge[..., 0] * after[..., 1] - edge[..., 1] * after[..., 0]
+    return (turn > 0).any(axis=1) & (turn < 0).any(axis=1)
+
+
 def _faults(outlines: list) -> list:
     """outline_faults for each outline (None where there is no outline)."""
     faults = [None] * len(outlines)
@@ -210,7 +219,8 @@ def clearance_series(trace: Trace, entity_id: str,
     one stack per vertex count, as do the separations and NTDs, together,
     when first read.  An unusable actor outline falls back to the default
     footprint and an unusable obstacle outline drops the step, both with a
-    note.
+    note.  The first concave outline kept is noted too: the axis gaps
+    cover it by its overall span, so they may read short of the true gap.
     """
     profile = profile or VehicleProfile()
     records = _records(trace, entity_id)
@@ -291,11 +301,17 @@ def clearance_series(trace: Trace, entity_id: str,
     lateral, longitudinal = np.empty(n), np.empty(n)
     lat_side, lon_side = np.empty(n, dtype=int), np.empty(n, dtype=int)
     centroid = np.empty((n, 2))
+    concave = np.zeros(n, dtype=bool)
     groups = _by_vertex_count(outlines)
     for idx, stack in groups:
         lateral[idx], longitudinal[idx], lat_side[idx], lon_side[idx] = \
             geometry.axis_clearances(footprint, stack)
         centroid[idx] = stack.mean(axis=1)
+        concave[idx] = _concave(stack)
+    if concave.any():
+        notes.append(f"{entity_id}: concave outline at step "
+                     f"{records[kept[concave.argmax()]].step}; axis gaps use "
+                     "its overall span and may read short")
 
     # Entity velocity in the VCS: v_long along its heading plus v_lat to
     # its right, turned by its heading relative to the VUT's.

@@ -335,8 +335,8 @@ def _build(cls, n, *values) -> list:
     ``__post_init__`` does not run: the caller has checked every value
     against the bounds the constructors check (the trace reader's column
     pass, ``synth.perturb``'s bulk checks) or runs the checks itself (the
-    reader's row decoder).  Fields are set as the dataclass ``__init__``
-    sets them, one C-level pass per field.
+    column pass, on a row with a cell its bounds flag).  Fields are set as
+    the dataclass ``__init__`` sets them, one C-level pass per field.
     """
     if not n:
         return []

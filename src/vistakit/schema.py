@@ -17,8 +17,9 @@ The schema is the trace codec (see ``trace_io``):
   (lat/lon) and vehicle (x/y); a row fills exactly one of them;
 * ``min``/``max`` are inclusive value bounds and ``normalised`` marks a
   heading in [0, 360).  The record types in ``model`` check the same
-  bounds on construction (the readers' column pass checks them in bulk,
-  and may be stricter: ``Time`` >= 0 holds for every group there).
+  bounds on construction.  The readers' column pass checks them in bulk
+  and has the record types check a row only where a bound fails; it may
+  be stricter: ``Time`` >= 0 holds for every group there.
 
 Flat layout: one CSV per run named ``results_<testcase_id>_r<run_id>.csv``
 holding the common columns, the VUT group, and one repetition of the

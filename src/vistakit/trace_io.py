@@ -11,22 +11,23 @@ Two layouts carry the same information:
 The column schema (``schema.COLUMNS``) is the codec.  A column's ``kind``
 picks its cell decoder, ``allow_empty`` says whether an empty cell is
 "no value" or a fault, and ``min``/``max``/``normalised`` bound its
-values.  Each header is planned once.  The row decoder reads one row
-through that plan: the clock cells first, then the id cell (empty means
-"no record at this step"), then the other cells in file column order, so
-a row with several bad cells reports the first of them in that order.
-The alt_pos position pairs are the one special case: exactly one pair is
-filled, whole, and it fixes the frame of the row's outlines.
+values.  A file is read column by column: each column of a header is
+decoded in one pass and checked against its schema bounds in bulk, and
+the outline cells in the writer's form are parsed together and checked
+per vertex count.  A row that passes every check gets its record built
+once, without the record type's checks running again.
 
-A file is read by a column pass first: each planned column is decoded in
-one pass with the row decoder's conversions and checked against its
-schema bounds in bulk, and the outline cells in the writer's form are
-parsed together and checked per vertex count.  A row that passes every
-check gets its record built once, without the record type's checks
-running again.  Any other row falls back to the row decoder, which
-reports it, so the findings are exactly those of reading row by row.
-The bulk checks may be stricter than the record types (``Time`` >= 0
-holds for every group): such a row merely takes the row decoder.
+A cell that fails a bulk check is decoded once more, alone, by its
+column's decoder: a value it accepts replaces the bulk one (a heading of
+370 reads 10), and a value it rejects is the row's finding, with the
+decoder's message.  The first fault of a row is reported, in this order:
+the clock cells, then the id cell (empty means "no record at this
+step"), then the alt_pos rule (exactly one position pair is filled,
+whole; it fixes the frame of the row's outlines), then the other cells
+in file column order, and last the record type's checks, which run on
+every row with a cell the bounds flagged.  The bounds may be stricter
+than the record types (``Time`` >= 0 holds for every group): such a row
+keeps its record.
 
 Both writers gather each column straight from the records, through the
 one record/column map the readers build records with, and write, in
@@ -120,9 +121,19 @@ def _cell_ttc(cell: str) -> float:
     return v
 
 
-# Decoder per schema kind; "array" cells also need the row's frame.
+def _cell_heading(cell: str) -> float:
+    return normalize_heading(_cell_float(cell))
+
+
+# Decoder per schema kind; outline ("array") cells are read in their
+# row's frame, by _outlines.
 _DECODERS = {"float": _cell_float, "int": int, "code": int,
              "bool": _cell_bool, "ttc": _cell_ttc, "tag": str, "id": str}
+# Decoder per column, and the columns where an empty cell is no value.
+_DECODE = {c.name: _cell_heading if c.normalised else _DECODERS[c.kind]
+           for c in schema.COLUMNS if c.kind != "array"}
+_MAY_BE_EMPTY = frozenset(c.name for c in schema.COLUMNS
+                          if c.allow_empty or c.required == "alt_pos")
 
 
 def _fmt(v) -> str:
@@ -284,56 +295,13 @@ _OVERLAYS = {
 
 
 # ---------------------------------------------------------------------------
-# the row decoder
-
-class _RowProblem(Exception):
-    def __init__(self, column, message):
-        super().__init__(message)
-        self.column = column
-
-
-def _plan(cols, frame) -> list:
-    """(index, column, decoder, empty allowed) for (index, column) pairs."""
-    plan = []
-    for idx, name in cols:
-        spec = schema.BY_NAME[name]
-        if spec.kind == "array":
-            # shape_from_array is looked up at call time, so a wrapper set
-            # on this module's name sees every call.
-            def decode(cell):
-                return shape_from_array(cell, frame=frame)
-        elif spec.normalised:
-            def decode(cell):
-                return normalize_heading(_cell_float(cell))
-        else:
-            decode = _DECODERS[spec.kind]
-        plan.append((idx, name, decode,
-                     spec.allow_empty or spec.required == "alt_pos"))
-    return plan
-
-
-def _decode(row, plan, vals) -> dict:
-    for idx, name, decode, empty_ok in plan:
-        cell = row[idx].strip()
-        if cell:
-            try:
-                vals[name] = decode(cell)
-            except (ValueError, TypeError, VistaError) as exc:
-                raise _RowProblem(name, str(exc)) from None
-        elif empty_ok:
-            vals[name] = None
-        else:
-            raise _RowProblem(name, "mandatory value is empty")
-    return vals
-
+# the column pass
 
 class _Reader:
     """The rows under one header, read as records of one group.
 
     The header is planned once: the clock cells, the id cell, the alt_pos
-    pairs, and per position frame every other cell of the group in file
-    column order.  ``read`` decodes one row through that plan;
-    ``read_columns`` decodes all rows of a file column by column.
+    pairs and the other cells of the group, each in file column order.
     """
 
     def __init__(self, group, colmap):
@@ -343,143 +311,113 @@ class _Reader:
         cols = sorted((idx, name) for name, idx in colmap.items()
                       if name in names and name != self.id_col)
         self.id_idx = colmap.get(self.id_col)
-        self.clock = _plan([c for c in cols if c[1] in schema.CLOCK],
-                           "wgs84")
-        rest = [c for c in cols if c[1] not in schema.CLOCK]
-        self.plans = {f: _plan(rest, f) for f in ("wgs84", "vcs")}
+        self.clock = [c for c in cols if c[1] in schema.CLOCK]
+        self.rest = [c for c in cols if c[1] not in schema.CLOCK]
         self.pairs = [(f, colmap.get(a), colmap.get(b))
                       for f, (a, b, _) in _POS.get(group, {}).items()
                       if schema.BY_NAME[a].required == "alt_pos"
                       and (a in colmap or b in colmap)]
 
-    def frame(self, row) -> str:
-        """The alt_pos rule: exactly one position pair is filled, whole."""
-        full = []
-        for frame, a, b in self.pairs:
-            n = sum(1 for i in (a, b) if i is not None and row[i].strip())
-            if n == 1:
-                raise _RowProblem(_POS_COLUMN, "half-filled position pair")
-            if n == 2:
-                full.append(frame)
-        if len(full) > 1:
-            raise _RowProblem(_POS_COLUMN,
-                              "both world and VCS positions filled")
-        if self.pairs and not full:
-            raise _RowProblem(_POS_COLUMN, "no position value")
-        return full[0] if full else "wgs84"
-
-    def read(self, row):
-        """The row's record, or None when it holds none.
-
-        A bad cell, or a value the record type rejects, raises _RowProblem.
-        """
-        vals = _decode(row, self.clock, {})
-        if self.id_idx is not None:
-            eid = row[self.id_idx].strip()
-            if not eid:
-                return None
-            vals[self.id_col] = eid
-        _decode(row, self.plans[self.frame(row)], vals)
-        try:
-            return _checked(_records(
-                self.group, {k: (v,) for k, v in vals.items()}, 1)[0])
-        except (ValueError, TypeError) as exc:
-            raise _RowProblem(None, str(exc)) from None
-
     def read_columns(self, table) -> list:
-        """The column pass over a file's rows, ``_by_column(rows)``.
+        """Per row of a file's ``table`` (see ``_by_column``): its record,
+        None when it holds none, or its finding as (column, message), the
+        column None for a value its record type rejects.
 
-        Per row: its record, None when it holds none, or _REREAD.  Each
-        planned column is decoded in one pass, with the row decoder's
-        conversions, and checked against its schema bounds in bulk; a row
-        that passes every check gets its record built once.  A row that
-        fails any check, or is not as wide as the header, is left
-        _REREAD, for the row decoder to read and report.
+        Each column is decoded and checked in one pass.  A row's faults
+        are noted in the order of the module docstring, so the first one
+        noted is its finding.  The other rows get their records built
+        together; those with a cell the bounds flagged are then checked
+        by the record constructors.
         """
-        n, keep, columns = table
-        out = [_REREAD] * n
-        vals, faults = {}, set()
-        for idx, name, decode, empty_ok in self.clock:
-            vals[name], bad = _bulk(columns[idx], name, decode, empty_ok)
-            faults.update(bad)
-        live = [k for k in range(len(keep)) if k not in faults]
+        n, columns = table
+        vals, found, check = {}, {}, set()
+
+        def note(rows, faults, name):
+            for m, message in faults.items():
+                if message is None:
+                    check.add(rows[m])
+                else:
+                    found.setdefault(rows[m], (name, message))
+
+        for idx, name in self.clock:
+            vals[name], faults = _bulk(columns[idx], name)
+            note(range(n), faults, name)
+        live = [k for k in range(n) if k not in found]
         if self.id_idx is not None:
-            ids = list(map(str.strip, columns[self.id_idx]))
-            for k in live:
-                if not ids[k]:
-                    out[keep[k]] = None
+            vals[self.id_col] = ids = list(map(str.strip,
+                                               columns[self.id_idx]))
             live = [k for k in live if ids[k]]
-            vals[self.id_col] = ids
         vals = {name: _pick(v, live) for name, v in vals.items()}
-        frames, bad = self._frames(columns, live)
-        faults = set(bad)
-        # The wgs84 plan: array cells are decoded in each row's own frame.
-        for idx, name, decode, empty_ok in self.plans["wgs84"]:
+        frames, faults = self._frames(columns, live)
+        note(live, faults, _POS_COLUMN)
+        for idx, name in self.rest:
             cells = _pick(columns[idx], live)
             if schema.BY_NAME[name].kind == "array":
-                vals[name], bad = _outlines(cells, frames, empty_ok)
+                vals[name], faults = _outlines(cells, frames, name)
             else:
-                vals[name], bad = _bulk(cells, name, decode, empty_ok)
-            faults.update(bad)
-        good = [m for m in range(len(live)) if m not in faults]
+                vals[name], faults = _bulk(cells, name)
+            note(live, faults, name)
+        good = [m for m, k in enumerate(live) if k not in found]
         vals = {name: _pick(v, good) for name, v in vals.items()}
+        out = [None] * n
         for k, rec in zip(_pick(live, good),
                           _records(self.group, vals, len(good))):
-            out[keep[k]] = rec
+            if k in check:
+                try:
+                    rec = _checked(rec)
+                except (ValueError, TypeError) as exc:
+                    rec = (None, str(exc))
+            out[k] = rec
+        for k, finding in found.items():
+            out[k] = finding
         return out
 
     def _frames(self, columns, live):
         """(frames, faults) of the live rows: each row's position frame by
-        the alt_pos rule, and the positions of the rows that break it."""
+        the alt_pos rule, and {position: message} of the rows that break
+        it."""
         if not self.pairs:
-            return ["wgs84"] * len(live), []
+            return ["wgs84"] * len(live), {}
         filled = {frame: sum(np.array([bool(c.strip()) for c in
                                        _pick(columns[i], live)], dtype=int)
                              for i in (a, b) if i is not None)
                   for frame, a, b in self.pairs}
-        whole = {frame: n == 2 for frame, n in filled.items()}
-        bad = sum(whole.values()) != 1
-        for n in filled.values():
-            bad |= n == 1
-        vcs = whole.get("vcs", np.zeros(len(live), dtype=bool))
-        return (np.where(vcs, "vcs", "wgs84").tolist(),
-                np.flatnonzero(bad).tolist())
+        half = sum(n == 1 for n in filled.values()) > 0
+        whole = sum(n == 2 for n in filled.values())
+        faults = {m: "half-filled position pair" if half[m] else
+                  "both world and VCS positions filled" if whole[m] else
+                  "no position value"
+                  for m in np.flatnonzero(half | (whole != 1)).tolist()}
+        vcs = filled.get("vcs", np.zeros(len(live), dtype=int)) == 2
+        return np.where(vcs, "vcs", "wgs84").tolist(), faults
 
 
-def _read(reader, row, fname, rownum, rep, got):
-    """The row's record: ``got`` from the column pass, or, when that is
-    _REREAD, reader.read with a bad row reported as an error finding."""
-    if got is not _REREAD:
-        return got
-    try:
-        return reader.read(row)
-    except _RowProblem as exc:
-        rep.add(it.ERROR, it.BAD_VALUE, str(exc), file=fname, row=rownum,
-                column=exc.column)
+def _record(got, fname, rownum, rep):
+    """A record or None from _Reader.read_columns; a finding there is
+    reported as an error at its row, and gives None."""
+    if isinstance(got, tuple):
+        rep.add(it.ERROR, it.BAD_VALUE, got[1], file=fname, row=rownum,
+                column=got[0])
         return None
+    return got
 
-
-# ---------------------------------------------------------------------------
-# the column pass
-
-_REREAD = object()      # a row the column pass leaves to the row decoder
 
 _FLAGS = {"0": False, "1": True}
 # Per kind, the conversion the column pass tries on a whole column at
-# once.  Wherever it succeeds it gives the row decoder's value (float and
-# int ignore the surrounding whitespace that the row decoder strips); a
-# column where it fails anywhere is decoded cell by cell.
+# once.  Wherever it succeeds it gives the cell decoder's value (float
+# and int ignore the surrounding whitespace that is stripped before a
+# cell is decoded), save where the schema bounds flag it; a column where
+# it fails anywhere is decoded cell by cell.
 _WHOLE = {"float": float, "ttc": float, "int": int, "code": int,
-          "bool": _FLAGS.__getitem__, "tag": str.strip, "id": str.strip}
+          "bool": _FLAGS.__getitem__, "tag": str.strip}
 
 
 def _by_column(rows, width):
-    """(n, keep, columns) of a file's data rows: their number, the
-    positions of those exactly as wide as the header, and the cells of
-    those column by column."""
-    keep = [i for i, row in enumerate(rows) if len(row) == width]
-    fit = rows if len(keep) == len(rows) else [rows[i] for i in keep]
-    return len(rows), keep, list(zip(*fit)) if fit else [()] * width
+    """(n, columns) of a file's data rows: their number, and their cells
+    column by column, each row cut or padded to the header's width."""
+    fit = [row if len(row) == width else (row + [""] * width)[:width]
+           for row in rows]
+    return len(rows), list(zip(*fit)) if fit else [()] * width
 
 
 def _pick(values, positions):
@@ -489,34 +427,39 @@ def _pick(values, positions):
     return [values[k] for k in positions]
 
 
-def _bulk(cells, name, decode, empty_ok):
-    """(values, faults) of one column: its cells decoded, and the
-    positions of those the row decoder rejects or that break the
-    column's schema bounds."""
+def _bulk(cells, name):
+    """(values, faults) of one column: its cells decoded, and
+    {position: message} of those its decoder rejects, or None for those
+    it accepts but the column's schema bounds flag.
+
+    A flagged cell is decoded once more, alone, and that value replaces
+    the bulk one: a heading of 370 reads 10.
+    """
     spec = schema.BY_NAME[name]
+    decode = _DECODE[name]
     try:
         values = list(map(_WHOLE[spec.kind], cells))
-        faults = [] if spec.kind not in ("tag", "id") or all(values) \
-            else None
+        faults = {} if spec.kind != "tag" or all(values) else None
     except (ValueError, KeyError):
         faults = None
     if faults is None:
-        values, faults = [], []
+        values, faults = [], {}
         for k, cell in enumerate(cells):
             cell = cell.strip()
             value = None
             if cell:
                 try:
                     value = decode(cell)
-                except (ValueError, TypeError, VistaError):
-                    faults.append(k)
-            elif not empty_ok:
-                faults.append(k)
+                except (ValueError, TypeError, VistaError) as exc:
+                    faults[k] = str(exc)
+            elif name not in _MAY_BE_EMPTY:
+                faults[k] = "mandatory value is empty"
             values.append(value)
+    flagged = []
     if spec.kind in ("int", "code"):
         lo = -math.inf if spec.min is None else spec.min
         hi = math.inf if spec.max is None else spec.max
-        faults += [k for k, v in enumerate(values)
+        flagged = [k for k, v in enumerate(values)
                    if v is not None and not lo <= v <= hi]
     elif spec.kind in ("float", "ttc"):
         a = np.array(values, dtype=float)       # None -> nan
@@ -530,7 +473,12 @@ def _bulk(cells, name, decode, empty_ok):
                 out |= (a < 0.0) | (a >= 360.0)
         if None in values:                      # empty cells allowed here
             out &= np.array([v is not None for v in values])
-        faults += np.flatnonzero(out).tolist()
+        flagged = np.flatnonzero(out).tolist()
+    for k in flagged:
+        try:
+            values[k], faults[k] = decode(cells[k].strip()), None
+        except (ValueError, TypeError, VistaError) as exc:
+            faults[k] = str(exc)
     return values, faults
 
 
@@ -538,10 +486,10 @@ def _bulk(cells, name, decode, empty_ok):
 _LAT, _LON = (schema.BY_NAME[c] for c in _POS["actor"]["wgs84"][:2])
 
 
-def _outlines(cells, frames, empty_ok):
-    """(shapes, faults) of one array column: each cell read in its row's
-    frame as shape_from_array reads it, and the positions of the cells
-    the row decoder rejects.
+def _outlines(cells, frames, name):
+    """(shapes, faults) of one outline column: each cell read in its row's
+    frame as shape_from_array reads it, and {position: message} of the
+    cells it rejects.
 
     Each distinct cell is read once, and its rows share the (immutable)
     shape: a stationary entity repeats its outline verbatim at every
@@ -551,14 +499,17 @@ def _outlines(cells, frames, empty_ok):
     distinct = [key for key in dict.fromkeys(keys) if key[0]]
     shapes, bad = _shapes(distinct)
     shape_of = dict(zip(distinct, shapes))
-    bad = {distinct[j] for j in bad}
-    faults = [k for k, key in enumerate(keys)
-              if key in bad or not (key[0] or empty_ok)]
+    bad = {distinct[j]: message for j, message in bad.items()}
+    empty_ok = name in _MAY_BE_EMPTY
+    faults = {k: bad.get(key, "mandatory value is empty")
+              for k, key in enumerate(keys)
+              if key in bad or not (key[0] or empty_ok)}
     return [shape_of.get(key) for key in keys], faults
 
 
 def _shapes(items):
-    """(shapes, faults) of (array text, frame) pairs.
+    """(shapes, faults) of (array text, frame) pairs, the faults as
+    {position: message}.
 
     Texts in the writer's form ``|a b|c d|...|`` are parsed together and
     checked per vertex count as GeoPosition and BoundingShape check them.
@@ -566,7 +517,7 @@ def _shapes(items):
     and one those checks refuse (a closed ring, say) goes to
     shape_from_array on its own.
     """
-    shapes, faults, odd, plain = [None] * len(items), [], [], []
+    shapes, faults, odd, plain = [None] * len(items), {}, [], []
     for k, (c, _) in enumerate(items):
         if c[0] == "|" == c[-1] and "<" not in c and ">" not in c \
                 and "," not in c:
@@ -607,8 +558,8 @@ def _shapes(items):
     for k in odd:
         try:
             shapes[k] = shape_from_array(*items[k])
-        except (ValueError, TypeError, VistaError):
-            faults.append(k)
+        except (ValueError, TypeError, VistaError) as exc:
+            faults[k] = str(exc)
     return shapes, faults
 
 
@@ -690,16 +641,13 @@ def _load(path, fname, rep):
     return rows
 
 
-def _padded(rows, fname, rep):
-    """(rownum, row) for each data row, cut or padded to the header."""
-    width = len(rows[0])
-    for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            rep.add(it.WARNING, it.BAD_VALUE,
-                    f"row has {len(row)} cells, header has {width}",
-                    file=fname, row=rownum)
-            row = (row + [""] * width)[:width]
-        yield rownum, row
+def _width(row, width, fname, rownum, rep):
+    """Warn of a data row not as wide as its header (it is read cut or
+    padded, see _by_column)."""
+    if len(row) != width:
+        rep.add(it.WARNING, it.BAD_VALUE,
+                f"row has {len(row)} cells, header has {width}",
+                file=fname, row=rownum)
 
 
 def _unknown(name, fname, rep, message="column {!r} is not in the schema"):
@@ -901,19 +849,22 @@ def parse_flat(path):
     readers = [(group, _Reader(group, {**colmap, **clock}))
                for group, colmap in groups]
     # The column pass of every reader first; it adds no findings.
-    table = _by_column(rows[1:], len(rows[0]))
+    width = len(rows[0])
+    table = _by_column(rows[1:], width)
     vut_got = vut_reader.read_columns(table)
-    readers = [(group, reader, reader.read_columns(table))
+    readers = [(group, reader.read_columns(table))
                for group, reader in readers]
     vut_rows = []
     entity_rows = {group: [] for group in _ENTITY_GROUPS}
-    for i, (rownum, row) in enumerate(_padded(rows, fname, rep)):
-        vut = _read(vut_reader, row, fname, rownum, rep, vut_got[i])
+    for i, row in enumerate(rows[1:]):
+        rownum = i + 2
+        _width(row, width, fname, rownum, rep)
+        vut = _record(vut_got[i], fname, rownum, rep)
         if vut is None:
             continue
         vut_rows.append((rownum, vut))
-        for group, reader, got in readers:
-            rec = _read(reader, row, fname, rownum, rep, got[i])
+        for group, got in readers:
+            rec = _record(got[i], fname, rownum, rep)
             if rec is not None:
                 entity_rows[group].append((rownum, rec))
 
@@ -935,8 +886,8 @@ def parse_flat(path):
 # distributed layout
 
 def _read_role(folder, role, rep):
-    """Read one role file -> (colmap, [(rownum, row)], header width) or
-    None."""
+    """Read one role file -> (colmap, its rows by column, see _by_column)
+    or None."""
     p = folder / role
     rows = _load(p, role, rep) if p.exists() else None
     if rows is None:
@@ -954,17 +905,18 @@ def _read_role(folder, role, rep):
                 if schema.BY_NAME[c].required == "yes"]
     if not _require_columns(colmap, required, role, rep):
         return None
-    return colmap, list(_padded(rows, role, rep)), len(rows[0])
+    width = len(rows[0])
+    for rownum, row in enumerate(rows[1:], start=2):
+        _width(row, width, role, rownum, rep)
+    return colmap, _by_column(rows[1:], width)
 
 
-def _read_rows(reader, got, fname, rep):
+def _read_rows(reader, table, fname, rep):
     """(rownum, record or None) of each row of a role file read by
-    _read_role, column pass first; a row's findings are added when it is
+    _read_role, column pass first; a row's finding is added when it is
     yielded."""
-    _, rows, width = got
-    done = reader.read_columns(_by_column([row for _, row in rows], width))
-    for (rownum, row), rec in zip(rows, done):
-        yield rownum, _read(reader, row, fname, rownum, rep, rec)
+    for rownum, got in enumerate(reader.read_columns(table), start=2):
+        yield rownum, _record(got, fname, rownum, rep)
 
 
 def parse_distributed(path):
@@ -991,7 +943,7 @@ def parse_distributed(path):
                     f"{schema.ROLE_VUT} is missing", file=folder.name)
         return None, rep
     vut_rows = [(rownum, rec) for rownum, rec in _read_rows(
-        _Reader("vut", got[0]), got, schema.ROLE_VUT, rep) if rec is not None]
+        _Reader("vut", got[0]), got[1], schema.ROLE_VUT, rep) if rec is not None]
     clock = _vut_clock(vut_rows, schema.ROLE_VUT, rep, "no usable VUT rows")
     if clock is None:
         return None, rep
@@ -1005,7 +957,7 @@ def parse_distributed(path):
         if got is None or (group == "actor" and not _check_actor_pos_columns(
                 got[0], role, rep)):
             continue
-        for rownum, rec in _read_rows(_Reader(group, got[0]), got, role,
+        for rownum, rec in _read_rows(_Reader(group, got[0]), got[1], role,
                                       rep):
             if rec is not None:
                 _join(table, group, rec, step_times, half_period, role,
@@ -1019,54 +971,61 @@ def _attach(folder, role, tables, rep):
     """Read one perceived overlay onto the true records it names.
 
     A row joins the true record of its id and step, and its outline is
-    read in that record's position frame.  The perceived traffic-light
-    overlay carries nothing the model keeps: its rows are only checked,
-    and a bad one is a warning.
+    read in that record's position frame.  Its first fault is reported:
+    an empty id (no record, no finding), a bad step, no true counterpart
+    (a warning), a bad outline.  The perceived traffic-light overlay
+    carries nothing the model keeps: its rows are only read, and a bad
+    one is a warning.
     """
     group, column, field = _OVERLAYS[role]
     got = _read_role(folder, role, rep)
     if got is None:
         return
-    colmap, rows, _ = got
-    table = tables[group]
-    if field is not None:
-        keep = ("Step_number", _IDS[group][0], column)
-        colmap = {k: i for k, i in colmap.items() if k in keep}
-    reader = _Reader(group, colmap)
-    index = {(eid, rec.step): i
-             for eid, recs in table.items() for i, rec in enumerate(recs)}
-    for rownum, row in rows:
-        try:
-            if field is None:
-                reader.read(row)
-                continue
-            # The id first: a row without one holds no record at all.
-            eid = row[reader.id_idx].strip()
-            if not eid:
-                continue
-            step = _decode(row, reader.clock, {})["Step_number"]
-            i = index.get((eid, step))
-            if i is None:
-                rep.add(it.WARNING, it.ORPHAN_STEP,
-                        f"{reader.id_col}={eid}: perceived record at step "
-                        f"{step} has no true counterpart",
-                        file=role, row=rownum)
-                continue
-            base = table[eid][i]
-            # Obstacle outlines are always WGS84.
-            frame = getattr(base, "pos_frame", "wgs84")
-            value = _decode(row, reader.plans[frame], {}).get(column)
-        except _RowProblem as exc:
-            if field is None:
+    colmap, table = got
+    if field is None:
+        for rownum, found in enumerate(
+                _Reader(group, colmap).read_columns(table), start=2):
+            if isinstance(found, tuple):
                 rep.add(it.WARNING, it.BAD_VALUE,
-                        f"{exc} (perceived phases are not retained)",
-                        file=role, row=rownum, column=exc.column)
-            else:
-                rep.add(it.ERROR, it.BAD_VALUE, str(exc), file=role,
-                        row=rownum, column=exc.column)
+                        f"{found[1]} (perceived phases are not retained)",
+                        file=role, row=rownum, column=found[0])
+        return
+    n, columns = table
+    id_col = _IDS[group][0]
+    records = tables[group]
+    index = {(eid, rec.step): i
+             for eid, recs in records.items() for i, rec in enumerate(recs)}
+    ids = list(map(str.strip, columns[colmap[id_col]]))
+    steps, bad = _bulk(columns[colmap["Step_number"]], "Step_number")
+    at = {k: index.get((ids[k], steps[k])) for k in range(n)
+          if ids[k] and bad.get(k) is None}
+    matched = [k for k, i in at.items() if i is not None]
+    shapes, faults = [None] * len(matched), {}
+    if column in colmap:
+        # Obstacle outlines are always WGS84.
+        shapes, faults = _outlines(
+            _pick(columns[colmap[column]], matched),
+            [getattr(records[ids[k]][at[k]], "pos_frame", "wgs84")
+             for k in matched], column)
+    shapes = dict(zip(matched, shapes))
+    faults = {matched[m]: message for m, message in faults.items()}
+    for k, eid in enumerate(ids):
+        if not eid:
             continue
-        if value is not None:
-            table[eid][i] = dataclasses.replace(base, **{field: value})
+        if bad.get(k) is not None:
+            rep.add(it.ERROR, it.BAD_VALUE, bad[k], file=role, row=k + 2,
+                    column="Step_number")
+        elif at[k] is None:
+            rep.add(it.WARNING, it.ORPHAN_STEP,
+                    f"{id_col}={eid}: perceived record at step {steps[k]} "
+                    "has no true counterpart", file=role, row=k + 2)
+        elif k in faults:
+            rep.add(it.ERROR, it.BAD_VALUE, faults[k], file=role,
+                    row=k + 2, column=column)
+        elif shapes[k] is not None:
+            recs = records[eid]
+            recs[at[k]] = dataclasses.replace(recs[at[k]],
+                                              **{field: shapes[k]})
 
 
 def parse_trace(path):

@@ -14,11 +14,13 @@ from vistakit.frames import LocalFrame
 from vistakit.geometry import rect
 from vistakit.model import (
     ActorState,
+    BoundingShape,
     GeoPosition,
     ObstacleState,
     Trace,
     VcsPosition,
 )
+from vistakit.rules import evaluate_run
 
 from conftest import BASE, geo_quad, straight_vut_series
 
@@ -165,3 +167,31 @@ def test_series_rows_export():
     assert first["entity_id"] == "A1"
     assert float(first["lateral"]) == pytest.approx(3.0 - 0.9 - 0.3)
     assert float(first["ntd"]) == math.inf
+
+
+def test_concave_outline_noted_once():
+    """An L-shaped obstacle is noted at its first concave step, whose
+    axis gaps cover it by its overall span; a rectangle is not noted."""
+    vut = straight_vut_series(3)
+    frame = LocalFrame.at(BASE)
+    ell = BoundingShape("wgs84", tuple(frame.from_local(e, n) for e, n in (
+        (3.0, 8.0), (5.0, 8.0), (5.0, 9.0), (4.0, 9.0), (4.0, 10.0),
+        (3.0, 10.0))))
+    box = geo_quad(frame, 4.0, 9.0, 1.0, 1.0)
+
+    def obs(oid, polys):
+        return tuple(
+            ObstacleState(time=k * 0.1, step=k, obstacle_id=oid,
+                          obst_type=100, pos=frame.from_local(4.0, 9.0),
+                          poly_true=poly, ntd=math.inf)
+            for k, poly in enumerate(polys))
+
+    t = Trace("TC-CL-11", 1, vut, obstacles={
+        "ELL": obs("ELL", (box, ell, ell)), "BOX": obs("BOX", (box,) * 3)})
+    assert clearance_series(t, "ELL").notes == (
+        "ELL: concave outline at step 1; axis gaps use its overall span "
+        "and may read short",)
+    assert clearance_series(t, "BOX").notes == ()
+    assert [n for n in evaluate_run(t).notes if "concave" in n] == [
+        "ELL: concave outline at step 1; axis gaps use its overall span "
+        "and may read short"]

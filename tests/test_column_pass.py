@@ -1,10 +1,11 @@
 """The readers' column pass against the row decoder.
 
-``parse_trace`` decodes each file column by column and leaves any row
-that fails a bulk check to the row decoder (``_Reader.read``).
-:func:`row_by_row` parses with the column pass switched off, so every
-row goes through the row decoder: that is the reference, and the column
-pass must give the same findings, in the same order, and the same trace.
+``parse_trace`` decodes each file column by column, and the column pass
+reports every finding itself, those of the perceived overlays included.
+:func:`row_by_row` parses with the row decoder of ``row_decoder`` in
+place of ``_Reader.read_columns`` and ``_attach``, so every row goes
+through it: that is the reference, and the column pass must give the
+same findings, in the same order, and the same trace.
 """
 
 import csv
@@ -26,16 +27,18 @@ from vistakit.model import (
 )
 from vistakit.trace_io import parse_trace, write_distributed, write_flat
 
+import row_decoder
 import test_io_golden
 from conftest import BASE, geo_quad, random_trace, simple_vut
+from test_io_golden import ACTOR_OK
 from test_trace_io import MIN_HEADER, ROW0, ROW1
 
 
 def row_by_row(path, monkeypatch):
     """parse_trace with every row read by the row decoder."""
     with monkeypatch.context() as m:
-        m.setattr(trace_io._Reader, "read_columns",
-                  lambda self, table: [trace_io._REREAD] * table[0])
+        m.setattr(trace_io._Reader, "read_columns", row_decoder.read_columns)
+        m.setattr(trace_io, "_attach", row_decoder.attach)
         return parse_trace(path)
 
 
@@ -107,7 +110,8 @@ EDITS = {
                                  (VUT, 1900, "Step_number", "-1"),
                                  (VUT, 1950, "VUT_acc_lat", "inf")],
     # Accepted by both paths, though not in the writer's form: the column
-    # pass leaves them to the row decoder or to shape_from_array.
+    # pass decodes them once more, alone, or leaves them to
+    # shape_from_array.
     "other grammar": [(VUT, 10, "VUT_heading", "370.0"),
                       (VUT, 11, "VUT_speed", " 5.0 "),
                       (VUT, 12, "VUT_ind_brake", "true"),
@@ -146,11 +150,12 @@ def test_rows_findings_stay_in_file_order(written, tmp_path):
 @pytest.mark.parametrize("layout", ["flat", "distributed"])
 def test_clean_run_needs_no_row_decoder(run100, written, monkeypatch,
                                         layout):
+    """A clean run checks no record through its constructors and parses
+    no outline on its own: no row is decoded as a row decoder would."""
     path = written[layout]
     calls = []
-    read = trace_io._Reader.read
-    monkeypatch.setattr(trace_io._Reader, "read",
-                        lambda self, row: calls.append(row) or read(self, row))
+    monkeypatch.setattr(trace_io, "_checked",
+                        lambda rec: calls.append(rec) or rec)
     monkeypatch.setattr(trace_io, "shape_from_array",
                         lambda *a, **k: calls.append(a) or None)
     trace, rep = parse_trace(path)
@@ -164,6 +169,18 @@ BOTH_PAIRS = ("Actor_Id,Actor_type,Actor_pos_true_lat,Actor_pos_true_lon,"
               "Actor_vel_abs,Actor_vel_lat,Actor_vel_long,Actor_acc_lat,"
               "Actor_acc_long,Actor_heading,Actor_TTC")
 BOX = "|1.3539 103.6959|1.3539 103.6961|1.3541 103.6961|1.3541 103.6959|"
+# A VCS actor, and an outline that is valid in the VCS frame only.
+VCS_ACTOR = test_io_golden._actor(
+    Actor_pos_true_lat="", Actor_pos_true_lon="", Actor_pos_true_x="10",
+    Actor_pos_true_y="0", Actor_bbox_true="")
+VCS_BOX = "|100 -1|102 -1|102 1|100 1|"
+_folder, _role = test_io_golden._folder, test_io_golden._role
+_actors_true = test_io_golden._actors_true
+ACTORS_P = "Actor_Id,Actor_bbox_perceived"
+OBSTACLES_P = "Obst_Id,Obst_poly_perceived"
+OBSTACLES = _role(test_io_golden.OBST_HEADER,
+                  f"0.0,0,{test_io_golden.OBST_OK}")
+CTRL = test_io_golden.CTRL_HEADER
 CORPUS = dict(test_io_golden.CORPUS, **{
     "flat half world pair beside a whole VCS pair": test_io_golden._flat(
         f"{ROW0},A1,tsv,1.354,,10,0,,2,0,2,0,0,90,inf",
@@ -173,6 +190,44 @@ CORPUS = dict(test_io_golden.CORPUS, **{
         f"{ROW0},A1,tsv,1.354,103.696,,,{BOX},2,0,2,0,0,90,inf",
         f"{ROW1},A1,tsv,,,10,0,{BOX},2,0,2,0,0,90,inf",
         header=f"{MIN_HEADER},{BOTH_PAIRS}"),
+    # The alt_pos rule comes before every other cell but the clock's.
+    "flat alt_pos rule before the other cells": test_io_golden._flat_actor(
+        test_io_golden._actor(Actor_pos_true_lon="", Actor_vel_abs="x"),
+        test_io_golden._actor(Actor_type="", Actor_pos_true_lat="",
+                              Actor_pos_true_lon="")),
+    # The perceived overlays.
+    "dist perceived outline valid in the VCS frame only": _folder(
+        actors=_actors_true(f"0.0,0,{VCS_ACTOR}", f"0.1,1,{ACTOR_OK}"),
+        actors_p=_role(ACTORS_P, f"0.0,0,A1,{VCS_BOX}",
+                       f"0.1,1,A1,{VCS_BOX}")),
+    "dist perceived orphan with a bad outline": _folder(
+        actors=_actors_true(f"0.0,0,{ACTOR_OK}"),
+        actors_p=_role(ACTORS_P, "0.1,1,A1,|1 2|", f"0.0,0,A1,{BOX}"),
+        obstacles=OBSTACLES,
+        obstacles_p=_role(OBSTACLES_P, "0.1,1,CONE,|1 2|3|",
+                          "0.0,0,CONE,|1 2|3|")),
+    "dist perceived empty id, bad step and bad outline": _folder(
+        actors=_actors_true(f"0.0,0,{ACTOR_OK}"),
+        actors_p=_role(ACTORS_P, "0.0,x,,|1 2|", "0.0,,A1,|1 2|",
+                       "0.0,-1,A1,|1 2|"),
+        obstacles=OBSTACLES,
+        obstacles_p=_role(OBSTACLES_P, "0.0,x, ,|1 2|")),
+    "dist perceived short and long rows": _folder(
+        actors=_actors_true(f"0.0,0,{ACTOR_OK}", f"0.1,1,{ACTOR_OK}"),
+        actors_p=_role(ACTORS_P, "0.0,0,A1", f"0.1,1,A1,{BOX},extra",
+                       "0.1", "0.1,1,A1,|1 2|,x"),
+        obstacles=OBSTACLES,
+        obstacles_p=_role(OBSTACLES_P, "0.0,0", "0.0,0,CONE,,,")),
+    "dist perceived bad time": _folder(
+        actors=_actors_true(f"0.0,0,{ACTOR_OK}", f"0.1,1,{ACTOR_OK}"),
+        actors_p=_role(ACTORS_P, f"x,0,A1,{BOX}", f",1,A1,{BOX}"),
+        obstacles=OBSTACLES,
+        obstacles_p=_role(OBSTACLES_P,
+                          f"-1,0,CONE,{test_io_golden.POLY}")),
+    "dist perceived lights empty phase and negative step": _folder(
+        lights=_role(CTRL, "0.0,0,TL1,go", "0.1,1,TL1,go"),
+        lights_p=_role(CTRL, "0.0,0,TL1,", "0.1,-1,TL1,go", "0.1,1,TL1",
+                       "-0.1,1,TL1,go,x", "0.1,1,,")),
 })
 
 
@@ -271,8 +326,8 @@ def test_schema_bounds_match_constructors(spec):
     The clock columns are common to every group.  Every record type
     accepts their bounds; VutState rejects a value outside them, the
     other types accept a negative time, so there the column pass is
-    stricter than the constructor and leaves such a row to the row
-    decoder.
+    stricter than the constructor: it has the constructor check such a
+    row, which keeps its record.
     """
     groups = list(trace_io._FIELDS) if spec.group == "common" \
         else [spec.group]

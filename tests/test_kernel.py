@@ -120,8 +120,12 @@ def test_mixed_trace_notes_keep_their_order():
         "CYC: no outline logged, default footprint used",
         "CYC: moving without a logged heading; velocity treated as unknown",
         "CYC: degenerate outline at step 3, default footprint used",
+        "CYC: concave outline at step 4; axis gaps use its overall span "
+        "and may read short",
     )
-    assert clearance_series(mixed_trace(), "CONE").notes == ()
+    assert clearance_series(mixed_trace(), "CONE").notes == (
+        "CONE: concave outline at step 5; axis gaps use its overall span "
+        "and may read short",)
 
 
 def test_vcs_obstacle_outline_used_as_is():
