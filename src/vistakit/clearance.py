@@ -25,6 +25,7 @@ from .model import (
     Trace,
     VehicleProfile,
 )
+from .trace_io import _fmt
 
 NTD_HORIZON = 30.0
 
@@ -355,26 +356,15 @@ def all_clearance_series(trace: Trace,
     return out
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        return repr(v)
-    return str(v)
-
-
 SERIES_COLUMNS = ("step", "time", "entity_id", "lateral", "longitudinal",
                   "euclidean_min", "ntd")
 
 
 def series_rows(series_list) -> list:
-    """Plot-ready rows (header first) for one or more clearance series."""
+    """Plot-ready rows (header first) for one or more clearance series,
+    each cell formatted as the trace writers format theirs."""
     rows = [list(SERIES_COLUMNS)]
     for series in series_list:
         for s in series.samples:
-            rows.append([
-                _fmt_cell(s.step), _fmt_cell(s.time), s.entity_id,
-                _fmt_cell(s.lateral), _fmt_cell(s.longitudinal),
-                _fmt_cell(s.euclidean_min), _fmt_cell(s.ntd),
-            ])
+            rows.append([_fmt(getattr(s, c)) for c in SERIES_COLUMNS])
     return rows

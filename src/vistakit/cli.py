@@ -16,9 +16,12 @@ timestamps.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import fidelity as fidelity_mod
@@ -30,7 +33,9 @@ from . import trace_io
 from .clearance import all_clearance_series, series_rows  # noqa: F401
 from .errors import InsufficientOverlap, VistaError
 from .model import VehicleProfile
-from .schema import DIR_NAME_RE, FLAT_NAME_RE, ROLE_VUT
+from .rules import RuleSet
+from .schema import (DIR_NAME_RE, FLAT_NAME_RE, MAX_RUN_ID, ROLE_VUT,
+                     dir_name)
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -41,17 +46,41 @@ class _CliError(Exception):
     pass
 
 
-def _env(name: str, fallback, kind=float):
-    """The environment variable ``name`` as a ``kind`` (float or int)."""
+def _checked(kind, accept, want: str):
+    """An argparse type that converts a text with ``kind`` and refuses a
+    value ``accept`` rejects; ``want`` says what it accepts."""
+    what = {float: "a number", int: "an integer"}.get(kind)
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") \
+                from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"not {want}: {text!r}")
+        return value
+    return convert
+
+
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                     "a finite number > 0")
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                         "a finite number >= 0")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_empty = _checked(str, bool, "a non-empty text")
+
+
+def _env(name: str, fallback, kind):
+    """The environment variable ``name`` through the argparse type
+    ``kind``; argparse itself converts only defaults that are text."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
         return kind(raw)
-    except ValueError:
-        what = "a number" if kind is float else "an integer"
-        raise _CliError(f"environment variable {name} is not {what}: "
-                        f"{raw!r}")
+    except argparse.ArgumentTypeError as exc:
+        raise _CliError(f"environment variable {name} is {exc}") from None
 
 
 def _expand_inputs(paths) -> list:
@@ -82,21 +111,12 @@ def _expand_inputs(paths) -> list:
 
 def _parse_all(paths):
     """[(path, trace | None, report)] for every expanded input."""
-    results = []
-    for p in paths:
-        trace, report = trace_io.parse_trace(p)
-        results.append((p, trace, report))
-    return results
+    return [(p, *trace_io.parse_trace(p)) for p in paths]
 
 
 def _print_findings(path, findings):
     for f in findings:
         print(f"{path}: {f.render()}")
-
-
-def _finding_dict(f) -> dict:
-    return {"severity": f.severity, "code": f.code, "message": f.message,
-            "file": f.file, "row": f.row, "column": f.column}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -119,8 +139,7 @@ def _cmd_validate(args) -> int:
     groups: dict = {}
     for path, trace, report in results:
         if trace is not None and f_min > 0:
-            for f in it.check_frequency(trace, f_min):
-                report.findings.append(f)
+            report.findings.extend(it.check_frequency(trace, f_min))
         _print_findings(path, report.findings)
         if trace is not None:
             groups.setdefault(trace.testcase_id, []).append(trace)
@@ -129,12 +148,12 @@ def _cmd_validate(args) -> int:
         payload.append({
             "input": str(path),
             "ok": ok,
-            "findings": [_finding_dict(f) for f in report.findings],
+            "findings": [asdict(f) for f in report.findings],
         })
         print(f"{'OK' if ok else 'INVALID'} {path}")
 
     check_sets = args.n_required is not None
-    n_required = args.n_required if check_sets else 10
+    n_required = args.n_required if check_sets else RuleSet.n_required
     set_findings = []
     for tc in sorted(groups):
         runs = groups[tc]
@@ -149,7 +168,7 @@ def _cmd_validate(args) -> int:
         payload.append({
             "input": "run sets",
             "ok": all(f.severity != it.ERROR for f in set_findings),
-            "findings": [_finding_dict(f) for f in set_findings],
+            "findings": [asdict(f) for f in set_findings],
         })
 
     if args.out:
@@ -185,9 +204,8 @@ def _cmd_evaluate(args) -> int:
     for tc in sorted(groups):
         pairs = sorted(groups[tc], key=lambda pt: pt[1].run_id)
         ruleset = rules_mod.ruleset_for(tc, overrides)
-        n_required = args.n_required
-        if n_required is None:
-            n_required = ruleset.n_required
+        n_required = ruleset.n_required if args.n_required is None \
+            else args.n_required
         evaluations = [rules_mod.evaluate_run(t, ruleset, profile)
                        for _, t in pairs]
         case = rules_mod.aggregate(evaluations, n_required=n_required)
@@ -196,15 +214,13 @@ def _cmd_evaluate(args) -> int:
         if out_dir is not None:
             _write_json(out_dir / f"{tc}_summary.json", case.to_dict())
             for (path, trace), ev in zip(pairs, evaluations):
-                stem = f"{tc}_r{trace.run_id:02d}"
+                stem = dir_name(tc, trace.run_id)
                 _write_json(out_dir / f"{stem}_verdict.json", ev.to_dict())
                 if args.series:
-                    rows = series_rows(ev.series)
-                    target = out_dir / f"{stem}_series.csv"
-                    with open(target, "w", encoding="utf-8",
-                              newline="\n") as fh:
-                        for row in rows:
-                            fh.write(",".join(row) + "\n")
+                    with open(out_dir / f"{stem}_series.csv", "w",
+                              encoding="utf-8", newline="") as fh:
+                        csv.writer(fh, lineterminator="\n").writerows(
+                            series_rows(ev.series))
     return EXIT_OK if all_passed else EXIT_FINDINGS
 
 
@@ -217,8 +233,7 @@ def _one_trace(path_str: str):
         raise _CliError(f"{path_str}: expected exactly one trace")
     trace, report = trace_io.parse_trace(paths[0])
     if trace is None or not report.ok:
-        for f in report.errors:
-            print(f"{paths[0]}: {f.render()}")
+        _print_findings(paths[0], report.errors)
         raise _CliError(f"{path_str}: integrity errors, cannot compare")
     return trace
 
@@ -252,22 +267,18 @@ def _cmd_fidelity(args) -> int:
 # generate
 
 def _cmd_generate(args) -> int:
-    spec_kwargs = {}
-    if args.testcase_id:
-        spec_kwargs["testcase_id"] = args.testcase_id
-    if args.rate:
-        spec_kwargs["sample_rate"] = args.rate
-    spec = synth.ScenarioSpec(**spec_kwargs)
-
+    if args.start_run + args.runs - 1 > MAX_RUN_ID:
+        raise _CliError(f"run ids above {MAX_RUN_ID} do not fit a file name")
+    spec = synth.ScenarioSpec(testcase_id=args.testcase_id,
+                              sample_rate=args.rate)
     runs = synth.synthesize_runs(spec, args.case, count=args.runs,
                                  start_run=args.start_run,
                                  speed_noise=args.speed_noise,
                                  seed=args.seed,
                                  target_clearance=args.target_clearance)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Each writer makes the folders it writes into.
     for trace in runs:
-        written = trace_io.write_trace(trace, out_dir, layout=args.layout)
+        written = trace_io.write_trace(trace, args.out, layout=args.layout)
         print(written)
     return EXIT_OK
 
@@ -286,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="check trace files for integrity findings")
     p_val.add_argument("inputs", nargs="+",
                        help="trace files, run folders, or folders of runs")
-    p_val.add_argument("--f-min", type=float,
-                       default=_env("VISTA_F_MIN", 10.0),
+    p_val.add_argument("--f-min", type=_non_negative,
+                       default=_env("VISTA_F_MIN", 10.0, _non_negative),
                        help="minimum sample rate in Hz (0 disables; "
                             "default 10, env VISTA_F_MIN)")
-    p_val.add_argument("--n-required", type=int,
-                       default=_env("VISTA_N_REQUIRED", None, int),
+    p_val.add_argument("--n-required", type=_count,
+                       default=_env("VISTA_N_REQUIRED", None, _count),
                        help="required runs per test case; when given, "
                             "run-set completeness is always checked "
                             "(env VISTA_N_REQUIRED)")
@@ -305,13 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
                         default=os.environ.get("VISTA_RULES"),
                         help="JSON rule overrides keyed by test case id "
                              "(env VISTA_RULES)")
-    p_eval.add_argument("--n-required", type=int,
-                        default=_env("VISTA_N_REQUIRED", None, int),
+    p_eval.add_argument("--n-required", type=_count,
+                        default=_env("VISTA_N_REQUIRED", None, _count),
                         help="runs needed for a test case verdict "
-                             "(default from the rule set, normally 10)")
-    p_eval.add_argument("--vut-length", type=float, default=4.4,
+                             "(default from the rule set, normally "
+                             f"{RuleSet.n_required})")
+    p_eval.add_argument("--vut-length", type=_positive,
+                        default=VehicleProfile.length,
                         help="vehicle footprint length in metres")
-    p_eval.add_argument("--vut-width", type=float, default=1.8,
+    p_eval.add_argument("--vut-width", type=_positive,
+                        default=VehicleProfile.width,
                         help="vehicle footprint width in metres")
     p_eval.add_argument("--out", help="directory for verdict JSON files")
     p_eval.add_argument("--series", action="store_true",
@@ -323,14 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
         "fidelity", help="compare a virtual run against a reference run")
     p_fid.add_argument("virtual")
     p_fid.add_argument("reference")
-    p_fid.add_argument("--window", type=float, default=5.0,
+    p_fid.add_argument("--window", type=_non_negative,
+                       default=fidelity_mod.ALIGN_WINDOW,
                        help="clock offset search half-window in seconds")
-    p_fid.add_argument("--tol-position", type=float, default=0.5,
-                       help="position RMSE tolerance in metres")
-    p_fid.add_argument("--tol-speed", type=float, default=0.5,
-                       help="speed RMSE tolerance in m/s")
-    p_fid.add_argument("--tol-heading", type=float, default=5.0,
-                       help="heading RMSE tolerance in degrees")
+    tol = fidelity_mod.FidelityTolerances
+    for channel, unit in (("position", "metres"), ("speed", "m/s"),
+                          ("heading", "degrees")):
+        p_fid.add_argument(f"--tol-{channel}", type=_non_negative,
+                           default=getattr(tol, f"{channel}_rmse"),
+                           help=f"{channel} RMSE tolerance in {unit}")
     p_fid.add_argument("--out", help="write the report as JSON")
     p_fid.set_defaults(func=_cmd_fidelity)
 
@@ -338,21 +353,24 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", help="write synthetic runs of the stock scenario")
     p_gen.add_argument("--case", type=int, choices=sorted(synth.CASE_PARAMS),
                        required=True)
-    p_gen.add_argument("--runs", type=int, default=10)
-    p_gen.add_argument("--start-run", type=int, default=1)
+    p_gen.add_argument("--runs", type=_count, default=RuleSet.n_required)
+    p_gen.add_argument("--start-run", type=_count, default=1)
     p_gen.add_argument("--out", required=True,
                        help="directory to write the runs into")
     p_gen.add_argument("--layout", choices=("flat", "distributed"),
                        default="flat")
-    p_gen.add_argument("--rate", type=float, default=None,
-                       help="sample rate in Hz (default 10)")
-    p_gen.add_argument("--target-clearance", type=float, default=None,
+    p_gen.add_argument("--rate", type=_positive,
+                       default=synth.ScenarioSpec.sample_rate,
+                       help="sample rate in Hz")
+    p_gen.add_argument("--target-clearance", type=_non_negative,
+                       default=None,
                        help="override the case's minimum lateral clearance")
-    p_gen.add_argument("--speed-noise", type=float, default=0.0,
+    p_gen.add_argument("--speed-noise", type=_non_negative, default=0.0,
                        help="per-run speed jitter sigma in m/s")
     p_gen.add_argument("--seed", type=int, default=0,
                        help="noise seed (only used with --speed-noise)")
-    p_gen.add_argument("--testcase-id", default=None)
+    p_gen.add_argument("--testcase-id", type=_non_empty,
+                       default=synth.ScenarioSpec.testcase_id)
     p_gen.set_defaults(func=_cmd_generate)
 
     return parser
@@ -363,13 +381,7 @@ def main(argv=None) -> int:
         # build_parser reads the environment, which can be malformed.
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VistaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_CliError, VistaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,11 +9,9 @@ negative is interpenetration depth.  Directional (axis) clearances are
 only meaningful while the two bodies overlap when projected onto the
 *other* axis; outside that they are reported as +inf.
 
-Three kernels work on an (S, N, 2) stack of outlines, one per step,
+Two kernels work on an (S, N, 2) stack of outlines, one per step,
 against one VUT outline, in one numpy pass chunked to bound memory:
 
-* :func:`separations` - the Euclidean separation; :func:`min_separation`
-  is its one-step case.
 * :func:`axis_clearances` - the directional gaps and sides;
   :func:`directional_clearance` is its one-step case.  Each gap is the
   smallest slice gap over candidate lines across the axis.  No line is
@@ -26,8 +24,10 @@ against one VUT outline, in one numpy pass chunked to bound memory:
   (vertex-to-edge times both ways, vertex-on-vertex sliding), in the
   same arithmetic and order, so results are identical to the last bit.
 
-:func:`separations_and_contact_times` gives the first and the third for
-outlines already checked, with one contact test shared between them.
+:func:`separations_and_contact_times` gives the Euclidean separations
+and the contact times of outlines already checked, with one contact test
+shared between them; :func:`min_separation` is the one-step case of the
+first.
 """
 
 from __future__ import annotations
@@ -67,9 +67,7 @@ def outline_faults(outlines: np.ndarray) -> list:
     """
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(outlines).all(axis=(1, 2))
-        same = (outlines[:, :, None, :] == outlines[:, None, :, :]).all(-1)
-        repeats = np.tril(same, k=-1).any(axis=2).sum(axis=1)
-        distinct = outlines.shape[1] - repeats
+        distinct = _distinct_counts(outlines)
         area = np.abs(shoelace_area(outlines))
     faults = []
     for ok, n, a in zip(finite.tolist(), distinct.tolist(), area.tolist()):
@@ -82,6 +80,12 @@ def outline_faults(outlines: np.ndarray) -> list:
         else:
             faults.append(None)
     return faults
+
+
+def _distinct_counts(outlines: np.ndarray) -> np.ndarray:
+    """How many distinct vertices each outline of an (S, N, 2) stack has."""
+    same = (outlines[:, :, None, :] == outlines[:, None, :, :]).all(-1)
+    return outlines.shape[1] - np.tril(same, k=-1).any(axis=2).sum(axis=1)
 
 
 def shoelace_area(pts: np.ndarray):
@@ -141,6 +145,13 @@ def point_in_polygon(point, pts: np.ndarray) -> bool:
     return bool(_contains(np.asarray(point, dtype=float)[:2], pts))
 
 
+def _orient(p, q, r):
+    """(q - p) x (r - p) over stacks of points: > 0 where r lies left of
+    the line pq, < 0 right of it, 0 on it."""
+    return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - \
+           (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
+
+
 def _segments_intersect(a1, a2, b1, b2) -> np.ndarray:
     """Vectorized inclusive segment intersection.
 
@@ -150,15 +161,10 @@ def _segments_intersect(a1, a2, b1, b2) -> np.ndarray:
     a2 = a2[..., :, None, :]
     b1 = b1[..., None, :, :]
     b2 = b2[..., None, :, :]
-
-    def orient(p, q, r):
-        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - \
-               (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
-
-    d1 = orient(b1, b2, a1)
-    d2 = orient(b1, b2, a2)
-    d3 = orient(a1, a2, b1)
-    d4 = orient(a1, a2, b2)
+    d1 = _orient(b1, b2, a1)
+    d2 = _orient(b1, b2, a2)
+    d3 = _orient(a1, a2, b1)
+    d4 = _orient(a1, a2, b2)
     proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
 
     def on_seg(p, q, r):
@@ -215,33 +221,19 @@ def _vertex_edge_dists(P: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 
 def _separations(A, B, touching):
-    """:func:`separations` of a (1, M, 2) ``A`` and an (S, N, 2) ``B``
-    where :func:`_intersecting` gave ``touching``."""
+    """Smallest Euclidean distance between a (1, M, 2) ``A`` and each
+    outline of an (S, N, 2) ``B``, 0 where :func:`_intersecting` gave
+    ``touching``."""
     to_b = _vertex_edge_dists(A, B).min(axis=(1, 2))
     to_a = _vertex_edge_dists(B, A).min(axis=(1, 2))
     # min(to_b, to_a) as Python computes it: the first of equals.
     return np.where(touching, 0.0, np.where(to_a < to_b, to_a, to_b))
 
 
-def separations(vut: np.ndarray, outlines: np.ndarray) -> np.ndarray:
-    """Smallest Euclidean distance between ``vut`` and each outline of an
-    (S, N, 2) stack; 0 where they meet.  Returns an (S,) array.
-
-    ``vut`` is one validated (M, 2) outline and ``outlines`` are already
-    validated (see :func:`outline_faults`).
-    """
-    A = vut[None]
-    chunk = _pair_chunk(A, outlines)
-    parts = [np.empty(0)]
-    for i in range(0, len(outlines), chunk):
-        B = outlines[i:i + chunk]
-        parts.append(_separations(A, B, _intersecting(A, B)))
-    return np.concatenate(parts)
-
-
 def min_separation(a, b) -> float:
     """Smallest Euclidean distance between two polygons; 0 when they meet."""
-    return float(separations(poly_array(a), poly_array(b)[None])[0])
+    A, B = poly_array(a)[None], poly_array(b)[None]
+    return float(_separations(A, B, _intersecting(A, B))[0])
 
 
 def _slice_intervals(P: np.ndarray, axis: int, c: np.ndarray):
@@ -469,8 +461,9 @@ def first_contact_times(vut, outlines, rel_vels, horizon: float = 30.0):
 
 def separations_and_contact_times(vut, outlines, rel_vels,
                                   horizon: float = 30.0) -> tuple:
-    """(:func:`separations`, :func:`first_contact_times`) of already
-    validated outlines, sharing one contact test per chunk.
+    """The Euclidean separations (as :func:`min_separation`) and the
+    :func:`first_contact_times` of already validated outlines, sharing
+    one contact test per chunk.
 
     Unlike :func:`first_contact_times` it does not check the outlines
     again; a non-finite velocity with no contact still raises.

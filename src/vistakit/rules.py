@@ -548,7 +548,8 @@ class TestCaseEvaluation:
         }
 
 
-def aggregate(evaluations, n_required: int = 10) -> TestCaseEvaluation:
+def aggregate(evaluations,
+              n_required: int = RuleSet.n_required) -> TestCaseEvaluation:
     """Combine per-run evaluations into a test case verdict."""
     evals = tuple(evaluations)
     if not evals:

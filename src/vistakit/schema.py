@@ -58,13 +58,18 @@ ROLE_FILES = (
 
 FLAT_NAME_RE = re.compile(r"^results_(?P<tc>.+)_r(?P<run>\d{1,3})\.csv$")
 DIR_NAME_RE = re.compile(r"^(?P<tc>.+)_r(?P<run>\d{1,3})$")
+# The largest run id the three digits of those names can hold.
+MAX_RUN_ID = 999
 
 
 def flat_filename(testcase_id: str, run_id: int) -> str:
-    return f"results_{testcase_id}_r{run_id:02d}.csv"
+    return f"results_{dir_name(testcase_id, run_id)}.csv"
 
 
 def dir_name(testcase_id: str, run_id: int) -> str:
+    if run_id > MAX_RUN_ID:
+        raise ValueError(f"run id {run_id} does not fit a file name; the "
+                         f"largest is {MAX_RUN_ID}")
     return f"{testcase_id}_r{run_id:02d}"
 
 

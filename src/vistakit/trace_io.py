@@ -64,6 +64,7 @@ import numpy as np
 from . import integrity as it
 from . import schema
 from .errors import VistaError
+from .geometry import _distinct_counts, _orient
 from .integrity import IntegrityReport
 from .model import (
     ActorState,
@@ -575,18 +576,13 @@ def _vertices(texts):
             list(map(float, itertools.chain.from_iterable(vertices))))
 
 
-def _orient(a, b, c):
-    """model._segments_properly_cross's orientation, over stacks."""
-    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
-            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
-
-
 def _standing(o, frame) -> np.ndarray:
     """Which outlines of an (m, n, 2) stack, vertices in file component
     order, stand as read: every vertex a valid position of the frame, the
     first not repeated last, at least 3 distinct vertices and no two
     edges properly crossing.  These are the checks of GeoPosition,
-    VcsPosition, shape_from_array and BoundingShape, in their arithmetic.
+    VcsPosition, shape_from_array and BoundingShape, in their arithmetic;
+    the counting and the orientation are geometry's.
     """
     n = o.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -597,8 +593,7 @@ def _standing(o, frame) -> np.ndarray:
                 ok &= ((c >= spec.min) & (c <= spec.max)).all(axis=1)
             pts = o[..., ::-1]              # BoundingShape checks (lon, lat)
         ok &= ~(o[:, 0] == o[:, -1]).all(axis=1)
-        same = (pts[:, :, None] == pts[:, None]).all(axis=-1)
-        ok &= n - np.tril(same, k=-1).any(axis=2).sum(axis=1) >= 3
+        ok &= _distinct_counts(pts) >= 3
         i, j = np.triu_indices(n, k=1)
         p1, p2 = pts[:, i], pts[:, (i + 1) % n]
         q1, q2 = pts[:, j], pts[:, (j + 1) % n]
@@ -1111,9 +1106,9 @@ def write_flat(trace, directory) -> Path:
             tables.append((cols, {c: list(map((values[c] + [None])
                                               .__getitem__, rows))
                                   for c in cols}))
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / schema.flat_filename(trace.testcase_id, trace.run_id)
+    path = Path(directory) / schema.flat_filename(trace.testcase_id,
+                                                   trace.run_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
     shapes = {}
     _write(path, [c for cols, _ in tables for c in cols],
            [_cells(values[c], shapes) for cols, values in tables

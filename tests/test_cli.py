@@ -5,7 +5,9 @@ printed output can be asserted cheaply; one subprocess test confirms
 the console script is wired up.
 """
 
+import csv
 import json
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -341,6 +343,75 @@ def test_evaluate_judges_every_run_past_a_far_stop_line(tmp_path, capsys):
         assert got["verdicts"][:-1] == want["verdicts"][:-1]
         assert got["notes"][:-1] == want["notes"][:-1]
         assert not got["passed"]
+
+
+# A value out of range is refused by the parser or before any work:
+# exit 2, an error on stderr, nothing written.
+OUT_OF_RANGE = [
+    ("evaluate", ["--vut-length", "0"], {}),
+    ("evaluate", ["--vut-width", "-1"], {}),
+    ("evaluate", ["--vut-length", "inf"], {}),
+    ("validate", ["--n-required", "0"], {}),
+    ("validate", ["--n-required", "-3"], {}),
+    ("validate", [], {"VISTA_N_REQUIRED": "0"}),
+    ("evaluate", ["--n-required", "0"], {}),
+    ("generate", ["--rate", "-5"], {}),
+    ("generate", ["--rate", "nan"], {}),
+    ("generate", ["--rate", "0"], {}),
+    ("generate", ["--start-run", "0"], {}),
+    ("generate", ["--start-run", "-2"], {}),
+    ("generate", ["--speed-noise", "nan"], {}),
+    ("generate", ["--speed-noise", "-0.1"], {}),
+    ("generate", ["--testcase-id", ""], {}),
+    # Run ids past 999 do not fit the names the readers accept.
+    ("generate", ["--start-run", "995", "--runs", "10"], {}),
+    ("generate", ["--runs", "0"], {}),
+    ("generate", ["--target-clearance", "nan"], {}),
+    ("validate", ["--f-min", "-1"], {}),
+    ("fidelity", ["--window", "nan"], {}),
+    ("fidelity", ["--tol-speed", "-1"], {}),
+]
+
+
+@pytest.mark.parametrize("command, extra, env", OUT_OF_RANGE,
+                         ids=[shlex.join([c, *a, *(f"{k}={v}"
+                                                   for k, v in e.items())])
+                              for c, a, e in OUT_OF_RANGE])
+def test_out_of_range_value_is_usage_error(case1_file, tmp_path, monkeypatch,
+                                           capsys, command, extra, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = str(tmp_path / "out")
+    argv = {"generate": ["--case", "1"],
+            "validate": [str(case1_file)],
+            "evaluate": [str(case1_file)],
+            "fidelity": [str(case1_file), str(case1_file)]}[command]
+    try:
+        rc = cli.main([command, *argv, "--out", out, *extra])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == cli.EXIT_USAGE
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_series_quotes_an_entity_id_with_a_comma(tmp_path, capsys):
+    odd = 'TSV,"01"'
+    trace = synth.synthesize(case=1)
+    (recs,) = trace.actors.values()
+    trace = replace(trace, actors={
+        odd: tuple(replace(r, actor_id=odd) for r in recs)})
+    trace_io.write_flat(trace, tmp_path / "runs")
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", str(tmp_path / "runs"), "--n-required", "1",
+                     "--out", str(out), "--series"]) == cli.EXIT_FINDINGS
+    capsys.readouterr()
+    with open(out / "M2-CL4-S-TST-05-01_r01_series.csv", newline="",
+              encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 7
+    assert len(rows) == len(recs)
+    assert all(len(row) == 7 and row[2] == odd for row in rows)
 
 
 def test_console_script_entry_point():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from vistakit import schema, synth, trace_io
+from vistakit.errors import VistaError
 from vistakit.frames import LocalFrame
 from vistakit.model import (
     ActorState,
@@ -25,6 +26,7 @@ from vistakit.model import (
     ObstacleState,
     TrafficControllerState,
 )
+from vistakit.positions import shape_from_array
 from vistakit.trace_io import parse_trace, write_distributed, write_flat
 
 import row_decoder
@@ -344,3 +346,72 @@ def test_schema_bounds_match_constructors(spec):
         for group in groups:
             with pytest.raises(ValueError):
                 _construct(spec, group, -1)
+
+
+# --- the bulk outline check against the record constructors -------------
+
+def _outline_populations(rng):
+    """(population, outline stacks) pairs: a few hundred outlines of 3 to
+    6 vertices per population, in file component order (lat, lon for
+    wgs84)."""
+    # On a 4 x 4 grid bowties, collinear triples, repeated vertices and
+    # vertices touching an edge come up often.
+    grid = [rng.integers(0, 4, (120, n, 2)).astype(float) for n in (3, 4, 5)]
+    lat = np.array([-90.0, -89.5, 89.5, 90.0])
+    lon = np.array([-180.0, -179.5, 179.5, 180.0])
+    beyond = []
+    for g in grid:
+        o = g.copy()
+        rows = np.arange(len(o))
+        at = rng.integers(0, o.shape[1], len(o))
+        # One component of one vertex just past its bound.
+        o[rows, at, 0] = np.where(rows % 2, np.nextafter(90.0, np.inf),
+                                  np.nextafter(-90.0, -np.inf))
+        o[rows[::3], at[::3], :] = (0.0, np.nextafter(180.0, np.inf))
+        beyond.append(o)
+    return [
+        ("grid", grid),
+        ("general position", [rng.uniform(-1.0, 1.0, g.shape) for g in grid]),
+        ("closed ring", [np.concatenate([g, g[:, :1]], axis=1)
+                         for g in grid]),
+        ("negative zero", [np.where(rng.random(g.shape) < 0.5, -g, g)
+                           for g in grid]),
+        ("tiny", [g * 1e-300 for g in grid] + [g * 5e-324 for g in grid]),
+        ("huge", [g * 1e300 for g in grid]),
+        ("at the bounds", [np.stack([lat[g[..., 0].astype(int)],
+                                     lon[g[..., 1].astype(int)]], axis=-1)
+                           for g in grid]),
+        ("beyond the bounds", beyond),
+    ]
+
+
+def _constructors_accept(outline, frame) -> bool:
+    """Whether shape_from_array accepts the outline's plain array cell
+    and its first vertex is not repeated last."""
+    text = "|" + "|".join(f"{a!r} {b!r}" for a, b in outline.tolist()) + "|"
+    try:
+        shape_from_array(text, frame)
+    except (ValueError, TypeError, VistaError):
+        return False
+    return not (outline[0] == outline[-1]).all()
+
+
+@pytest.mark.parametrize("frame", ["wgs84", "vcs"])
+def test_standing_matches_shape_from_array(frame):
+    """``_standing`` stands in for ``shape_from_array`` on plain outline
+    cells; it must accept exactly the outlines that one accepts, less
+    closed rings (those go to shape_from_array, which drops the
+    repeat)."""
+    rng = np.random.default_rng(61 if frame == "wgs84" else 67)
+    outcomes = {}
+    for name, stacks in _outline_populations(rng):
+        for stack in stacks:
+            got = trace_io._standing(stack, frame).tolist()
+            want = [_constructors_accept(o, frame) for o in stack]
+            assert got == want, name
+            outcomes.setdefault(name, set()).update(want)
+    refused = {"closed ring"}
+    if frame == "wgs84":
+        refused |= {"huge", "beyond the bounds"}
+    for name, seen in outcomes.items():
+        assert seen == ({False} if name in refused else {True, False}), name

@@ -290,9 +290,9 @@ def _count_calls(monkeypatch, names):
 
 
 # Separation and NTD come from one kernel call that shares the contact
-# test; the kernels that would compute either alone are not called.
+# test; the kernel that would compute NTD alone is not called.
 LAZY = ("separations_and_contact_times", "_intersecting")
-UNUSED = ("separations", "first_contact_times")
+UNUSED = ("first_contact_times",)
 
 
 def test_unread_fields_not_computed_by_evaluate(tmp_path, monkeypatch):

@@ -2,7 +2,8 @@
 the invariants that tie separation, the axis gaps and contact together.
 
 ``_loop_min_separation`` is what ``geometry.min_separation`` ran before
-``geometry.separations``, kept here as the reference the kernel must
+the batched kernel, kept here as the reference that
+``geometry.separations_and_contact_times`` and ``min_separation`` must
 match bit for bit: same distances, same arithmetic, same order.
 """
 
@@ -56,14 +57,12 @@ def test_kernel_matches_loop_reference(vut_kind, chunk, monkeypatch):
     outcomes = set()
     for idx in by_count.values():
         stack = np.stack([outlines[i] for i in idx])
-        got = geometry.separations(vut, stack)
-        # The shared-contact-test kernel gives both results bit for bit.
+        # The shared contact test gives the contact times bit for bit too.
         vels = rng.normal(0.0, 3.0, (len(idx), 2))
         seps, times = geometry.separations_and_contact_times(vut, stack, vels)
-        assert repr(seps.tolist()) == repr(got.tolist())
         assert repr(times.tolist()) == repr(
             geometry.first_contact_times(vut, stack, vels).tolist())
-        for i, d in zip(idx, got.tolist()):
+        for i, d in zip(idx, seps.tolist()):
             want = _loop_min_separation(vut, outlines[i])
             assert repr(d) == repr(want), i
             assert repr(geometry.min_separation(vut, outlines[i])) == \
@@ -74,7 +73,9 @@ def test_kernel_matches_loop_reference(vut_kind, chunk, monkeypatch):
 
 def test_empty_stack_has_no_separations():
     vut = geometry.poly_array(VehicleProfile().footprint)
-    assert geometry.separations(vut, np.empty((0, 4, 2))).shape == (0,)
+    seps, times = geometry.separations_and_contact_times(
+        vut, np.empty((0, 4, 2)), np.empty((0, 2)))
+    assert seps.shape == times.shape == (0,)
 
 
 # --- properties on random convex pairs ---------------------------------

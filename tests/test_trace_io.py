@@ -345,3 +345,14 @@ def test_validate_reports_rejected_value(tmp_path, capsys, layout, column,
     out = capsys.readouterr().out
     assert f"{path}: ERROR BadValue {fname}:2 " in out
     assert f"INVALID {path}" in out
+
+
+@pytest.mark.parametrize("layout", ["flat", "distributed"])
+def test_writers_refuse_a_run_id_the_readers_reject(tmp_path, rng, layout):
+    # The file and folder names hold at most three run id digits.
+    trace = random_trace(rng, run_id=999)
+    assert parse_trace(write_trace(trace, tmp_path / "ok", layout))[0] \
+        == trace
+    with pytest.raises(ValueError, match="run id 1000"):
+        write_trace(replace(trace, run_id=1000), tmp_path / "no", layout)
+    assert not (tmp_path / "no").exists()
