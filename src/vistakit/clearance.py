@@ -19,6 +19,7 @@ from . import geometry
 from .errors import UnknownEntity
 from .frames import MAX_EXTENT_M, LocalFrame, enu_to_vcs
 from .model import (
+    CAR_SIZE,
     ActorState,
     GeoPosition,
     ObstacleState,
@@ -34,9 +35,9 @@ DEFAULT_FOOTPRINTS = {
     "vru_pedestrian": (0.5, 0.5),
     "vru_cyclist": (1.8, 0.6),
     "vru_pmd": (1.2, 0.6),
-    "tsv": (4.4, 1.8),
+    "tsv": CAR_SIZE,
 }
-FALLBACK_FOOTPRINT = (4.4, 1.8)
+FALLBACK_FOOTPRINT = CAR_SIZE
 
 
 @dataclass(frozen=True)

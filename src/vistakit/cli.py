@@ -298,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("inputs", nargs="+",
                        help="trace files, run folders, or folders of runs")
     p_val.add_argument("--f-min", type=_non_negative,
-                       default=_env("VISTA_F_MIN", 10.0, _non_negative),
+                       default=_env("VISTA_F_MIN", it.DEFAULT_F_MIN,
+                                    _non_negative),
                        help="minimum sample rate in Hz (0 disables; "
-                            "default 10, env VISTA_F_MIN)")
+                            f"default {it.DEFAULT_F_MIN:g}, env VISTA_F_MIN)")
     p_val.add_argument("--n-required", type=_count,
                        default=_env("VISTA_N_REQUIRED", None, _count),
                        help="required runs per test case; when given, "

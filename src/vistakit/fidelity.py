@@ -96,6 +96,23 @@ def align(virtual: Trace, reference: Trace, window: float = ALIGN_WINDOW,
     deterministic when a plateau of offsets scores identically, as
     happens with constant-speed stretches.
     """
+    scores = _scores(virtual, reference, window, step)
+    if not scores:
+        raise InsufficientOverlap(
+            f"no admissible clock offset within +/-{window} s")
+    return min(scores, key=lambda pair: pair[1])[0]
+
+
+def _scores(virtual: Trace, reference: Trace, window: float,
+            step: float) -> list:
+    """(offset, score) of each scanned offset whose overlap is long
+    enough, in offset order.
+
+    The offsets whose overlap starts at the same virtual time share one
+    interpolation of the virtual speeds: ``np.arange`` from one start at
+    one step gives the same values whatever its stop, so each of their
+    sample grids is a prefix of the longest one.
+    """
     tv, vv = _channels(virtual)
     tr, vr = _channels(reference)
     dur_v = tv[-1] - tv[0]
@@ -105,22 +122,28 @@ def align(virtual: Trace, reference: Trace, window: float = ALIGN_WINDOW,
     min_overlap = max(1.0, 0.25 * min(dur_v, dur_r))
 
     n = int(round(window / step))
-    best = None
+    windows = []
     for k in range(-n, n + 1):
         offset = k * step
         lo = max(tv[0], tr[0] - offset)
         hi = min(tv[-1], tr[-1] - offset)
         if hi - lo < min_overlap:
             continue
+        windows.append((offset, lo, hi))
+    reach = {}
+    for _, lo, hi in windows:
+        reach[lo] = max(hi, reach.get(lo, hi))
+    scores, start = [], None
+    for offset, lo, hi in windows:
+        if lo != start:     # lo never rises with the offset
+            start = lo
+            speeds = np.interp(np.arange(lo, reach[lo] + 1e-12, step), tv,
+                               vv)
         ts = np.arange(lo, hi + 1e-12, step)
-        dv = np.interp(ts, tv, vv) - np.interp(ts + offset, tr, vr)
-        score = float(np.mean(dv * dv)) + 1e-9 * offset * offset
-        if best is None or score < best[0]:
-            best = (score, offset)
-    if best is None:
-        raise InsufficientOverlap(
-            f"no admissible clock offset within +/-{window} s")
-    return best[1]
+        dv = speeds[:len(ts)] - np.interp(ts + offset, tr, vr)
+        scores.append((offset, float(np.mean(dv * dv))
+                       + 1e-9 * offset * offset))
+    return scores
 
 
 def _local_xy(trace: Trace, frame: LocalFrame):

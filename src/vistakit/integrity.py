@@ -8,6 +8,7 @@ optional file/row/column location.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 ERROR = "error"
@@ -30,6 +31,9 @@ FREQUENCY_TOO_LOW = "FrequencyTooLow"
 JITTER_EXCEEDED = "JitterExceeded"
 INSUFFICIENT_RUNS = "InsufficientRuns"
 DUPLICATE_RUN = "DuplicateRun"
+
+# The minimum VUT sample rate, in Hz, that ``validate`` checks by default.
+DEFAULT_F_MIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def median_period(times) -> float | None:
     """The median spacing of consecutive times; None for fewer than two."""
     if len(times) < 2:
         return None
-    dts = sorted(b - a for a, b in zip(times, times[1:]))
+    dts = sorted(map(operator.sub, times[1:], times[:-1]))
     mid = len(dts) // 2
     return dts[mid] if len(dts) % 2 == 1 else 0.5 * (dts[mid - 1] + dts[mid])
 

@@ -14,7 +14,9 @@ Conventions used throughout the toolkit:
 
 All types are plain frozen dataclasses: construct them fully, then treat
 them as values.  Construction validates the cheap per-record invariants
-and raises ``ValueError``/``TypeError`` on violations.
+and raises ``ValueError``/``TypeError`` on violations.  The per-sample
+records and their positions and outlines are slotted: they hold no
+``__dict__`` and take no weak references.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPosition:
     """A WGS84 position in decimal degrees, elevation in metres."""
 
@@ -81,7 +83,7 @@ class GeoPosition:
             _check_finite("elev", self.elev)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VcsPosition:
     """A position in the vehicle coordinate system, metres."""
 
@@ -119,7 +121,7 @@ def _segments_properly_cross(p1, p2, q1, q2) -> bool:
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingShape:
     """A simple polygon outline, stored open (no repeated last vertex).
 
@@ -152,7 +154,7 @@ class BoundingShape:
                     raise ValueError("polygon outline self-intersects")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VutState:
     """One logged sample of the vehicle under test."""
 
@@ -216,7 +218,7 @@ def _check_ttc(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0 or +inf, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActorState:
     """One logged sample of a dynamic environment actor.
 
@@ -272,7 +274,7 @@ class ActorState:
         return "wgs84" if isinstance(self.pos, GeoPosition) else "vcs"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstacleState:
     """One logged sample of a (non-actor) obstacle."""
 
@@ -305,7 +307,7 @@ class ObstacleState:
         _check_ttc("ntd", self.ntd)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficControllerState:
     """One logged sample of a traffic light / controller."""
 
@@ -327,6 +329,9 @@ class TrafficControllerState:
 _NAMES = {cls: tuple(f.name for f in fields(cls))
           for cls in (GeoPosition, VcsPosition, BoundingShape, VutState,
                       ActorState, ObstacleState, TrafficControllerState)}
+# Per record type, the slot setter of each field, in field order.
+_SETTERS = {cls: tuple(getattr(cls, name).__set__ for name in names)
+            for cls, names in _NAMES.items()}
 
 
 def _build(cls, n, *values) -> list:
@@ -334,27 +339,25 @@ def _build(cls, n, *values) -> list:
 
     ``__post_init__`` does not run: the caller has checked every value
     against the bounds the constructors check (the trace reader's column
-    pass, ``synth.perturb``'s bulk checks) or runs the checks itself (the
-    column pass, on a row with a cell its bounds flag).  Fields are set as
-    the dataclass ``__init__`` sets them, one C-level pass per field.
+    pass, ``synth.perturb``'s and ``synth.synthesize``'s bulk checks) or
+    runs the checks itself (the column pass, on a row with a cell its
+    bounds flag).  Each field is set through its slot, one C-level pass
+    per field.
     """
-    if not n:
-        return []
-    names, values = _NAMES[cls], [iter(v) for v in values]
-    # One whole record first: CPython shares a class's attribute keys
-    # between its instances, but only once an instance has registered
-    # them; instances made in bulk before that get a dict each.
-    first = object.__new__(cls)
-    for name, column in zip(names, values):
-        object.__setattr__(first, name, next(column))
-    rest = list(map(object.__new__, itertools.repeat(cls, n - 1)))
-    for name, column in zip(names, values):
-        collections.deque(map(object.__setattr__, rest,
-                              itertools.repeat(name), column), maxlen=0)
-    return [first] + rest
+    records = list(map(object.__new__, itertools.repeat(cls, n)))
+    for setter, column in zip(_SETTERS[cls], values):
+        collections.deque(map(setter, records, column), maxlen=0)
+    return records
 
 
-def default_footprint(length: float = 4.4, width: float = 1.8) -> BoundingShape:
+# A passenger car's (length, width) in metres: the default footprint of
+# the vehicle under test, of a target vehicle, and of an entity of
+# unknown type.
+CAR_SIZE = (4.4, 1.8)
+
+
+def default_footprint(length: float = CAR_SIZE[0],
+                      width: float = CAR_SIZE[1]) -> BoundingShape:
     """Axis-aligned rectangular footprint centred on the VCS origin."""
     hl, hw = length / 2.0, width / 2.0
     return BoundingShape(
@@ -373,8 +376,8 @@ class VehicleProfile:
     """Static facts about the vehicle under test."""
 
     vehicle_class: str = "class3"
-    length: float = 4.4
-    width: float = 1.8
+    length: float = CAR_SIZE[0]
+    width: float = CAR_SIZE[1]
     footprint: BoundingShape | None = None
 
     def __post_init__(self):
@@ -418,12 +421,7 @@ class Trace:
     declared_frequency: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        if not self.testcase_id:
-            raise ValueError("testcase_id must be non-empty")
-        if not isinstance(self.run_id, int) or self.run_id < 1:
-            raise ValueError(f"run_id must be a positive int, got {self.run_id!r}")
-        if not self.vut:
-            raise ValueError("trace must contain at least one VUT record")
+        self._check_run()
         for rec in self.vut:
             if not isinstance(rec, VutState):
                 raise TypeError("vut entries must be VutState records")
@@ -452,6 +450,29 @@ class Trace:
                     if rec.step <= prev:
                         raise ValueError(f"{kind} {eid!r} steps must increase")
                     prev = rec.step
+
+    def _check_run(self):
+        if not self.testcase_id:
+            raise ValueError("testcase_id must be non-empty")
+        if not isinstance(self.run_id, int) or self.run_id < 1:
+            raise ValueError(
+                f"run_id must be a positive int, got {self.run_id!r}")
+        if not self.vut:
+            raise ValueError("trace must contain at least one VUT record")
+
+    @classmethod
+    def _checked(cls, testcase_id, run_id, vut, actors, obstacles,
+                 controllers, declared_frequency) -> "Trace":
+        """A Trace whose maker has made ``__post_init__``'s per-record
+        checks itself (the trace reader, ``synth.perturb`` and
+        ``synth.synthesize``): only the run checks run again."""
+        trace = object.__new__(cls)
+        for f, value in zip(fields(cls), (testcase_id, run_id, vut, actors,
+                                          obstacles, controllers,
+                                          declared_frequency)):
+            object.__setattr__(trace, f.name, value)
+        trace._check_run()
+        return trace
 
     @property
     def vut_steps(self) -> tuple:

@@ -29,6 +29,15 @@ every row with a cell the bounds flagged.  The bounds may be stricter
 than the record types (``Time`` >= 0 holds for every group): such a row
 keeps its record.
 
+Rows are assembled into channels from masks over whole columns, not row
+by row: the VUT clock flags repeated steps, times that do not increase
+and steps that fall; the entity records are joined to it by step, which
+flags orphaned steps, drift beyond half a sample period and each
+entity's steps that do not increase.  Only flagged rows are reported, in
+row order, each with its findings in the order a row-by-row read meets
+them.  These are the checks ``Trace`` makes of its records, so the trace
+is built without making them again.
+
 Both writers gather each column straight from the records, through the
 one record/column map the readers build records with, and write, in
 schema order, every column the schema requires and every other one that
@@ -230,8 +239,12 @@ def _records(group, cols, n) -> list:
     if group in _POS:
         f["pos"] = pos = [None] * n
         for frame, pcols in _POS[group].items():
-            rows = [k for k, v in enumerate(cols.get(pcols[0], none))
-                    if v is not None]
+            column = cols.get(pcols[0], none)
+            if None not in column:      # every row is in this frame
+                f["pos"] = _positions(frame, n, *(cols.get(c, none)
+                                                  for c in pcols))
+                break
+            rows = [k for k, v in enumerate(column) if v is not None]
             for k, p in zip(rows, _positions(frame, len(rows), *(
                     _pick(cols.get(c, none), rows) for c in pcols))):
                 pos[k] = p
@@ -319,10 +332,12 @@ class _Reader:
                       if schema.BY_NAME[a].required == "alt_pos"
                       and (a in colmap or b in colmap)]
 
-    def read_columns(self, table) -> list:
-        """Per row of a file's ``table`` (see ``_by_column``): its record,
-        None when it holds none, or its finding as (column, message), the
-        column None for a value its record type rejects.
+    def read_columns(self, table) -> tuple:
+        """(rows, records, faults) of a file's ``table`` (see
+        ``_by_column``): the ascending positions of the rows that hold a
+        record, their records, and {position: (column, message)} of the
+        rows with a finding, the column None for a value its record type
+        rejects.  The other rows hold no record.
 
         Each column is decoded and checked in one pass.  A row's faults
         are noted in the order of the module docstring, so the first one
@@ -343,11 +358,13 @@ class _Reader:
         for idx, name in self.clock:
             vals[name], faults = _bulk(columns[idx], name)
             note(range(n), faults, name)
-        live = [k for k in range(n) if k not in found]
+        live = [k for k in range(n) if k not in found] if found \
+            else range(n)
         if self.id_idx is not None:
             vals[self.id_col] = ids = list(map(str.strip,
                                                columns[self.id_idx]))
-            live = [k for k in live if ids[k]]
+            if "" in ids:
+                live = [k for k in live if ids[k]]
         vals = {name: _pick(v, live) for name, v in vals.items()}
         frames, faults = self._frames(columns, live)
         note(live, faults, _POS_COLUMN)
@@ -358,20 +375,23 @@ class _Reader:
             else:
                 vals[name], faults = _bulk(cells, name)
             note(live, faults, name)
-        good = [m for m, k in enumerate(live) if k not in found]
+        good = [m for m, k in enumerate(live) if k not in found] if found \
+            else range(len(live))
         vals = {name: _pick(v, good) for name, v in vals.items()}
-        out = [None] * n
-        for k, rec in zip(_pick(live, good),
-                          _records(self.group, vals, len(good))):
-            if k in check:
-                try:
-                    rec = _checked(rec)
-                except (ValueError, TypeError) as exc:
-                    rec = (None, str(exc))
-            out[k] = rec
-        for k, finding in found.items():
-            out[k] = finding
-        return out
+        rows = _pick(live, good)
+        records = _records(self.group, vals, len(good))
+        if check:
+            kept = []
+            for m, (k, rec) in enumerate(zip(rows, records)):
+                if k in check:
+                    try:
+                        _checked(rec)
+                    except (ValueError, TypeError) as exc:
+                        found[k] = (None, str(exc))
+                        continue
+                kept.append(m)
+            rows, records = _pick(rows, kept), _pick(records, kept)
+        return rows, records, found
 
     def _frames(self, columns, live):
         """(frames, faults) of the live rows: each row's position frame by
@@ -379,10 +399,9 @@ class _Reader:
         it."""
         if not self.pairs:
             return ["wgs84"] * len(live), {}
-        filled = {frame: sum(np.array([bool(c.strip()) for c in
-                                       _pick(columns[i], live)], dtype=int)
-                             for i in (a, b) if i is not None)
-                  for frame, a, b in self.pairs}
+        filled = {frame: sum(np.array(list(map(bool, map(
+            str.strip, _pick(columns[i], live)))), dtype=int)
+            for i in (a, b) if i is not None) for frame, a, b in self.pairs}
         half = sum(n == 1 for n in filled.values()) > 0
         whole = sum(n == 2 for n in filled.values())
         faults = {m: "half-filled position pair" if half[m] else
@@ -391,16 +410,6 @@ class _Reader:
                   for m in np.flatnonzero(half | (whole != 1)).tolist()}
         vcs = filled.get("vcs", np.zeros(len(live), dtype=int)) == 2
         return np.where(vcs, "vcs", "wgs84").tolist(), faults
-
-
-def _record(got, fname, rownum, rep):
-    """A record or None from _Reader.read_columns; a finding there is
-    reported as an error at its row, and gives None."""
-    if isinstance(got, tuple):
-        rep.add(it.ERROR, it.BAD_VALUE, got[1], file=fname, row=rownum,
-                column=got[0])
-        return None
-    return got
 
 
 _FLAGS = {"0": False, "1": True}
@@ -414,11 +423,36 @@ _WHOLE = {"float": float, "ttc": float, "int": int, "code": int,
 
 
 def _by_column(rows, width):
-    """(n, columns) of a file's data rows: their number, and their cells
-    column by column, each row cut or padded to the header's width."""
-    fit = [row if len(row) == width else (row + [""] * width)[:width]
-           for row in rows]
-    return len(rows), list(zip(*fit)) if fit else [()] * width
+    """((n, columns), warnings) of a file's data rows: their number and
+    their cells column by column, each row cut or padded to the header's
+    width, and the findings (see ``_report``) of the rows that had to
+    be."""
+    misfits = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows))
+                             != width).tolist()
+    fit = list(rows)
+    for k in misfits:
+        fit[k] = (rows[k] + [""] * width)[:width]
+    warnings = {k: [(it.WARNING, it.BAD_VALUE, f"row has {len(rows[k])} "
+                     f"cells, header has {width}", None)] for k in misfits}
+    return (len(rows), list(zip(*fit)) if fit else [()] * width), warnings
+
+
+def _report(found, fname, rep):
+    """Add row findings, {position: [(severity, code, message, column)]},
+    in row order."""
+    for k in sorted(found):
+        for severity, code, message, column in found[k]:
+            rep.add(severity, code, message, file=fname, row=k + 2,
+                    column=column)
+
+
+def _bad_values(found, faults, keep=None):
+    """Note a column pass's faults in found as BadValue errors; with keep
+    (a mask by position), only the faults of the rows it keeps."""
+    for k, (column, message) in faults.items():
+        if keep is None or keep[k]:
+            found.setdefault(k, []).append((it.ERROR, it.BAD_VALUE, message,
+                                            column))
 
 
 def _pick(values, positions):
@@ -460,8 +494,10 @@ def _bulk(cells, name):
     if spec.kind in ("int", "code"):
         lo = -math.inf if spec.min is None else spec.min
         hi = math.inf if spec.max is None else spec.max
-        flagged = [k for k, v in enumerate(values)
-                   if v is not None and not lo <= v <= hi]
+        if None in values or not lo <= min(values, default=lo) \
+                or not max(values, default=hi) <= hi:
+            flagged = [k for k, v in enumerate(values)
+                       if v is not None and not lo <= v <= hi]
     elif spec.kind in ("float", "ttc"):
         a = np.array(values, dtype=float)       # None -> nan
         with np.errstate(invalid="ignore"):
@@ -496,16 +532,19 @@ def _outlines(cells, frames, name):
     shape: a stationary entity repeats its outline verbatim at every
     step.
     """
-    keys = list(zip(map(str.strip, cells), frames))
+    texts = list(map(str.strip, cells))
+    keys = list(zip(texts, frames))
     distinct = [key for key in dict.fromkeys(keys) if key[0]]
     shapes, bad = _shapes(distinct)
     shape_of = dict(zip(distinct, shapes))
     bad = {distinct[j]: message for j, message in bad.items()}
     empty_ok = name in _MAY_BE_EMPTY
-    faults = {k: bad.get(key, "mandatory value is empty")
-              for k, key in enumerate(keys)
-              if key in bad or not (key[0] or empty_ok)}
-    return [shape_of.get(key) for key in keys], faults
+    faults = {}
+    if bad or not empty_ok and "" in texts:
+        faults = {k: bad.get(key, "mandatory value is empty")
+                  for k, key in enumerate(keys)
+                  if key in bad or not (key[0] or empty_ok)}
+    return list(map(shape_of.get, keys)), faults
 
 
 def _shapes(items):
@@ -636,15 +675,6 @@ def _load(path, fname, rep):
     return rows
 
 
-def _width(row, width, fname, rownum, rep):
-    """Warn of a data row not as wide as its header (it is read cut or
-    padded, see _by_column)."""
-    if len(row) != width:
-        rep.add(it.WARNING, it.BAD_VALUE,
-                f"row has {len(row)} cells, header has {width}",
-                file=fname, row=rownum)
-
-
 def _unknown(name, fname, rep, message="column {!r} is not in the schema"):
     rep.add(it.WARNING, it.UNKNOWN_COLUMN, message.format(name),
             file=fname, row=1, column=name)
@@ -712,76 +742,132 @@ def _check_actor_pos_columns(colmap, fname, rep) -> bool:
 # ---------------------------------------------------------------------------
 # series-level checks
 
-def _vut_clock(vut_rows, fname, rep, no_rows):
-    """The VUT clock of (rownum, VutState) rows: (median sample period,
-    {step: time}), with monotonicity and start-time findings; None, with
-    the ``no_rows`` error, when there are no rows."""
-    if not vut_rows:
+def _ints(values) -> np.ndarray:
+    """Integers as an array: int64, or Python ints where one overflows it
+    (the schema bounds no step from above)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _vut_clock(rows, vut, fname, rep, no_rows):
+    """The VUT clock of the records at rows (ascending positions):
+    (median sample period, {step: time}), with monotonicity and
+    start-time findings; None, with the ``no_rows`` error, when there are
+    no records.
+
+    A record's step must not repeat an earlier one, and its time and step
+    must not fall below the previous record's.
+    """
+    if not vut:
         rep.add(it.ERROR, it.BAD_VALUE, no_rows, file=fname)
         return None
-    prev_t = None
-    prev_s = None
-    seen_steps = set()
-    for rownum, rec in vut_rows:
-        if rec.step in seen_steps:
-            rep.add(it.ERROR, it.DUPLICATE_STEP,
-                    f"step {rec.step} appears more than once",
-                    file=fname, row=rownum, column="Step_number")
-        seen_steps.add(rec.step)
-        if prev_t is not None and rec.time <= prev_t:
-            rep.add(it.ERROR, it.NON_MONOTONE_TIME,
-                    f"time {rec.time!r} does not increase past {prev_t!r}",
-                    file=fname, row=rownum, column="Time")
-        if prev_s is not None and rec.step < prev_s:
-            rep.add(it.ERROR, it.NON_MONOTONE_TIME,
-                    f"step {rec.step} decreases past {prev_s}",
-                    file=fname, row=rownum, column="Step_number")
-        prev_t, prev_s = rec.time, rec.step
-    period = it.median_period([rec.time for _, rec in vut_rows])
-    first_row, first = vut_rows[0]
-    if period is not None and period > 0 and abs(first.time) > period:
+    times = list(map(attrgetter("time"), vut))
+    steps = list(map(attrgetter("step"), vut))
+    t, s = np.array(times), _ints(steps)
+    order = np.argsort(s, kind="stable")
+    seen = np.zeros(len(s), dtype=bool)     # an earlier record has the step
+    seen[order[1:]] = s[order[1:]] == s[order[:-1]]
+    late, back = np.zeros(len(s), dtype=bool), np.zeros(len(s), dtype=bool)
+    late[1:], back[1:] = t[1:] <= t[:-1], s[1:] < s[:-1]
+    found = {}
+    for m in np.flatnonzero(seen | late | back).tolist():
+        notes = found[rows[m]] = []
+        if seen[m]:
+            notes.append((it.ERROR, it.DUPLICATE_STEP,
+                          f"step {steps[m]} appears more than once",
+                          "Step_number"))
+        if late[m]:
+            notes.append((it.ERROR, it.NON_MONOTONE_TIME,
+                          f"time {times[m]!r} does not increase past "
+                          f"{times[m - 1]!r}", "Time"))
+        if back[m]:
+            notes.append((it.ERROR, it.NON_MONOTONE_TIME,
+                          f"step {steps[m]} decreases past {steps[m - 1]}",
+                          "Step_number"))
+    _report(found, fname, rep)
+    period = it.median_period(times)
+    if period is not None and period > 0 and abs(times[0]) > period:
         rep.add(it.WARNING, it.START_TIME_NONZERO,
-                f"first record at t={first.time!r}, expected "
+                f"first record at t={times[0]!r}, expected "
                 "t=0 within one sample period",
-                file=fname, row=first_row, column="Time")
-    return period, {rec.step: rec.time for _, rec in vut_rows}
+                file=fname, row=rows[0] + 2, column="Time")
+    return period, dict(zip(steps, times))
 
 
-def _join(table, group, rec, step_times, half_period, fname, rownum, rep):
-    """Append an entity record onto the VUT clock.
+def _join(table, group, rows, recs, step_times, half_period, found):
+    """Put the entity records at rows (their positions, in row order)
+    onto the VUT clock, into table (entity id -> records), noting
+    findings in found.
 
     The VUT file is the master clock: a record whose step it lacks is
     orphaned, one kept carries the VUT time for its step, and drift
-    beyond half a sample period is reported.  Steps must increase.
+    beyond half a sample period is reported.  An entity's steps must
+    increase: a record at or below the last kept one of its entity is
+    refused.  Entities enter table in the order of their first record
+    that is not orphaned.
     """
+    if not recs:
+        return
     id_col, id_field = _IDS[group]
-    eid = getattr(rec, id_field)
-    vut_time = step_times.get(rec.step)
-    if vut_time is None:
-        rep.add(it.ERROR, it.ORPHAN_STEP,
-                f"{id_col}={eid}: step {rec.step} has no VUT record",
-                file=fname, row=rownum, column="Step_number")
-        return
-    if half_period is not None and abs(rec.time - vut_time) > half_period:
-        rep.add(it.WARNING, it.TIME_MISMATCH,
-                f"{id_col}={eid}: time {rec.time!r} drifts from the "
-                f"VUT time {vut_time!r} at step {rec.step}",
-                file=fname, row=rownum, column="Time")
-    recs = table.setdefault(eid, [])
-    if recs and rec.step <= recs[-1].step:
-        code = it.DUPLICATE_STEP if rec.step == recs[-1].step \
-            else it.NON_MONOTONE_TIME
-        rep.add(it.ERROR, code,
-                f"{id_col}={eid}: step {rec.step} does not increase",
-                file=fname, row=rownum, column="Step_number")
-        return
-    if rec.time != vut_time:
-        rec = dataclasses.replace(rec, time=vut_time)
-    recs.append(rec)
+    eids = list(map(attrgetter(id_field), recs))
+    steps = list(map(attrgetter("step"), recs))
+    times = list(map(attrgetter("time"), recs))
+    vut_times = list(map(step_times.get, steps))
+    t, vt = np.array(times), np.array(vut_times, dtype=float)  # None: nan
+    orphan = np.isnan(vt)
+    drift = np.zeros(len(recs), dtype=bool)
+    if half_period is not None:
+        drift = np.abs(t - vt) > half_period
+    # Per entity, in row order, its records not orphaned; those at or
+    # below the running maximum of the ones before are refused.
+    s = _ints(steps)
+    live = np.flatnonzero(~orphan)
+    entity = {eid: j for j, eid in enumerate(
+        dict.fromkeys(map(eids.__getitem__, live.tolist())))}
+    code = np.fromiter(map(entity.__getitem__, map(eids.__getitem__,
+                                                   live.tolist())),
+                       int, len(live))
+    live = live[np.argsort(code, kind="stable")]
+    bounds = np.cumsum(np.bincount(code, minlength=len(entity))).tolist()
+    refused = np.zeros(len(recs), dtype=bool)
+    repeated = np.zeros(len(recs), dtype=bool)
+    recs = list(recs)
+    for m in np.flatnonzero(~orphan & (t != vt)).tolist():
+        recs[m] = dataclasses.replace(recs[m], time=vut_times[m])
+    for eid, lo, hi in zip(entity, [0] + bounds, bounds):
+        at = live[lo:hi]
+        top = np.maximum.accumulate(s[at])[:-1]
+        refused[at[1:]] = s[at[1:]] <= top
+        repeated[at[1:]] = s[at[1:]] == top
+        table[eid] = list(map(recs.__getitem__, at[~refused[at]].tolist()))
+    for m in np.flatnonzero(orphan | drift | refused).tolist():
+        eid, step = eids[m], steps[m]
+        notes = found.setdefault(rows[m], [])
+        if orphan[m]:
+            notes.append((it.ERROR, it.ORPHAN_STEP,
+                          f"{id_col}={eid}: step {step} has no VUT record",
+                          "Step_number"))
+            continue
+        if drift[m]:
+            notes.append((it.WARNING, it.TIME_MISMATCH,
+                          f"{id_col}={eid}: time {times[m]!r} drifts from "
+                          f"the VUT time {vut_times[m]!r} at step {step}",
+                          "Time"))
+        if refused[m]:
+            notes.append((it.ERROR, it.DUPLICATE_STEP if repeated[m]
+                          else it.NON_MONOTONE_TIME,
+                          f"{id_col}={eid}: step {step} does not increase",
+                          "Step_number"))
 
 
-def _finish_trace(ids, vut_rows, tables, period, rep):
-    """Final normalization + Trace construction once rows are collected."""
+def _finish_trace(ids, vut, tables, period, rep):
+    """Final normalization + Trace construction once rows are collected.
+
+    The rows' checks are the trace's own checks of its records (VUT time
+    and steps increase, entity steps are on the VUT clock and increase),
+    so the Trace is built without them."""
     if not rep.ok:
         return None
     actors, obstacles = tables["actor"], tables["obstacle"]
@@ -796,9 +882,9 @@ def _finish_trace(ids, vut_rows, tables, period, rep):
                 continue
             del actors[aid]
     try:
-        return Trace(
+        return Trace._checked(
             *ids,
-            vut=tuple(rec for _, rec in vut_rows),
+            vut=tuple(vut),
             actors={k: tuple(v) for k, v in actors.items()},
             obstacles={k: tuple(v) for k, v in obstacles.items()},
             controllers={k: tuple(v)
@@ -843,27 +929,22 @@ def parse_flat(path):
     clock = {name: base[name] for name in schema.CLOCK}
     readers = [(group, _Reader(group, {**colmap, **clock}))
                for group, colmap in groups]
-    # The column pass of every reader first; it adds no findings.
-    width = len(rows[0])
-    table = _by_column(rows[1:], width)
-    vut_got = vut_reader.read_columns(table)
-    readers = [(group, reader.read_columns(table))
-               for group, reader in readers]
-    vut_rows = []
-    entity_rows = {group: [] for group in _ENTITY_GROUPS}
-    for i, row in enumerate(rows[1:]):
-        rownum = i + 2
-        _width(row, width, fname, rownum, rep)
-        vut = _record(vut_got[i], fname, rownum, rep)
-        if vut is None:
-            continue
-        vut_rows.append((rownum, vut))
-        for group, got in readers:
-            rec = _record(got[i], fname, rownum, rep)
-            if rec is not None:
-                entity_rows[group].append((rownum, rec))
+    # A row's findings: its width, its VUT cells, then, when it holds a
+    # VUT record, the cells of each group in header order.
+    table, found = _by_column(rows[1:], len(rows[0]))
+    vut_rows, vut, faults = vut_reader.read_columns(table)
+    _bad_values(found, faults)
+    on_clock = np.zeros(table[0], dtype=bool)
+    on_clock[vut_rows] = True
+    got = {group: [] for group in _ENTITY_GROUPS}
+    for group, reader in readers:
+        at, recs, faults = reader.read_columns(table)
+        _bad_values(found, faults, on_clock)
+        keep = np.flatnonzero(on_clock[at]).tolist()
+        got[group].append((_pick(at, keep), _pick(recs, keep)))
+    _report(found, fname, rep)
 
-    clock = _vut_clock(vut_rows, fname, rep,
+    clock = _vut_clock(vut_rows, vut, fname, rep,
                        "file contains no usable data rows")
     if clock is None:
         return None, rep
@@ -871,10 +952,24 @@ def parse_flat(path):
     # Every record comes from a VUT row, so none is orphaned or drifts.
     tables = {group: {} for group in _ENTITY_GROUPS}
     for group in _ENTITY_GROUPS:
-        for rownum, rec in entity_rows[group]:
-            _join(tables[group], group, rec, step_times, None, fname, rownum,
-                  rep)
-    return _finish_trace(ids, vut_rows, tables, period, rep), rep
+        found = {}
+        _join(tables[group], group, *_row_major(got[group]), step_times,
+              None, found)
+        _report(found, fname, rep)
+    return _finish_trace(ids, vut, tables, period, rep), rep
+
+
+def _row_major(parts) -> tuple:
+    """(rows, records) of the (rows, records) of a group's readers of one
+    file, in row order, then reader order."""
+    rows = list(itertools.chain.from_iterable(r for r, _ in parts))
+    recs = list(itertools.chain.from_iterable(r for _, r in parts))
+    if len(parts) > 1:
+        order = np.lexsort((np.repeat(np.arange(len(parts)),
+                                      [len(r) for r, _ in parts]),
+                            rows)).tolist()
+        rows, recs = [rows[i] for i in order], [recs[i] for i in order]
+    return rows, recs
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +977,7 @@ def parse_flat(path):
 
 def _read_role(folder, role, rep):
     """Read one role file -> (colmap, its rows by column, see _by_column)
-    or None."""
+    or None; the rows not as wide as the header are reported."""
     p = folder / role
     rows = _load(p, role, rep) if p.exists() else None
     if rows is None:
@@ -900,18 +995,17 @@ def _read_role(folder, role, rep):
                 if schema.BY_NAME[c].required == "yes"]
     if not _require_columns(colmap, required, role, rep):
         return None
-    width = len(rows[0])
-    for rownum, row in enumerate(rows[1:], start=2):
-        _width(row, width, role, rownum, rep)
-    return colmap, _by_column(rows[1:], width)
+    table, warnings = _by_column(rows[1:], len(rows[0]))
+    _report(warnings, role, rep)
+    return colmap, table
 
 
-def _read_rows(reader, table, fname, rep):
-    """(rownum, record or None) of each row of a role file read by
-    _read_role, column pass first; a row's finding is added when it is
-    yielded."""
-    for rownum, got in enumerate(reader.read_columns(table), start=2):
-        yield rownum, _record(got, fname, rownum, rep)
+def _read(reader, table, found):
+    """(rows, records) of a role file read by _read_role, its column
+    pass's findings noted in found."""
+    rows, recs, faults = reader.read_columns(table)
+    _bad_values(found, faults)
+    return rows, recs
 
 
 def parse_distributed(path):
@@ -937,9 +1031,11 @@ def parse_distributed(path):
             rep.add(it.ERROR, it.MISSING_VUT_FILE,
                     f"{schema.ROLE_VUT} is missing", file=folder.name)
         return None, rep
-    vut_rows = [(rownum, rec) for rownum, rec in _read_rows(
-        _Reader("vut", got[0]), got[1], schema.ROLE_VUT, rep) if rec is not None]
-    clock = _vut_clock(vut_rows, schema.ROLE_VUT, rep, "no usable VUT rows")
+    found = {}
+    vut_rows, vut = _read(_Reader("vut", got[0]), got[1], found)
+    _report(found, schema.ROLE_VUT, rep)
+    clock = _vut_clock(vut_rows, vut, schema.ROLE_VUT, rep,
+                       "no usable VUT rows")
     if clock is None:
         return None, rep
     period, step_times = clock
@@ -952,14 +1048,13 @@ def parse_distributed(path):
         if got is None or (group == "actor" and not _check_actor_pos_columns(
                 got[0], role, rep)):
             continue
-        for rownum, rec in _read_rows(_Reader(group, got[0]), got[1], role,
-                                      rep):
-            if rec is not None:
-                _join(table, group, rec, step_times, half_period, role,
-                      rownum, rep)
+        found = {}
+        _join(table, group, *_read(_Reader(group, got[0]), got[1], found),
+              step_times, half_period, found)
+        _report(found, role, rep)
     for role in _OVERLAYS:
         _attach(folder, role, tables, rep)
-    return _finish_trace(ids, vut_rows, tables, period, rep), rep
+    return _finish_trace(ids, vut, tables, period, rep), rep
 
 
 def _attach(folder, role, tables, rep):
@@ -978,14 +1073,14 @@ def _attach(folder, role, tables, rep):
         return
     colmap, table = got
     if field is None:
-        for rownum, found in enumerate(
-                _Reader(group, colmap).read_columns(table), start=2):
-            if isinstance(found, tuple):
-                rep.add(it.WARNING, it.BAD_VALUE,
-                        f"{found[1]} (perceived phases are not retained)",
-                        file=role, row=rownum, column=found[0])
+        _, _, faults = _Reader(group, colmap).read_columns(table)
+        _report({k: [(it.WARNING, it.BAD_VALUE, f"{message} (perceived "
+                      "phases are not retained)", column)]
+                 for k, (column, message) in faults.items()}, role, rep)
         return
     n, columns = table
+    if not n:
+        return
     id_col = _IDS[group][0]
     records = tables[group]
     index = {(eid, rec.step): i

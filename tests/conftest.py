@@ -173,7 +173,8 @@ def random_trace(rng, testcase_id: str | None = None,
             ttc = math.inf if rng.random() < 0.2 else float(
                 rng.uniform(0.0, 60.0))
             recs.append(ActorState(
-                time=s * dt, step=int(s), actor_id=aid, actor_type=atype,
+                time=float(s * dt), step=int(s), actor_id=aid,
+                actor_type=atype,
                 pos=pos, bbox_true=bbox,
                 speed=float(rng.uniform(0, 20)),
                 vel_lat=float(rng.uniform(-5, 5)),
@@ -198,7 +199,8 @@ def random_trace(rng, testcase_id: str | None = None,
                 # The obstacle table has no elevation column.
                 pos = GeoPosition(pos.lat, pos.lon)
             recs.append(ObstacleState(
-                time=s * dt, step=int(s), obstacle_id=oid, obst_type=code,
+                time=float(s * dt), step=int(s), obstacle_id=oid,
+                obst_type=code,
                 pos=pos, poly_true=_rand_shape(rng, "wgs84", pos),
                 ntd=math.inf if rng.random() < 0.2 else float(
                     rng.uniform(0.0, 60.0)),
@@ -214,7 +216,7 @@ def random_trace(rng, testcase_id: str | None = None,
         n_recs = int(rng.integers(1, len(steps) + 1))
         chosen = sorted(rng.choice(steps, size=n_recs, replace=False))
         controllers[cid] = tuple(
-            TrafficControllerState(time=s * dt, step=int(s),
+            TrafficControllerState(time=float(s * dt), step=int(s),
                                    controller_id=cid,
                                    phase=str(rng.choice(PHASES)))
             for s in chosen

@@ -5,13 +5,18 @@ reference of their column pass.
 cells first, then the id cell (empty means "no record at this step"),
 then the alt_pos rule, then the other cells in file column order, then
 the record type's checks; the first fault raises ``RowProblem``.
-``attach`` reads a perceived overlay row by row with it.
+``attach`` reads a perceived overlay row by row with it.  ``vut_clock``
+and ``join`` assemble the records into channels one at a time, as the
+readers once did, and ``checked_trace`` builds the trace with all of its
+checks.
 
-:func:`read_columns` and :func:`attach` stand in for
-``trace_io._Reader.read_columns`` and ``trace_io._attach``:
-``test_column_pass.row_by_row`` patches them in, so that every row of a
-parse is read by this decoder and the column pass can be compared with
-it finding for finding.
+:func:`read_columns`, :func:`attach`, :func:`vut_clock`, :func:`join`
+and :func:`checked_trace` stand in for ``trace_io._Reader.read_columns``,
+``trace_io._attach``, ``trace_io._vut_clock``, ``trace_io._join`` and
+``Trace._checked``: ``test_column_pass.row_by_row`` patches them in, so
+that every row of a parse is read and assembled by this code and the
+column pass and the mask-based assembly can be compared with it finding
+for finding.
 """
 
 import dataclasses
@@ -132,22 +137,99 @@ class RowReader:
             raise RowProblem(None, str(exc)) from None
 
 
-def read_columns(self, table) -> list:
-    """``_Reader.read_columns`` by the row decoder: per row of the table,
-    its record, None, or its finding as (column, message)."""
+def read_columns(self, table) -> tuple:
+    """``_Reader.read_columns`` by the row decoder: the positions of the
+    rows of the table that hold a record, their records, and
+    {position: (column, message)} of the rows with a finding."""
     n, columns = table
     colmap = {name: idx for idx, name in self.clock + self.rest}
     if self.id_idx is not None:
         colmap[self.id_col] = self.id_idx
     reader = RowReader(self.group, colmap)
-    out = []
-    for row in zip(*columns):
+    rows, records, found = [], [], {}
+    for k, row in enumerate(zip(*columns)):
         try:
-            out.append(reader.read(row))
+            rec = reader.read(row)
         except RowProblem as exc:
-            out.append((exc.column, str(exc)))
-    assert len(out) == n
-    return out
+            found[k] = (exc.column, str(exc))
+            continue
+        if rec is not None:
+            rows.append(k)
+            records.append(rec)
+    assert len(rows) + len(found) <= n
+    return rows, records, found
+
+
+def vut_clock(rows, vut, fname, rep, no_rows):
+    """``trace_io._vut_clock`` record by record."""
+    if not vut:
+        rep.add(it.ERROR, it.BAD_VALUE, no_rows, file=fname)
+        return None
+    prev_t = None
+    prev_s = None
+    seen_steps = set()
+    for k, rec in zip(rows, vut):
+        rownum = k + 2
+        if rec.step in seen_steps:
+            rep.add(it.ERROR, it.DUPLICATE_STEP,
+                    f"step {rec.step} appears more than once",
+                    file=fname, row=rownum, column="Step_number")
+        seen_steps.add(rec.step)
+        if prev_t is not None and rec.time <= prev_t:
+            rep.add(it.ERROR, it.NON_MONOTONE_TIME,
+                    f"time {rec.time!r} does not increase past {prev_t!r}",
+                    file=fname, row=rownum, column="Time")
+        if prev_s is not None and rec.step < prev_s:
+            rep.add(it.ERROR, it.NON_MONOTONE_TIME,
+                    f"step {rec.step} decreases past {prev_s}",
+                    file=fname, row=rownum, column="Step_number")
+        prev_t, prev_s = rec.time, rec.step
+    period = it.median_period([rec.time for rec in vut])
+    first = vut[0]
+    if period is not None and period > 0 and abs(first.time) > period:
+        rep.add(it.WARNING, it.START_TIME_NONZERO,
+                f"first record at t={first.time!r}, expected "
+                "t=0 within one sample period",
+                file=fname, row=rows[0] + 2, column="Time")
+    return period, {rec.step: rec.time for rec in vut}
+
+
+def join(table, group, rows, recs, step_times, half_period, found):
+    """``trace_io._join`` record by record."""
+    id_col, id_field = _IDS[group]
+    for k, rec in zip(rows, recs):
+        notes = found.setdefault(k, [])
+        eid = getattr(rec, id_field)
+        vut_time = step_times.get(rec.step)
+        if vut_time is None:
+            notes.append((it.ERROR, it.ORPHAN_STEP,
+                          f"{id_col}={eid}: step {rec.step} has no VUT "
+                          "record", "Step_number"))
+            continue
+        if half_period is not None and \
+                abs(rec.time - vut_time) > half_period:
+            notes.append((it.WARNING, it.TIME_MISMATCH,
+                          f"{id_col}={eid}: time {rec.time!r} drifts from "
+                          f"the VUT time {vut_time!r} at step {rec.step}",
+                          "Time"))
+        kept = table.setdefault(eid, [])
+        if kept and rec.step <= kept[-1].step:
+            code = it.DUPLICATE_STEP if rec.step == kept[-1].step \
+                else it.NON_MONOTONE_TIME
+            notes.append((it.ERROR, code,
+                          f"{id_col}={eid}: step {rec.step} does not "
+                          "increase", "Step_number"))
+            continue
+        if rec.time != vut_time:
+            rec = dataclasses.replace(rec, time=vut_time)
+        kept.append(rec)
+    for k in [k for k, notes in found.items() if not notes]:
+        del found[k]
+
+
+def checked_trace(cls, *args, **kwargs):
+    """``Trace._checked`` with every check of the constructor."""
+    return cls(*args, **kwargs)
 
 
 def attach(folder, role, tables, rep):

@@ -1,11 +1,13 @@
 """The readers' column pass against the row decoder.
 
 ``parse_trace`` decodes each file column by column, and the column pass
-reports every finding itself, those of the perceived overlays included.
-:func:`row_by_row` parses with the row decoder of ``row_decoder`` in
-place of ``_Reader.read_columns`` and ``_attach``, so every row goes
-through it: that is the reference, and the column pass must give the
-same findings, in the same order, and the same trace.
+reports every finding itself, those of the perceived overlays included;
+the records are then put on the clock by masks over whole channels.
+:func:`row_by_row` parses with the row decoder and the record-by-record
+assembly of ``row_decoder`` in place of ``_Reader.read_columns``,
+``_attach``, ``_vut_clock``, ``_join`` and ``Trace._checked``, so every
+row goes through them: that is the reference, and the column pass must
+give the same findings, in the same order, and the same trace.
 """
 
 import csv
@@ -41,6 +43,10 @@ def row_by_row(path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(trace_io._Reader, "read_columns", row_decoder.read_columns)
         m.setattr(trace_io, "_attach", row_decoder.attach)
+        m.setattr(trace_io, "_vut_clock", row_decoder.vut_clock)
+        m.setattr(trace_io, "_join", row_decoder.join)
+        m.setattr(trace_io.Trace, "_checked",
+                  classmethod(row_decoder.checked_trace))
         return parse_trace(path)
 
 
@@ -111,6 +117,16 @@ EDITS = {
                                  (ACTORS, 1760, "Actor_TTC", "nan"),
                                  (VUT, 1900, "Step_number", "-1"),
                                  (VUT, 1950, "VUT_acc_lat", "inf")],
+    # Found when the records are put on the clock: a repeated, a falling
+    # and an int64-overflowing VUT step, a falling VUT time, an entity
+    # step repeated, falling and (distributed) orphaned, a drifting time.
+    "clock and join faults": [(VUT, 100, "Step_number", "99"),
+                              (VUT, 200, "Time", "1.0"),
+                              (VUT, 700, "Step_number", str(2 ** 70)),
+                              (ACTORS, 300, "Step_number", "299"),
+                              (ACTORS, 400, "Step_number", "5"),
+                              (ACTORS, 500, "Time", "9.0"),
+                              (ACTORS, 600, "Step_number", "999999")],
     # Accepted by both paths, though not in the writer's form: the column
     # pass decodes them once more, alone, or leaves them to
     # shape_from_array.

@@ -5,7 +5,10 @@ import pytest
 
 from vistakit.errors import InsufficientOverlap
 from vistakit.fidelity import (
+    ALIGN_STEP,
+    ALIGN_WINDOW,
     FidelityTolerances,
+    _scores,
     align,
     compare,
     select_recalibration_subset,
@@ -78,6 +81,48 @@ def test_align_with_speed_noise():
     t = _cruise_trace(duration=8.0)
     ref = _shifted(perturb(t, speed_sigma=0.05, seed=7), 0.5)
     assert align(t, ref) == pytest.approx(0.5, abs=0.05)
+
+
+def _loop_scores(virtual, reference, window=ALIGN_WINDOW, step=ALIGN_STEP):
+    """The scan ``align`` ran before its offsets shared the virtual-side
+    interpolation: each offset interpolates both sides on its own grid."""
+    tv = np.array([r.time for r in virtual.vut])
+    vv = np.array([r.speed for r in virtual.vut])
+    tr = np.array([r.time for r in reference.vut])
+    vr = np.array([r.speed for r in reference.vut])
+    min_overlap = max(1.0, 0.25 * min(tv[-1] - tv[0], tr[-1] - tr[0]))
+    scores = []
+    n = int(round(window / step))
+    for k in range(-n, n + 1):
+        offset = k * step
+        lo = max(tv[0], tr[0] - offset)
+        hi = min(tv[-1], tr[-1] - offset)
+        if hi - lo < min_overlap:
+            continue
+        ts = np.arange(lo, hi + 1e-12, step)
+        dv = np.interp(ts, tv, vv) - np.interp(ts + offset, tr, vr)
+        scores.append((offset, float(np.mean(dv * dv))
+                       + 1e-9 * offset * offset))
+    return scores
+
+
+@pytest.mark.parametrize("rate", [10.0, 100.0])
+def test_scores_match_loop_reference(rate):
+    # Seeded twins of a run: the run itself, shifted clocks, and shifted
+    # clocks with position and speed noise; each pair both ways round.
+    base = synthesize(case=2) if rate == 10.0 else _cruise_trace(rate=rate)
+    twins = [base] + [perturb(base, time_shift=shift, seed=seed,
+                              pos_sigma=sigma, speed_sigma=sigma)
+                      for seed, (shift, sigma) in enumerate(
+                          [(0.5, 0.0), (1.37, 0.0), (2.5, 0.05),
+                           (0.21, 0.1)])]
+    for virtual in twins[:3]:
+        for reference in twins:
+            want = _loop_scores(virtual, reference)
+            assert want and _scores(virtual, reference, ALIGN_WINDOW,
+                                    ALIGN_STEP) == want
+            assert align(virtual, reference) == min(
+                want, key=lambda pair: pair[1])[0]
 
 
 def test_align_rejects_disjoint_spans():

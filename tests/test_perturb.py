@@ -7,17 +7,25 @@ zeros and float bits count) and the same errors.
 """
 
 import functools
+import itertools
 import math
-import subprocess
-import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from vistakit import synth, trace_io
 from vistakit.frames import LocalFrame
-from vistakit.model import ActorState, GeoPosition, Trace
+from vistakit.model import (
+    ActorState,
+    BoundingShape,
+    GeoPosition,
+    ObstacleState,
+    Trace,
+    TrafficControllerState,
+    VcsPosition,
+    VutState,
+)
 
 from conftest import random_trace, simple_vut
 
@@ -161,6 +169,9 @@ def _late_actor(trace):
     (lambda t: _far(t, (9, 300.0), (4, 200.0)), dict()),
     (lambda t: _far(t, (3, 60.0), (12, 200.0)), dict(pos_sigma=0.05)),
     (_late_actor, dict(time_shift=1e308)),
+    # A shift that rounds close VUT times into one fails the trace check.
+    (lambda t: _trace(simple_vut(k, k * 1e-17) for k in range(3)),
+     dict(time_shift=1.0)),
 ])
 def test_errors_match_loop_reference(make, kw):
     trace = make(_case(1, 10.0))
@@ -169,36 +180,50 @@ def test_errors_match_loop_reference(make, kw):
     assert _outcome(synth.perturb, trace, seed=4, **kw) == want
 
 
-_SIZES = """
-import sys
-from dataclasses import replace
-from vistakit import synth, trace_io
-if sys.argv[1] == "perturb":
-    # The first VUT and actor records this interpreter makes are the
-    # reader's, then perturb's.
-    trace, _ = trace_io.parse_trace(sys.argv[2])
-    trace = synth.perturb(trace, pos_sigma=0.05, speed_sigma=0.05,
-                          time_shift=0.5)
-    recs = trace.vut[-1], trace.vut[-1].pos, trace.actors["TSV-01"][-1]
-else:
-    trace = synth.synthesize(case=1)
-    recs = [replace(r) for r in (trace.vut[-1], trace.vut[-1].pos,
-                                 trace.actors["TSV-01"][-1])]
-print([sys.getsizeof(r.__dict__) for r in recs])
-"""
+RECORD_TYPES = (GeoPosition, VcsPosition, BoundingShape, VutState,
+                ActorState, ObstacleState, TrafficControllerState)
 
 
-def _sizes(*args):
-    return subprocess.run([sys.executable, "-c", _SIZES, *args], check=True,
-                          capture_output=True, text=True).stdout
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda c: c.__name__)
+def test_record_types_are_slotted(cls):
+    # No record holds a dict of its own (or a weak reference slot).
+    assert cls.__slots__ == tuple(f.name for f in fields(cls))
+    assert cls.__dictoffset__ == 0 and cls.__weakrefoffset__ == 0
 
 
-def test_built_records_share_instance_keys(tmp_path):
-    # A record whose class never got its attribute keys registered holds
-    # a dict of its own, about 400 bytes more per record.
-    path = trace_io.write_flat(_case(1, 10.0), tmp_path)
-    assert _sizes("perturb", str(path)) == _sizes("construct")
-    twin = synth.perturb(_case(1, 10.0), speed_sigma=0.05)
-    for rec in twin.vut[-1], twin.vut[-1].pos, twin.actors["TSV-01"][-1]:
-        assert sys.getsizeof(rec.__dict__) == \
-            sys.getsizeof(replace(rec).__dict__)
+def _constructed(value):
+    """value rebuilt through the record constructors, nested records and
+    outline vertices included."""
+    if isinstance(value, tuple):
+        return tuple(map(_constructed, value))
+    if isinstance(value, RECORD_TYPES):
+        return type(value)(**{f.name: _constructed(getattr(value, f.name))
+                              for f in fields(value)})
+    return value
+
+
+def _assert_as_constructed(trace):
+    tables = (trace.vut, *trace.actors.values(), *trace.obstacles.values(),
+              *trace.controllers.values())
+    for rec in itertools.chain(*tables):
+        twin = _constructed(rec)
+        assert repr(rec) == repr(twin)          # values, float bits, types
+        assert [type(getattr(rec, f.name)) for f in fields(rec)] == \
+            [type(getattr(twin, f.name)) for f in fields(twin)]
+        assert not hasattr(rec, "__dict__")
+
+
+def test_built_records_equal_constructed_ones(tmp_path):
+    # synthesize and perturb build their records in bulk, as the reader
+    # does; each must equal the record its constructor makes.
+    _assert_as_constructed(_case(2, 10.0))
+    _assert_as_constructed(synth.perturb(_case(1, 10.0), pos_sigma=0.05,
+                                         speed_sigma=0.05, time_shift=0.5))
+    rng = np.random.default_rng(7)
+    for i in range(6):
+        trace = random_trace(rng)
+        for layout in ("flat", "distributed"):
+            back, rep = trace_io.parse_trace(trace_io.write_trace(
+                trace, tmp_path / f"{layout}{i}", layout))
+            assert rep.ok
+            _assert_as_constructed(back)

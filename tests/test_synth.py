@@ -8,7 +8,7 @@ import pytest
 from vistakit.clearance import all_clearance_series, clearance_series
 from vistakit.errors import InfeasibleSpec
 from vistakit.integrity import check_frequency
-from vistakit.model import Trace
+from vistakit.model import GeoPosition, Trace
 from vistakit.rules import RuleSet, evaluate_run
 from vistakit.synth import (
     CASE_PARAMS,
@@ -18,6 +18,8 @@ from vistakit.synth import (
     synthesize_runs,
 )
 from vistakit.trace_io import parse_trace, write_trace
+
+import synth_reference
 
 
 @pytest.mark.parametrize("case,target", [(1, 0.21), (2, 0.52), (3, 1.53)])
@@ -145,3 +147,50 @@ def test_custom_scenario_spec():
     assert max(r.speed for r in t.vut) <= 8.0 + 1e-9
     s = clearance_series(t, "TSV-01")
     assert s.min_lateral() == pytest.approx(CASE_PARAMS[3].target, abs=0.01)
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return repr(fn(*args, **kw))
+    except Exception as exc:  # compared by type and text
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("rate", [5.0, 10.0, 25.0, 100.0])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_synthesize_matches_step_reference(case, rate):
+    # Every record by repr: float bits, signed zeros and types count.
+    spec = ScenarioSpec(sample_rate=rate)
+    got = synthesize(spec, case, run_id=7)
+    assert repr(got) == repr(synth_reference.synthesize(spec, case, 7))
+    assert got.declared_frequency == round(rate, 6)
+
+
+def test_overrides_and_errors_match_step_reference():
+    rng = np.random.default_rng(15)
+    settings = []
+    for k in range(12):
+        spec = ScenarioSpec(
+            sample_rate=float(rng.choice([5.0, 10.0, 25.0, 100.0])),
+            speed_limit=float(rng.uniform(2.0, 12.0)) if k % 2 else 40 / 3.6)
+        target = float(rng.uniform(0.0, 1.7)) if k % 3 else None
+        settings.append((spec, 1 + k % 3, target))
+    settings += [
+        (ScenarioSpec(), 1, 3.0),                       # past the kerb
+        (ScenarioSpec(), 3, -0.1),
+        (ScenarioSpec(speed_limit=0.0), 1, None),
+        (ScenarioSpec(decel_peak=0.5), 2, None),        # no room to stop
+        (ScenarioSpec(), 4, None),
+        # The VUT's later fixes lie past the pole: its records raise.
+        (ScenarioSpec(origin=GeoPosition(89.99905, 0.0)), 3, None),
+    ]
+    outcomes = []
+    for spec, case, target in settings:
+        want = _outcome(synth_reference.synthesize, spec, case,
+                        target_clearance=target)
+        assert _outcome(synthesize, spec, case,
+                        target_clearance=target) == want
+        outcomes.append(want.split(":")[0] if "Error" in want
+                        or "Infeasible" in want else "trace")
+    assert outcomes.count("trace") == 12
+    assert outcomes[12:] == ["InfeasibleSpec"] * 4 + ["ValueError"] * 2
