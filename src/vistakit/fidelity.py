@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientOverlap
-from .frames import LocalFrame
+from .frames import MAX_EXTENT_M, LocalFrame
 from .model import Trace
 
 ALIGN_WINDOW = 5.0
@@ -71,16 +71,18 @@ class FidelityReport:
         }
 
 
+def _vut(trace: Trace, name) -> list:
+    return trace.channels("vut").column(name)
+
+
 def _channels(trace: Trace):
-    t = np.array([r.time for r in trace.vut])
-    v = np.array([r.speed for r in trace.vut])
-    return t, v
+    return np.array(_vut(trace, "time")), np.array(_vut(trace, "speed"))
 
 
 def _rate(trace: Trace) -> float:
     if trace.declared_frequency > 0:
         return trace.declared_frequency
-    t = [r.time for r in trace.vut]
+    t = _vut(trace, "time")
     if len(t) < 2 or t[-1] <= t[0]:
         raise InsufficientOverlap("trace too short to establish a rate")
     return (len(t) - 1) / (t[-1] - t[0])
@@ -147,13 +149,20 @@ def _scores(virtual: Trace, reference: Trace, window: float,
 
 
 def _local_xy(trace: Trace, frame: LocalFrame):
-    pts = [frame.to_local(r.pos) for r in trace.vut]
-    arr = np.array(pts)
-    return arr[:, 0], arr[:, 1]
+    """The VUT positions in frame, as :meth:`LocalFrame.to_local` gives
+    each (the same subtraction and product, which numpy rounds as Python
+    does), raising its error at the first one beyond the frame's extent."""
+    lat, lon = np.array(_vut(trace, "lat")), np.array(_vut(trace, "lon"))
+    x = (lon - frame.origin.lon) * frame.m_per_deg_lon
+    y = (lat - frame.origin.lat) * frame.m_per_deg_lat
+    beyond = (np.abs(x) > MAX_EXTENT_M) | (np.abs(y) > MAX_EXTENT_M)
+    if beyond.any():
+        frame.to_local(trace.channels("vut").position(int(beyond.argmax())))
+    return x, y
 
 
 def _heading_unwrapped(trace: Trace) -> np.ndarray:
-    h = np.radians([r.heading for r in trace.vut])
+    h = np.radians(_vut(trace, "heading"))
     return np.degrees(np.unwrap(h))
 
 
@@ -184,7 +193,7 @@ def compare(virtual: Trace, reference: Trace,
     count = int(math.floor((hi - lo) * rate)) + 1
     ts = lo + np.arange(count) / rate
 
-    frame = LocalFrame.at(reference.vut[0].pos)
+    frame = LocalFrame.at(reference.channels("vut").position(0))
     xv, yv = _local_xy(virtual, frame)
     xr, yr = _local_xy(reference, frame)
 

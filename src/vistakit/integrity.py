@@ -99,7 +99,7 @@ def check_frequency(trace, f_min: float) -> list:
     warning.
     """
     out = []
-    times = [r.time for r in trace.vut]
+    times = trace.channels("vut").column("time")
     if len(times) < 2:
         out.append(Finding(
             ERROR, FREQUENCY_TOO_LOW,

@@ -12,11 +12,18 @@ Conventions used throughout the toolkit:
 * A value of ``float("inf")`` is the "never" sentinel for time-to-X
   metrics (TTC, nearest temporal distance).
 
-All types are plain frozen dataclasses: construct them fully, then treat
-them as values.  Construction validates the cheap per-record invariants
-and raises ``ValueError``/``TypeError`` on violations.  The per-sample
-records and their positions and outlines are slotted: they hold no
-``__dict__`` and take no weak references.
+The records are frozen dataclasses, treated as values: construction
+validates the cheap per-record invariants and raises
+``ValueError``/``TypeError`` on violations.  The per-sample records and
+their positions and outlines are slotted: they hold no ``__dict__`` and
+take no weak references.
+
+A :class:`Trace` holds each channel (the VUT's, and each entity's) as a
+:class:`Channel`: one value list per field, a position by its own
+fields.  The trace readers and the synthesizer make traces from columns
+they have checked, and ``Trace.vut``, ``.actors``, ``.obstacles`` and
+``.controllers`` build the records on first read, once.  A trace made
+from records keeps them, and gets its columns from them on first use.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 INDICATOR_NAMES = frozenset(
     {"left_front", "left_rear", "right_front", "right_rear",
@@ -338,16 +346,117 @@ def _build(cls, n, *values) -> list:
     """n records of cls from one value sequence per field, in field order.
 
     ``__post_init__`` does not run: the caller has checked every value
-    against the bounds the constructors check (the trace reader's column
-    pass, ``synth.perturb``'s and ``synth.synthesize``'s bulk checks) or
-    runs the checks itself (the column pass, on a row with a cell its
-    bounds flag).  Each field is set through its slot, one C-level pass
-    per field.
+    against the bounds the constructors check (see :class:`Channel`).
+    Each field is set through its slot, one C-level pass per field.
     """
     records = list(map(object.__new__, itertools.repeat(cls, n)))
     for setter, column in zip(_SETTERS[cls], values):
         collections.deque(map(setter, records, column), maxlen=0)
     return records
+
+
+# Per record type, the position types its ``pos`` may have.  A row's
+# position is in the first type whose first field (lat, x) it fills.
+_POSITIONS = {VutState: (GeoPosition,),
+              ActorState: (GeoPosition, VcsPosition),
+              ObstacleState: (GeoPosition,),
+              TrafficControllerState: ()}
+# Per record type, the columns of a Channel: its fields in order, with
+# ``pos`` given by the fields of each of its position types.
+COLUMNS = {cls: tuple(itertools.chain.from_iterable(
+    [name for t in _POSITIONS[cls] for name in _NAMES[t]] if name == "pos"
+    else [name] for name in _NAMES[cls])) for cls in _POSITIONS}
+
+
+def _column_of(cls, records, name) -> list:
+    """The column ``name`` (see COLUMNS) of records of type cls."""
+    for t in _POSITIONS[cls]:
+        if name in _NAMES[t]:
+            return [getattr(p, name) if isinstance(p, t) else None
+                    for p in map(attrgetter("pos"), records)]
+    return list(map(attrgetter(name), records))
+
+
+def _assemble(cls, columns) -> list:
+    """The records of type cls held by columns, built in bulk."""
+    n = len(columns["step"])
+    values = dict(columns)
+    if _POSITIONS[cls]:
+        values["pos"] = pos = [None] * n
+    for t in _POSITIONS[cls]:
+        parts = [columns[name] for name in _NAMES[t]]
+        if None not in parts[0]:            # every row is in this frame
+            values["pos"] = _build(t, n, *parts)
+            break
+        rows = [k for k, v in enumerate(parts[0]) if v is not None]
+        for k, p in zip(rows, _build(t, len(rows), *(
+                [part[k] for k in rows] for part in parts))):
+            pos[k] = p
+    return _build(cls, n, *(values[name] for name in _NAMES[cls]))
+
+
+class Channel:
+    """The records of one channel, the VUT's or one entity's, as columns:
+    one value list per name of ``COLUMNS[type]``, in row order.  A
+    position column holds None in the rows whose position is in another
+    frame, and a column not given holds None throughout.
+
+    The records are built from the columns on first read, once, without
+    their checks: whoever made the columns has checked every value
+    against the bounds the constructors check (the trace reader's column
+    pass, ``synth``'s bulk checks).  The columns are then let go, and
+    gathered from the records again should they be read again, as those
+    of a channel made from records are; :meth:`column` gathers one
+    alone.  No value is changed once made, so traces may share a channel.
+    """
+
+    __slots__ = ("type", "_columns", "_records")
+
+    def __init__(self, type, columns=None, records=None):
+        self.type = type
+        self._records = records
+        if columns is not None:
+            none = [None] * len(columns["step"])
+            columns = {name: columns.get(name, none)
+                       for name in COLUMNS[type]}
+        self._columns = columns
+
+    def __len__(self) -> int:
+        if self._columns is None:
+            return len(self._records)
+        return len(self._columns["step"])
+
+    @property
+    def columns(self) -> dict:
+        if self._columns is None:
+            self._columns = {name: _column_of(self.type, self._records, name)
+                             for name in COLUMNS[self.type]}
+        return self._columns
+
+    def column(self, name) -> list:
+        """One column; gathered alone, and not kept, when the columns are
+        not held."""
+        if self._columns is None:
+            return _column_of(self.type, self._records, name)
+        return self._columns[name]
+
+    @property
+    def records(self) -> tuple:
+        if self._records is None:
+            self._records = tuple(_assemble(self.type, self._columns))
+            self._columns = None        # gathered again if read again
+        return self._records
+
+    def position(self, k):
+        """The position of row k, made on its own when the records are
+        not built."""
+        if self._records is not None:
+            return self._records[k].pos
+        for t in _POSITIONS[self.type]:
+            parts = [self._columns[name][k] for name in _NAMES[t]]
+            if parts[0] is not None:
+                return t(*parts)
+        return None
 
 
 # A passenger car's (length, width) in metres: the default footprint of
@@ -401,6 +510,11 @@ class VehicleProfile:
             raise ValueError("footprint must enclose the VCS origin")
 
 
+# Trace's channel fields and the record type of each.
+_TABLES = {"vut": VutState, "actors": ActorState, "obstacles": ObstacleState,
+           "controllers": TrafficControllerState}
+
+
 @dataclass(frozen=True)
 class Trace:
     """A full single-run result: the VUT channel plus environment channels.
@@ -410,6 +524,11 @@ class Trace:
     step must also appear in the VUT channel, which acts as the master
     clock.  ``declared_frequency`` is carried metadata (Hz) and does not
     take part in equality.
+
+    Each channel is held as a :class:`Channel` (see :meth:`channels`).
+    A trace made by the readers or the synthesizer has only the columns:
+    ``vut`` and the entity tables build their records on first read,
+    once.
     """
 
     testcase_id: str
@@ -457,30 +576,98 @@ class Trace:
         if not isinstance(self.run_id, int) or self.run_id < 1:
             raise ValueError(
                 f"run_id must be a positive int, got {self.run_id!r}")
-        if not self.vut:
+        if not len(self.channels("vut")):
             raise ValueError("trace must contain at least one VUT record")
 
     @classmethod
     def _checked(cls, testcase_id, run_id, vut, actors, obstacles,
                  controllers, declared_frequency) -> "Trace":
-        """A Trace whose maker has made ``__post_init__``'s per-record
-        checks itself (the trace reader, ``synth.perturb`` and
+        """A Trace of channels (``vut`` a Channel, each entity table
+        {entity id: Channel}) whose maker has made ``__post_init__``'s
+        per-record checks itself (the trace reader, ``synth.perturb`` and
         ``synth.synthesize``): only the run checks run again."""
         trace = object.__new__(cls)
-        for f, value in zip(fields(cls), (testcase_id, run_id, vut, actors,
-                                          obstacles, controllers,
-                                          declared_frequency)):
-            object.__setattr__(trace, f.name, value)
+        trace.__dict__.update(
+            testcase_id=testcase_id, run_id=run_id,
+            declared_frequency=declared_frequency, _vut=vut, _actors=actors,
+            _obstacles=obstacles, _controllers=controllers)
         trace._check_run()
         return trace
 
+    def channels(self, table):
+        """The Channel of the VUT (``table`` "vut"), or {entity id:
+        Channel} of an entity table ("actors", "obstacles",
+        "controllers")."""
+        held = self.__dict__
+        if "_" + table not in held:
+            cls, records = _TABLES[table], held[table]
+            held["_" + table] = (
+                Channel(cls, records=records) if table == "vut" else
+                {eid: Channel(cls, records=recs)
+                 for eid, recs in records.items()})
+        return held["_" + table]
+
+    def _renumbered(self, run_id) -> "Trace":
+        """This trace under another run id, sharing its channels."""
+        return Trace._checked(self.testcase_id, run_id,
+                              *map(self.channels, _TABLES),
+                              self.declared_frequency)
+
     @property
     def vut_steps(self) -> tuple:
-        return tuple(r.step for r in self.vut)
+        return tuple(self.channels("vut").column("step"))
 
     @property
     def duration(self) -> float:
-        return self.vut[-1].time - self.vut[0].time
+        times = self.channels("vut").column("time")
+        return times[-1] - times[0]
+
+
+def _records_of(table):
+    """Trace's ``table`` field: its records, built from its channels on
+    first read when the trace was made from channels."""
+    def get(self):
+        held = self.__dict__
+        if table not in held:
+            channels = held["_" + table]
+            held[table] = channels.records if table == "vut" else {
+                eid: channel.records for eid, channel in channels.items()}
+        return held[table]
+
+    def put(self, records):         # the dataclass __init__ stores here
+        self.__dict__[table] = records
+        self.__dict__.pop("_" + table, None)
+
+    return property(get, put)
+
+
+for _table in _TABLES:
+    setattr(Trace, _table, _records_of(_table))
+
+
+# What an obstacle exported through the actor channel shows: a numeric
+# type code from the obstacle code space, and no motion at all.
+_DISGUISE = ("actor_type", "speed", "vel_lat", "vel_long", "acc_lat",
+             "acc_long")
+# ObstacleState field -> the ActorState field it is taken from.
+_AS_OBSTACLE = {"time": "time", "step": "step", "obstacle_id": "actor_id",
+                "pos": "pos", "poly_true": "bbox_true", "ntd": "ttc",
+                "poly_perceived": "bbox_perceived"}
+
+
+def _obstacle_code(actor_type, speed, vel_lat, vel_long, acc_lat,
+                   acc_long):
+    """The obstacle type code of an actor sample that is an obstacle in
+    disguise, else None."""
+    try:
+        code = int(actor_type)
+    except ValueError:
+        return None
+    still = (
+        speed == 0.0 and vel_lat == 0.0 and vel_long == 0.0
+        and acc_lat == 0.0 and acc_long == 0.0
+    )
+    return code if still and code >= OBSTACLE_CODE_MIN else None
 
 
 def actor_mimics_obstacle(a: ActorState) -> bool:
@@ -489,32 +676,35 @@ def actor_mimics_obstacle(a: ActorState) -> bool:
     Obstacles exported through the actor channel carry a numeric type
     code from the obstacle code space and show no motion at all.
     """
-    try:
-        code = int(a.actor_type)
-    except ValueError:
-        return False
-    still = (
-        a.speed == 0.0 and a.vel_lat == 0.0 and a.vel_long == 0.0
-        and a.acc_lat == 0.0 and a.acc_long == 0.0
-    )
-    return still and code >= OBSTACLE_CODE_MIN
+    return _obstacle_code(*map(a.__getattribute__, _DISGUISE)) is not None
 
 
 def obstacle_from_actor(a: ActorState) -> ObstacleState:
     """Re-express an obstacle-coded actor record as an ObstacleState."""
-    if not actor_mimics_obstacle(a):
+    code = _obstacle_code(*map(a.__getattribute__, _DISGUISE))
+    if code is None:
         raise ValueError(f"actor {a.actor_id!r} is not obstacle-coded")
     if not isinstance(a.pos, GeoPosition):
         raise ValueError("obstacle-coded actors must carry world positions")
     if a.bbox_true is None:
         raise ValueError("obstacle-coded actors must carry a true bounding shape")
-    return ObstacleState(
-        time=a.time,
-        step=a.step,
-        obstacle_id=a.actor_id,
-        obst_type=int(a.actor_type),
-        pos=a.pos,
-        poly_true=a.bbox_true,
-        poly_perceived=a.bbox_perceived,
-        ntd=a.ttc,
-    )
+    return ObstacleState(obst_type=code, **{
+        name: getattr(a, source) for name, source in _AS_OBSTACLE.items()})
+
+
+def _obstacle_columns(columns) -> dict | None:
+    """An actor channel's columns as an obstacle's, when every row is an
+    obstacle in disguise with a world position and a true outline (what
+    obstacle_from_actor needs of a record); None otherwise."""
+    codes = []
+    for values in zip(*map(columns.get, _DISGUISE)):
+        codes.append(_obstacle_code(*values))
+        if codes[-1] is None:
+            return None
+    if not codes or None in columns["lat"] or None in columns["bbox_true"]:
+        return None
+    out = {name: columns[source] for name, source in _AS_OBSTACLE.items()
+           if name != "pos"}
+    out.update((name, columns[name]) for name in _NAMES[GeoPosition])
+    out["obst_type"] = codes
+    return out

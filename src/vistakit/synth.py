@@ -23,8 +23,9 @@ closed-form plan, so they agree with the sampled positions.
 with the arithmetic of one step in the same order, and takes sines,
 cosines, arctangents, degrees and ``** 1.5`` from :mod:`math` one value
 at a time (numpy's SIMD versions need not round as libm does), so every
-value is the one a step-by-step evaluation gives.  Records are built in
-bulk after bulk checks; a row the checks refuse goes through the record
+value is the one a step-by-step evaluation gives.  The trace is made
+from the channels' columns after bulk checks, and builds its records
+only when they are read; a row the checks refuse goes through the record
 constructors, which raise its error.
 """
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -47,12 +47,11 @@ from .model import (
     CAR_SIZE,
     ActorState,
     BoundingShape,
+    Channel,
     GeoPosition,
     Trace,
     VehicleProfile,
     VutState,
-    _NAMES,
-    _build,
     normalize_heading,
 )
 from .rules import RuleSet
@@ -369,22 +368,17 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
         & (0.0 <= brake) & (brake <= 1.0)
     time, travelled, speed, acc_lat, acc_long, yaw_rate, throttle, brake, \
         steering = (c.tolist() for c in channels)
+    steps = list(range(step_count))
+    vut = dict(time=time, step=steps, travelled=travelled, speed=speed,
+               acc_lat=acc_lat, acc_long=acc_long, yaw_rate=yaw_rate,
+               heading=heading, indicators=indicators, throttle=throttle,
+               brake=brake, steering_angle=steering,
+               drive_status=["autonomous"] * step_count,
+               special_op=["normal"] * step_count)
     for k in np.flatnonzero(~ok).tolist():      # raises at the first
-        VutState(
-            time=time[k], step=k, pos=frame.from_local(float(e[k]),
-                                                       float(n[k])),
-            travelled=travelled[k], speed=speed[k], acc_lat=acc_lat[k],
-            acc_long=acc_long[k], yaw_rate=yaw_rate[k], heading=heading[k],
-            indicators=indicators[k], throttle=throttle[k], brake=brake[k],
-            steering_angle=steering[k], drive_status="autonomous",
-            special_op="normal")
-    vut = _build(VutState, step_count, time, range(step_count),
-                 _build(GeoPosition, step_count, lat.tolist(), lon.tolist(),
-                        itertools.repeat(None)),
-                 travelled, speed, acc_lat, acc_long, yaw_rate, heading,
-                 indicators, throttle, brake, steering,
-                 itertools.repeat("autonomous"), itertools.repeat("normal"),
-                 itertools.repeat(None), itertools.repeat(None))
+        VutState(pos=frame.from_local(float(e[k]), float(n[k])),
+                 **{name: column[k] for name, column in vut.items()})
+    vut.update(lat=lat.tolist(), lon=lon.tolist())
 
     # The parked TSV's outline in each step's VCS, and its zero velocity
     # minus the VUT's (speed, 0) there.
@@ -392,20 +386,21 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
                           np.array(heading)[:, None])
     ttcs = first_contact_times(footprint, outlines, np.zeros(2)
                                - np.column_stack([v, np.zeros(step_count)]))
-    tsv = dict(actor_id="TSV-01", actor_type="tsv", pos=tsv_pos,
-               bbox_true=tsv_shape, speed=0.0, vel_lat=0.0, vel_long=0.0,
-               acc_lat=0.0, acc_long=0.0, heading=0.0, bbox_perceived=None)
+    tsv = dict(actor_id="TSV-01", actor_type="tsv", bbox_true=tsv_shape,
+               speed=0.0, vel_lat=0.0, vel_long=0.0, acc_lat=0.0,
+               acc_long=0.0, heading=0.0)
     for k in np.flatnonzero(~(ttcs >= 0.0)).tolist():   # NaN or negative
-        ActorState(time=time[k], step=k, ttc=float(ttcs[k]), **tsv)
-    ttcs = ttcs.tolist()
-    tsv_records = _build(ActorState, step_count, time, range(step_count), *(
-        ttcs if name == "ttc" else itertools.repeat(tsv[name])
-        for name in _NAMES[ActorState][2:]))
+        ActorState(time=time[k], step=k, pos=tsv_pos, ttc=float(ttcs[k]),
+                   **tsv)
+    tsv.update(lat=tsv_pos.lat, lon=tsv_pos.lon)
+    tsv = {name: [value] * step_count for name, value in tsv.items()}
 
     return Trace._checked(
-        testcase_id=spec.testcase_id, run_id=run_id, vut=tuple(vut),
-        actors={"TSV-01": tuple(tsv_records)}, obstacles={}, controllers={},
-        declared_frequency=round(rate, 6))
+        testcase_id=spec.testcase_id, run_id=run_id,
+        vut=Channel(VutState, vut),
+        actors={"TSV-01": Channel(ActorState, dict(
+            tsv, time=time, step=steps, ttc=ttcs.tolist()))},
+        obstacles={}, controllers={}, declared_frequency=round(rate, 6))
 
 
 def synthesize_runs(spec: ScenarioSpec | None = None, case: int = 1,
@@ -419,7 +414,7 @@ def synthesize_runs(spec: ScenarioSpec | None = None, case: int = 1,
                       target_clearance=target_clearance)
     runs = []
     for i in range(count):
-        trace = replace(base, run_id=start_run + i)
+        trace = base._renumbered(start_run + i)
         if speed_noise > 0.0:
             trace = perturb(trace, speed_sigma=speed_noise, seed=seed + i)
         runs.append(trace)
@@ -431,46 +426,47 @@ def perturb(trace: Trace, pos_sigma: float = 0.0, speed_sigma: float = 0.0,
     """A noisy twin of a trace: jittered fixes, jittered speed, shifted clock.
 
     The same seed always yields the same twin.  Only the vehicle channel
-    is perturbed, and its elevation is kept; environment records just
-    follow the clock shift.  Each channel is one numpy pass of what
-    :func:`_jitter` does per row, checked in bulk; a row the checks refuse
-    goes through :func:`_jitter`, which raises the row's error.  The trace
-    is built without ``Trace``'s per-record checks, which the input
-    passed and the noise cannot fail, save the clock's.
+    is perturbed, and its elevation is kept; environment channels just
+    follow the clock shift.  Each channel is one numpy pass over the
+    trace's columns of what :func:`_jitter` does per row, checked in
+    bulk; a row the checks refuse goes through :func:`_jitter`, which
+    raises the row's error.  The trace is made from the columns without
+    ``Trace``'s per-record checks, which the input passed and the noise
+    cannot fail, save the clock's.
     """
     rng = np.random.default_rng(seed)
-    vut = trace.vut
-    frame = LocalFrame.at(vut[0].pos)
+    channel = trace.channels("vut")
+    vut = channel.columns
+    frame = LocalFrame.at(channel.position(0))
     o, k_lat, k_lon = frame.origin, frame.m_per_deg_lat, frame.m_per_deg_lon
     # noise[k] is row k's east, north and speed draw: one (n, 3) draw
     # gives the stream of 3n scalar draws in that order.
-    noise = rng.normal(0.0, 1.0, size=(len(vut), 3))
-    x = (np.array([r.pos.lon for r in vut], float) - o.lon) * k_lon
-    y = (np.array([r.pos.lat for r in vut], float) - o.lat) * k_lat
+    noise = rng.normal(0.0, 1.0, size=(len(channel), 3))
+    x = (np.array(vut["lon"], float) - o.lon) * k_lon
+    y = (np.array(vut["lat"], float) - o.lat) * k_lat
     e = x + noise[:, 0] * pos_sigma
     n = y + noise[:, 1] * pos_sigma
     lat, lon = o.lat + n / k_lat, o.lon + e / k_lon
-    s = np.array([r.speed for r in vut], float) + noise[:, 2] * speed_sigma
+    s = np.array(vut["speed"], float) + noise[:, 2] * speed_sigma
     speed = np.where(s > 0.0, s, 0.0)   # max(0.0, s): np.maximum keeps -0.0
-    t = np.array([r.time + time_shift for r in vut], float)
+    t = np.array([v + time_shift for v in vut["time"]], float)
     ok = (np.abs(np.stack([x, y, e, n])) <= MAX_EXTENT_M).all(axis=0) \
         & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0) \
         & np.isfinite(t) & (t >= 0.0) & np.isfinite(speed)
     for k in np.flatnonzero(~ok).tolist():     # raises at the first
-        _jitter(frame, vut[k], noise[k].tolist(), pos_sigma, speed_sigma,
-                time_shift)
-    pos = _build(GeoPosition, len(vut), lat.tolist(), lon.tolist(),
-                 [r.pos.elev for r in vut])
+        _jitter(frame, trace.vut[k], noise[k].tolist(), pos_sigma,
+                speed_sigma, time_shift)
     env = {table: {k: _shifted(v, time_shift)
-                   for k, v in getattr(trace, table).items()}
+                   for k, v in trace.channels(table).items()}
            for table in ("actors", "obstacles", "controllers")}
+    twin = Trace._checked(
+        trace.testcase_id, trace.run_id,
+        _shifted(channel, time_shift, lat=lat.tolist(), lon=lon.tolist(),
+                 speed=speed.tolist()),
+        declared_frequency=trace.declared_frequency, **env)
     # Only the clock can fail the trace's checks: a shift can round two
     # close times into one, and the constructor then raises.
-    make = Trace if (t[1:] <= t[:-1]).any() else Trace._checked
-    return make(
-        testcase_id=trace.testcase_id, run_id=trace.run_id,
-        vut=_shifted(vut, time_shift, pos=pos, speed=speed.tolist()),
-        declared_frequency=trace.declared_frequency, **env)
+    return replace(twin) if (t[1:] <= t[:-1]).any() else twin
 
 
 def _jitter(frame, r, noise, pos_sigma, speed_sigma, time_shift):
@@ -483,20 +479,18 @@ def _jitter(frame, r, noise, pos_sigma, speed_sigma, time_shift):
                    pos=frame.from_local(e, n, r.pos.elev), speed=speed)
 
 
-def _shifted(records, time_shift, **columns) -> tuple:
-    """records rebuilt once, their clock shifted and the named fields'
-    values replaced; records that would come out the same are returned
-    as they are.  A time no longer finite, the one check a shift can
-    fail, raises the constructor's error."""
-    time = [r.time + time_shift for r in records]
-    if not records or (not columns and time_shift == 0.0 and repr(time)
-                       == repr([r.time for r in records])):
-        return tuple(records)
-    columns["time"] = time
-    for r, t in zip(records, time):
-        if not math.isfinite(t):
-            replace(r, time=t)
-    cls = type(records[0])
-    return tuple(_build(cls, len(records), *(
-        columns[name] if name in columns else map(attrgetter(name), records)
-        for name in _NAMES[cls])))
+def _shifted(channel, time_shift, **columns) -> Channel:
+    """A channel with its clock shifted and the named columns' values
+    replaced; one that would come out the same is returned as it is.  A
+    time no longer finite, the one check a shift can fail, raises the
+    constructor's error."""
+    times = channel.column("time")
+    time = [t + time_shift for t in times]
+    if not time or (not columns and time_shift == 0.0
+                    and repr(time) == repr(times)):
+        return channel
+    finite = list(map(math.isfinite, time))
+    if False in finite:
+        k = finite.index(False)
+        replace(channel.records[k], time=time[k])
+    return Channel(channel.type, dict(channel.columns, time=time, **columns))

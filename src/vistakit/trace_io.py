@@ -14,8 +14,11 @@ picks its cell decoder, ``allow_empty`` says whether an empty cell is
 values.  A file is read column by column: each column of a header is
 decoded in one pass and checked against its schema bounds in bulk, and
 the outline cells in the writer's form are parsed together and checked
-per vertex count.  A row that passes every check gets its record built
-once, without the record type's checks running again.
+per vertex count.  The rows that pass every check are handed on as
+columns, one value list per record field (``model.Channel``): the trace
+builds their records only when something reads them, without the record
+type's checks running again.  The flat layout's clock columns are
+decoded once, for the VUT and every entity group.
 
 A cell that fails a bulk check is decoded once more, alone, by its
 column's decoder: a value it accepts replaces the bulk one (a heading of
@@ -31,20 +34,21 @@ keeps its record.
 
 Rows are assembled into channels from masks over whole columns, not row
 by row: the VUT clock flags repeated steps, times that do not increase
-and steps that fall; the entity records are joined to it by step, which
+and steps that fall; the entity rows are joined to it by step, which
 flags orphaned steps, drift beyond half a sample period and each
 entity's steps that do not increase.  Only flagged rows are reported, in
 row order, each with its findings in the order a row-by-row read meets
 them.  These are the checks ``Trace`` makes of its records, so the trace
-is built without making them again.
+is made from the columns without making them again.
 
-Both writers gather each column straight from the records, through the
-one record/column map the readers build records with, and write, in
-schema order, every column the schema requires and every other one that
-some record fills.  Each written column is formatted in one pass (each
-outline object once per write), and the rows are the columns zipped.
-An outline out of its record's position frame, and a table with both
-world and VCS actor positions, raise ValueError before any file is made.
+Both writers read the trace's channel columns (a trace made from records
+gathers them from its records once), map them to file columns through
+the one field/column map the readers use, and write, in schema order,
+every column the schema requires and every other one that some row
+fills.  Each written column is formatted in one pass (each outline
+object once per write), and the rows are the columns zipped.  An outline
+out of its row's position frame, and a table with both world and VCS
+actor positions, raise ValueError before any file is made.
 
 Readers are total: malformed content never raises, it lands in the
 returned IntegrityReport, and a Trace is produced only when the report
@@ -61,11 +65,9 @@ WGS84 position arrays are read and written latitude first.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import itertools
 import math
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +78,10 @@ from .errors import VistaError
 from .geometry import _distinct_counts, _orient
 from .integrity import IntegrityReport
 from .model import (
+    COLUMNS,
     ActorState,
     BoundingShape,
+    Channel,
     GeoPosition,
     ObstacleState,
     Trace,
@@ -86,9 +90,8 @@ from .model import (
     VutState,
     _NAMES,
     _build,
-    actor_mimics_obstacle,
+    _obstacle_columns,
     normalize_heading,
-    obstacle_from_actor,
 )
 from .positions import shape_from_array, shape_to_array
 
@@ -227,59 +230,57 @@ def _positions(frame, n, *fields) -> list:
     return _build(_POS_TYPES[frame], n, *fields)
 
 
-def _records(group, cols, n) -> list:
-    """The records of n rows of one group from their decoded cells
-    (column -> values), built without running ``__post_init__``.  A row's
-    position is in the frame whose first column it fills (the alt_pos
-    rule has made exactly one actor pair whole)."""
+def _fields(group, cols, n) -> dict:
+    """The Channel columns of n rows of one group from their decoded
+    cells (CSV column -> values).  A row's position is in the frame whose
+    first column it fills (the alt_pos rule has made exactly one actor
+    pair whole), so a column the two frames share goes, row by row, to
+    the frame of the row."""
     none = [None] * n
     f = {field: cols.get(col, none) for col, field in _FIELDS[group].items()}
     if group == "vut":
-        f["indicators"] = map(_flags, *(cols[c] for c, _ in _INDICATORS))
-    if group in _POS:
-        f["pos"] = pos = [None] * n
-        for frame, pcols in _POS[group].items():
-            column = cols.get(pcols[0], none)
-            if None not in column:      # every row is in this frame
-                f["pos"] = _positions(frame, n, *(cols.get(c, none)
-                                                  for c in pcols))
-                break
-            rows = [k for k, v in enumerate(column) if v is not None]
-            for k, p in zip(rows, _positions(frame, len(rows), *(
-                    _pick(cols.get(c, none), rows) for c in pcols))):
-                pos[k] = p
-    cls = _TYPES[group]
-    return _build(cls, n, *(f[name] for name in _NAMES[cls]))
+        f["indicators"] = list(map(_flags, *(cols[c] for c, _ in _INDICATORS)))
+    for frame, pcols in _POS.get(group, {}).items():
+        first = cols.get(pcols[0], none)
+        whole = None not in first
+        for col, name in zip(pcols, _NAMES[_POS_TYPES[frame]]):
+            values = cols.get(col, none)
+            f[name] = values if whole or values is none else [
+                v if w is not None else None for v, w in zip(values, first)]
+    return f
 
 
-def _gather(group, records) -> dict:
-    """{column: values} of records of one group, the inverse of _records.
+def _cells_of(group, cols) -> dict:
+    """{CSV column: values} of Channel columns of one group, the inverse
+    of _fields.
 
-    A position column holds None where the record's position is in the
-    other frame.  An outline in a frame other than its record's position
-    frame is refused: it would read back in the position frame.
+    A position column holds None where the row's position is in the other
+    frame.  An outline in a frame other than its row's position frame is
+    refused: it would read back in the position frame.
     """
-    values = {col: list(map(attrgetter(field), records))
-              for col, field in _FIELDS[group].items()}
+    values = {col: cols[field] for col, field in _FIELDS[group].items()}
     if group == "vut":
-        sets = list(map(attrgetter("indicators"), records))
+        sets = cols["indicators"]
         for col, flag in _INDICATORS:
             values[col] = [flag in s for s in sets]
-    pos = list(map(attrgetter("pos"), records)) if group in _POS else ()
-    frames = ["wgs84" if isinstance(p, GeoPosition) else "vcs" for p in pos]
     for frame, pcols in _POS.get(group, {}).items():
         for col, name in zip(pcols, _NAMES[_POS_TYPES[frame]]):
-            if col is not None:
-                values[col] = [getattr(p, name) if f == frame else v
-                               for p, f, v in zip(pos, frames, values.get(
-                                   col, itertools.repeat(None)))]
+            if col in values:           # shared by the frames: merge
+                values[col] = [v if w is None else w
+                               for v, w in zip(values[col], cols[name])]
+            elif col is not None:
+                values[col] = cols[name]
+    if _OUTLINES[group] and None in cols["lat"]:
+        frames = ["wgs84" if v is not None else "vcs" for v in cols["lat"]]
+    else:
+        frames = itertools.repeat("wgs84")
     for col in _OUTLINES[group]:
-        for shape, frame, r in zip(values[col], frames, records):
+        for k, (shape, frame) in enumerate(zip(values[col], frames)):
             if shape is not None and shape.frame != frame:
                 raise ValueError(
-                    f"{_IDS[group][0]}={getattr(r, _IDS[group][1])}: {col} "
-                    f"at step {r.step} is in the {shape.frame} frame, its "
-                    f"position in the {frame} frame")
+                    f"{_IDS[group][0]}={cols[_IDS[group][1]][k]}: {col} "
+                    f"at step {cols['step'][k]} is in the {shape.frame} "
+                    f"frame, its position in the {frame} frame")
     return values
 
 
@@ -332,18 +333,20 @@ class _Reader:
                       if schema.BY_NAME[a].required == "alt_pos"
                       and (a in colmap or b in colmap)]
 
-    def read_columns(self, table) -> tuple:
-        """(rows, records, faults) of a file's ``table`` (see
+    def read_columns(self, table, clock=None) -> tuple:
+        """(rows, columns, faults) of a file's ``table`` (see
         ``_by_column``): the ascending positions of the rows that hold a
-        record, their records, and {position: (column, message)} of the
-        rows with a finding, the column None for a value its record type
-        rejects.  The other rows hold no record.
+        record, their Channel columns, and {position: (column, message)}
+        of the rows with a finding, the column None for a value its
+        record type rejects.  The other rows hold no record.  ``clock``
+        holds the clock columns' ``_bulk`` results when another reader of
+        the same rows has them.
 
         Each column is decoded and checked in one pass.  A row's faults
         are noted in the order of the module docstring, so the first one
-        noted is its finding.  The other rows get their records built
-        together; those with a cell the bounds flagged are then checked
-        by the record constructors.
+        noted is its finding.  The rows with a cell the bounds flagged
+        then get their records built and checked by the record
+        constructors; no other row's record is built.
         """
         n, columns = table
         vals, found, check = {}, {}, set()
@@ -356,7 +359,8 @@ class _Reader:
                     found.setdefault(rows[m], (name, message))
 
         for idx, name in self.clock:
-            vals[name], faults = _bulk(columns[idx], name)
+            vals[name], faults = clock[name] if clock else _bulk(
+                columns[idx], name)
             note(range(n), faults, name)
         live = [k for k in range(n) if k not in found] if found \
             else range(n)
@@ -377,21 +381,22 @@ class _Reader:
             note(live, faults, name)
         good = [m for m, k in enumerate(live) if k not in found] if found \
             else range(len(live))
-        vals = {name: _pick(v, good) for name, v in vals.items()}
         rows = _pick(live, good)
-        records = _records(self.group, vals, len(good))
+        cols = _fields(self.group, {name: _pick(v, good)
+                                    for name, v in vals.items()}, len(good))
         if check:
             kept = []
-            for m, (k, rec) in enumerate(zip(rows, records)):
+            for m, k in enumerate(rows):
                 if k in check:
                     try:
-                        _checked(rec)
+                        _checked(Channel(_TYPES[self.group],
+                                         _take(cols, [m])).records[0])
                     except (ValueError, TypeError) as exc:
                         found[k] = (None, str(exc))
                         continue
                 kept.append(m)
-            rows, records = _pick(rows, kept), _pick(records, kept)
-        return rows, records, found
+            rows, cols = _pick(rows, kept), _take(cols, kept)
+        return rows, cols, found
 
     def _frames(self, columns, live):
         """(frames, faults) of the live rows: each row's position frame by
@@ -413,6 +418,13 @@ class _Reader:
 
 
 _FLAGS = {"0": False, "1": True}
+# Per numeric column, the inclusive bounds its values must keep (NaN
+# keeps none; a float column's values must be finite too).  A normalised
+# heading lies in [0, 360).
+_BOUNDS = {c.name: (0.0, math.nextafter(360.0, 0.0)) if c.normalised else (
+    -math.inf if c.min is None else c.min,
+    math.inf if c.max is None else c.max)
+    for c in schema.COLUMNS if c.kind in ("int", "code", "float", "ttc")}
 # Per kind, the conversion the column pass tries on a whole column at
 # once.  Wherever it succeeds it gives the cell decoder's value (float
 # and int ignore the surrounding whitespace that is stripped before a
@@ -462,6 +474,11 @@ def _pick(values, positions):
     return [values[k] for k in positions]
 
 
+def _take(cols, positions) -> dict:
+    """The rows at positions of columns (name -> values), see _pick."""
+    return {name: _pick(values, positions) for name, values in cols.items()}
+
+
 def _bulk(cells, name):
     """(values, faults) of one column: its cells decoded, and
     {position: message} of those its decoder rejects, or None for those
@@ -491,26 +508,23 @@ def _bulk(cells, name):
                 faults[k] = "mandatory value is empty"
             values.append(value)
     flagged = []
-    if spec.kind in ("int", "code"):
-        lo = -math.inf if spec.min is None else spec.min
-        hi = math.inf if spec.max is None else spec.max
-        if None in values or not lo <= min(values, default=lo) \
-                or not max(values, default=hi) <= hi:
+    if name in _BOUNDS:
+        lo, hi = _BOUNDS[name]
+        finite = spec.kind == "float"
+        try:
+            # One sum, min and max clear a column: a sum is finite (not
+            # NaN) only when every term is; None, which an empty cell
+            # may give, makes the sum fail.
+            total = sum(values)
+            clear = (math.isfinite(total) if finite else total == total) \
+                and lo <= min(values, default=lo) \
+                and max(values, default=hi) <= hi
+        except TypeError:
+            clear = False
+        if not clear:
             flagged = [k for k, v in enumerate(values)
-                       if v is not None and not lo <= v <= hi]
-    elif spec.kind in ("float", "ttc"):
-        a = np.array(values, dtype=float)       # None -> nan
-        with np.errstate(invalid="ignore"):
-            out = np.isnan(a) if spec.kind == "ttc" else ~np.isfinite(a)
-            if spec.min is not None:
-                out |= a < spec.min
-            if spec.max is not None:
-                out |= a > spec.max
-            if spec.normalised:
-                out |= (a < 0.0) | (a >= 360.0)
-        if None in values:                      # empty cells allowed here
-            out &= np.array([v is not None for v in values])
-        flagged = np.flatnonzero(out).tolist()
+                       if v is not None and not (
+                           lo <= v <= hi and (not finite or math.isfinite(v)))]
     for k in flagged:
         try:
             values[k], faults[k] = decode(cells[k].strip()), None
@@ -752,19 +766,18 @@ def _ints(values) -> np.ndarray:
 
 
 def _vut_clock(rows, vut, fname, rep, no_rows):
-    """The VUT clock of the records at rows (ascending positions):
-    (median sample period, {step: time}), with monotonicity and
-    start-time findings; None, with the ``no_rows`` error, when there are
-    no records.
+    """The VUT clock of the rows at rows (ascending positions), vut their
+    Channel columns: (median sample period, {step: time}), with
+    monotonicity and start-time findings; None, with the ``no_rows``
+    error, when there are no rows.
 
-    A record's step must not repeat an earlier one, and its time and step
-    must not fall below the previous record's.
+    A row's step must not repeat an earlier one, and its time and step
+    must not fall below the previous row's.
     """
-    if not vut:
+    if not rows:
         rep.add(it.ERROR, it.BAD_VALUE, no_rows, file=fname)
         return None
-    times = list(map(attrgetter("time"), vut))
-    steps = list(map(attrgetter("step"), vut))
+    times, steps = vut["time"], vut["step"]
     t, s = np.array(times), _ints(steps)
     order = np.argsort(s, kind="stable")
     seen = np.zeros(len(s), dtype=bool)     # an earlier record has the step
@@ -796,28 +809,26 @@ def _vut_clock(rows, vut, fname, rep, no_rows):
     return period, dict(zip(steps, times))
 
 
-def _join(table, group, rows, recs, step_times, half_period, found):
-    """Put the entity records at rows (their positions, in row order)
-    onto the VUT clock, into table (entity id -> records), noting
-    findings in found.
+def _join(table, group, rows, cols, step_times, half_period, found):
+    """Put the entity rows at rows (their positions, in row order), cols
+    their Channel columns, onto the VUT clock, into table (entity id ->
+    its columns), noting findings in found.
 
-    The VUT file is the master clock: a record whose step it lacks is
+    The VUT file is the master clock: a row whose step it lacks is
     orphaned, one kept carries the VUT time for its step, and drift
     beyond half a sample period is reported.  An entity's steps must
-    increase: a record at or below the last kept one of its entity is
-    refused.  Entities enter table in the order of their first record
-    that is not orphaned.
+    increase: a row at or below the last kept one of its entity is
+    refused.  Entities enter table in the order of their first row that
+    is not orphaned.
     """
-    if not recs:
+    if not rows:
         return
     id_col, id_field = _IDS[group]
-    eids = list(map(attrgetter(id_field), recs))
-    steps = list(map(attrgetter("step"), recs))
-    times = list(map(attrgetter("time"), recs))
+    eids, steps, times = cols[id_field], cols["step"], cols["time"]
     vut_times = list(map(step_times.get, steps))
     t, vt = np.array(times), np.array(vut_times, dtype=float)  # None: nan
     orphan = np.isnan(vt)
-    drift = np.zeros(len(recs), dtype=bool)
+    drift = np.zeros(len(rows), dtype=bool)
     if half_period is not None:
         drift = np.abs(t - vt) > half_period
     # Per entity, in row order, its records not orphaned; those at or
@@ -831,17 +842,19 @@ def _join(table, group, rows, recs, step_times, half_period, found):
                        int, len(live))
     live = live[np.argsort(code, kind="stable")]
     bounds = np.cumsum(np.bincount(code, minlength=len(entity))).tolist()
-    refused = np.zeros(len(recs), dtype=bool)
-    repeated = np.zeros(len(recs), dtype=bool)
-    recs = list(recs)
-    for m in np.flatnonzero(~orphan & (t != vt)).tolist():
-        recs[m] = dataclasses.replace(recs[m], time=vut_times[m])
+    refused = np.zeros(len(rows), dtype=bool)
+    repeated = np.zeros(len(rows), dtype=bool)
+    moved = np.flatnonzero(~orphan & (t != vt)).tolist()
+    if moved:
+        cols = dict(cols, time=list(times))
+        for m in moved:
+            cols["time"][m] = vut_times[m]
     for eid, lo, hi in zip(entity, [0] + bounds, bounds):
         at = live[lo:hi]
         top = np.maximum.accumulate(s[at])[:-1]
         refused[at[1:]] = s[at[1:]] <= top
         repeated[at[1:]] = s[at[1:]] == top
-        table[eid] = list(map(recs.__getitem__, at[~refused[at]].tolist()))
+        table[eid] = _take(cols, at[~refused[at]].tolist())
     for m in np.flatnonzero(orphan | drift | refused).tolist():
         eid, step = eids[m], steps[m]
         notes = found.setdefault(rows[m], [])
@@ -867,28 +880,27 @@ def _finish_trace(ids, vut, tables, period, rep):
 
     The rows' checks are the trace's own checks of its records (VUT time
     and steps increase, entity steps are on the VUT clock and increase),
-    so the Trace is built without them."""
+    so the Trace is built from the columns without them."""
     if not rep.ok:
         return None
     actors, obstacles = tables["actor"], tables["obstacle"]
     # Obstacles exported through the actor channel move to the obstacle
-    # table when every record is obstacle-coded and motionless.
-    for aid, recs in list(actors.items()):
-        if aid not in obstacles and recs \
-                and all(actor_mimics_obstacle(r) for r in recs):
-            try:
-                obstacles[aid] = tuple(obstacle_from_actor(r) for r in recs)
-            except ValueError:
-                continue
+    # table when every row is obstacle-coded and motionless.
+    for aid, cols in list(actors.items()):
+        moved = _obstacle_columns(cols) if aid not in obstacles else None
+        if moved is not None:
+            obstacles[aid] = moved
             del actors[aid]
+
+    def channels(group):
+        return {k: Channel(_TYPES[group], v) for k, v in tables[group].items()}
     try:
         return Trace._checked(
             *ids,
-            vut=tuple(vut),
-            actors={k: tuple(v) for k, v in actors.items()},
-            obstacles={k: tuple(v) for k, v in obstacles.items()},
-            controllers={k: tuple(v)
-                         for k, v in tables["controller"].items()},
+            vut=Channel(VutState, vut),
+            actors=channels("actor"),
+            obstacles=channels("obstacle"),
+            controllers=channels("controller"),
             declared_frequency=round(1.0 / period, 6)
             if period is not None and period > 0 else 0.0,
         )
@@ -925,23 +937,26 @@ def parse_flat(path):
         return None, rep
 
     vut_reader = _Reader("vut", base)
-    # Each group reads the clock cells too; they decoded for the VUT first.
+    # Each group reads the clock cells too, decoded once for all readers:
+    # a group's faults are kept only on rows that hold a VUT record, and
+    # there its clock values are the VUT's.
     clock = {name: base[name] for name in schema.CLOCK}
     readers = [(group, _Reader(group, {**colmap, **clock}))
                for group, colmap in groups]
     # A row's findings: its width, its VUT cells, then, when it holds a
     # VUT record, the cells of each group in header order.
     table, found = _by_column(rows[1:], len(rows[0]))
-    vut_rows, vut, faults = vut_reader.read_columns(table)
+    clock = {name: _bulk(table[1][idx], name) for name, idx in clock.items()}
+    vut_rows, vut, faults = vut_reader.read_columns(table, clock)
     _bad_values(found, faults)
     on_clock = np.zeros(table[0], dtype=bool)
     on_clock[vut_rows] = True
     got = {group: [] for group in _ENTITY_GROUPS}
     for group, reader in readers:
-        at, recs, faults = reader.read_columns(table)
+        at, cols, faults = reader.read_columns(table, clock)
         _bad_values(found, faults, on_clock)
         keep = np.flatnonzero(on_clock[at]).tolist()
-        got[group].append((_pick(at, keep), _pick(recs, keep)))
+        got[group].append((_pick(at, keep), _take(cols, keep)))
     _report(found, fname, rep)
 
     clock = _vut_clock(vut_rows, vut, fname, rep,
@@ -960,16 +975,18 @@ def parse_flat(path):
 
 
 def _row_major(parts) -> tuple:
-    """(rows, records) of the (rows, records) of a group's readers of one
+    """(rows, columns) of the (rows, columns) of a group's readers of one
     file, in row order, then reader order."""
+    if len(parts) < 2:
+        return parts[0] if parts else ([], {})
     rows = list(itertools.chain.from_iterable(r for r, _ in parts))
-    recs = list(itertools.chain.from_iterable(r for _, r in parts))
-    if len(parts) > 1:
-        order = np.lexsort((np.repeat(np.arange(len(parts)),
-                                      [len(r) for r, _ in parts]),
-                            rows)).tolist()
-        rows, recs = [rows[i] for i in order], [recs[i] for i in order]
-    return rows, recs
+    order = np.lexsort((np.repeat(np.arange(len(parts)),
+                                  [len(r) for r, _ in parts]),
+                        rows)).tolist()
+    return [rows[i] for i in order], {
+        name: list(map(list(itertools.chain.from_iterable(
+            c[name] for _, c in parts)).__getitem__, order))
+        for name in parts[0][1]}
 
 
 # ---------------------------------------------------------------------------
@@ -1001,11 +1018,11 @@ def _read_role(folder, role, rep):
 
 
 def _read(reader, table, found):
-    """(rows, records) of a role file read by _read_role, its column
+    """(rows, columns) of a role file read by _read_role, its column
     pass's findings noted in found."""
-    rows, recs, faults = reader.read_columns(table)
+    rows, cols, faults = reader.read_columns(table)
     _bad_values(found, faults)
-    return rows, recs
+    return rows, cols
 
 
 def parse_distributed(path):
@@ -1058,10 +1075,11 @@ def parse_distributed(path):
 
 
 def _attach(folder, role, tables, rep):
-    """Read one perceived overlay onto the true records it names.
+    """Read one perceived overlay onto the true rows it names (tables:
+    group -> {entity id: Channel columns}).
 
-    A row joins the true record of its id and step, and its outline is
-    read in that record's position frame.  Its first fault is reported:
+    A row joins the true row of its id and step, and its outline is read
+    in that row's position frame.  Its first fault is reported:
     an empty id (no record, no finding), a bad step, no true counterpart
     (a warning), a bad outline.  The perceived traffic-light overlay
     carries nothing the model keeps: its rows are only read, and a bad
@@ -1082,9 +1100,9 @@ def _attach(folder, role, tables, rep):
     if not n:
         return
     id_col = _IDS[group][0]
-    records = tables[group]
-    index = {(eid, rec.step): i
-             for eid, recs in records.items() for i, rec in enumerate(recs)}
+    entities = tables[group]
+    index = {(eid, step): i for eid, cols in entities.items()
+             for i, step in enumerate(cols["step"])}
     ids = list(map(str.strip, columns[colmap[id_col]]))
     steps, bad = _bulk(columns[colmap["Step_number"]], "Step_number")
     at = {k: index.get((ids[k], steps[k])) for k in range(n)
@@ -1092,13 +1110,14 @@ def _attach(folder, role, tables, rep):
     matched = [k for k, i in at.items() if i is not None]
     shapes, faults = [None] * len(matched), {}
     if column in colmap:
-        # Obstacle outlines are always WGS84.
+        # Obstacle positions, and so their outlines, are always WGS84.
         shapes, faults = _outlines(
             _pick(columns[colmap[column]], matched),
-            [getattr(records[ids[k]][at[k]], "pos_frame", "wgs84")
+            ["vcs" if entities[ids[k]]["lat"][at[k]] is None else "wgs84"
              for k in matched], column)
     shapes = dict(zip(matched, shapes))
     faults = {matched[m]: message for m, message in faults.items()}
+    copied = set()
     for k, eid in enumerate(ids):
         if not eid:
             continue
@@ -1113,9 +1132,11 @@ def _attach(folder, role, tables, rep):
             rep.add(it.ERROR, it.BAD_VALUE, faults[k], file=role,
                     row=k + 2, column=column)
         elif shapes[k] is not None:
-            recs = records[eid]
-            recs[at[k]] = dataclasses.replace(recs[at[k]],
-                                              **{field: shapes[k]})
+            cols = entities[eid]
+            if eid not in copied:       # columns may share their lists
+                cols[field] = list(cols[field])
+                copied.add(eid)
+            cols[field][at[k]] = shapes[k]
 
 
 def parse_trace(path):
@@ -1179,25 +1200,26 @@ def _cells(values, shapes) -> list:
 
 
 def _entities(trace) -> dict:
-    """group -> {entity id: records} of a trace."""
-    return {"actor": trace.actors, "obstacle": trace.obstacles,
-            "controller": trace.controllers}
+    """group -> {entity id: Channel} of a trace."""
+    return {"actor": trace.channels("actors"),
+            "obstacle": trace.channels("obstacles"),
+            "controller": trace.channels("controllers")}
 
 
 def write_flat(trace, directory) -> Path:
     """Write one run as a flat results file; returns the file path."""
-    values = _gather("vut", trace.vut)
+    vut = trace.channels("vut").columns
+    values = _cells_of("vut", vut)
     header = _columns(schema.ROLE_COLUMNS[schema.ROLE_VUT], values)
     tables = [(header, values)]
-    steps = [r.step for r in trace.vut]
     for group, table in _entities(trace).items():
-        for records in table.values():
-            values = _gather(group, records)
+        for channel in table.values():
+            values = _cells_of(group, channel.columns)
             cols = _columns(schema.column_names(group), values)
-            # Aligned to the VUT clock: a step without a record reads the
-            # None past the records' end, a blank cell.
-            at = {r.step: k for k, r in enumerate(records)}
-            rows = [at.get(step, len(records)) for step in steps]
+            # Aligned to the VUT clock: a step without a row reads the
+            # None past the rows' end, a blank cell.
+            at = {step: k for k, step in enumerate(channel.columns["step"])}
+            rows = [at.get(step, len(channel)) for step in vut["step"]]
             tables.append((cols, {c: list(map((values[c] + [None])
                                               .__getitem__, rows))
                                   for c in cols}))
@@ -1216,19 +1238,21 @@ def write_distributed(trace, directory) -> Path:
 
     All seven role files are always present; overlays without content are
     header-only.  Entity rows follow the VUT clock: VUT step order, then
-    entity order, then record order; records off the clock are dropped.
+    entity order, then row order; rows off the clock are dropped.
     """
-    steps = [r.step for r in trace.vut]
+    steps = trace.channels("vut").columns["step"]
     # (role, {column: values}, the rows written, columns always written)
-    tables = [(schema.ROLE_VUT, _gather("vut", trace.vut), range(len(steps)),
-               ())]
+    tables = [(schema.ROLE_VUT, _cells_of("vut", trace.channels("vut")
+                                          .columns), range(len(steps)), ())]
     gathered = {}
     for role, group in _TRUE_ROLES:
-        records = list(itertools.chain(*_entities(trace)[group].values()))
+        channels = [c.columns for c in _entities(trace)[group].values()]
+        cols = {name: list(itertools.chain.from_iterable(
+            c[name] for c in channels)) for name in COLUMNS[_TYPES[group]]}
         at = {}
-        for k, r in enumerate(records):
-            at.setdefault(r.step, []).append(k)
-        gathered[group] = (_gather(group, records),
+        for k, step in enumerate(cols["step"]):
+            at.setdefault(step, []).append(k)
+        gathered[group] = (_cells_of(group, cols),
                            [k for step in steps for k in at.get(step, ())])
         tables.append((role, *gathered[group], ()))
     # Every overlay column is required or always written, so choosing

@@ -16,7 +16,9 @@ and :func:`checked_trace` stand in for ``trace_io._Reader.read_columns``,
 ``Trace._checked``: ``test_column_pass.row_by_row`` patches them in, so
 that every row of a parse is read and assembled by this code and the
 column pass and the mask-based assembly can be compared with it finding
-for finding.
+for finding.  The readers hand each other channel columns
+(``model.Channel``), so these work on the records of the columns they
+get and hand on the columns of the records they make.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ import dataclasses
 from vistakit import integrity as it
 from vistakit import schema
 from vistakit.errors import VistaError
-from vistakit.model import normalize_heading
+from vistakit.model import Channel, VutState, normalize_heading
 from vistakit.positions import shape_from_array
 from vistakit.trace_io import (
     _DECODERS,
@@ -32,10 +34,11 @@ from vistakit.trace_io import (
     _OVERLAYS,
     _POS,
     _POS_COLUMN,
+    _TYPES,
     _cell_float,
     _checked,
+    _fields,
     _read_role,
-    _records,
 )
 
 
@@ -131,16 +134,18 @@ class RowReader:
             vals[self.id_col] = eid
         _decode(row, self.plans[self.frame(row)], vals)
         try:
-            return _checked(_records(
-                self.group, {k: (v,) for k, v in vals.items()}, 1)[0])
+            return _checked(Channel(_TYPES[self.group], _fields(
+                self.group, {k: (v,) for k, v in vals.items()}, 1))
+                .records[0])
         except (ValueError, TypeError) as exc:
             raise RowProblem(None, str(exc)) from None
 
 
-def read_columns(self, table) -> tuple:
+def read_columns(self, table, clock=None) -> tuple:
     """``_Reader.read_columns`` by the row decoder: the positions of the
-    rows of the table that hold a record, their records, and
-    {position: (column, message)} of the rows with a finding."""
+    rows of the table that hold a record, their columns, and
+    {position: (column, message)} of the rows with a finding.  The clock
+    cells are decoded row by row whatever ``clock`` holds."""
     n, columns = table
     colmap = {name: idx for idx, name in self.clock + self.rest}
     if self.id_idx is not None:
@@ -157,11 +162,12 @@ def read_columns(self, table) -> tuple:
             rows.append(k)
             records.append(rec)
     assert len(rows) + len(found) <= n
-    return rows, records, found
+    return rows, Channel(_TYPES[self.group], records=records).columns, found
 
 
 def vut_clock(rows, vut, fname, rep, no_rows):
     """``trace_io._vut_clock`` record by record."""
+    vut = Channel(VutState, vut).records
     if not vut:
         rep.add(it.ERROR, it.BAD_VALUE, no_rows, file=fname)
         return None
@@ -194,9 +200,10 @@ def vut_clock(rows, vut, fname, rep, no_rows):
     return period, {rec.step: rec.time for rec in vut}
 
 
-def join(table, group, rows, recs, step_times, half_period, found):
+def join(table, group, rows, cols, step_times, half_period, found):
     """``trace_io._join`` record by record."""
     id_col, id_field = _IDS[group]
+    recs = Channel(_TYPES[group], cols).records if cols else ()
     for k, rec in zip(rows, recs):
         notes = found.setdefault(k, [])
         eid = getattr(rec, id_field)
@@ -225,11 +232,17 @@ def join(table, group, rows, recs, step_times, half_period, found):
         kept.append(rec)
     for k in [k for k, notes in found.items() if not notes]:
         del found[k]
+    for eid, kept in table.items():
+        table[eid] = Channel(_TYPES[group], records=kept).columns
 
 
-def checked_trace(cls, *args, **kwargs):
+def checked_trace(cls, testcase_id, run_id, vut, actors, obstacles,
+                  controllers, declared_frequency):
     """``Trace._checked`` with every check of the constructor."""
-    return cls(*args, **kwargs)
+    return cls(testcase_id, run_id, vut.records,
+               *({k: c.records for k, c in table.items()}
+                 for table in (actors, obstacles, controllers)),
+               declared_frequency)
 
 
 def attach(folder, role, tables, rep):
@@ -246,7 +259,9 @@ def attach(folder, role, tables, rep):
         return
     colmap, (_, columns) = got
     rows = enumerate(zip(*columns), start=2)
-    table = tables[group]
+    table = tables[group] = {
+        eid: list(Channel(_TYPES[group], cols).records)
+        for eid, cols in tables[group].items()}
     if field is not None:
         keep = ("Step_number", _IDS[group][0], column)
         colmap = {k: i for k, i in colmap.items() if k in keep}
@@ -285,3 +300,5 @@ def attach(folder, role, tables, rep):
             continue
         if value is not None:
             table[eid][i] = dataclasses.replace(base, **{field: value})
+    for eid, recs in table.items():
+        table[eid] = Channel(_TYPES[group], records=recs).columns

@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from vistakit.errors import InsufficientOverlap
+from vistakit.errors import ExtentExceeded, InsufficientOverlap
 from vistakit.fidelity import (
     ALIGN_STEP,
     ALIGN_WINDOW,
     FidelityTolerances,
+    _local_xy,
     _scores,
     align,
     compare,
     select_recalibration_subset,
 )
 from vistakit.frames import LocalFrame
-from vistakit.model import Trace, VutState
+from vistakit.model import GeoPosition, Trace, VutState
 from vistakit.synth import perturb, synthesize
 
-from conftest import BASE
+from conftest import BASE, random_trace
 
 
 def _cruise_trace(duration=6.0, rate=10.0, run_id=1,
@@ -123,6 +124,36 @@ def test_scores_match_loop_reference(rate):
                                     ALIGN_STEP) == want
             assert align(virtual, reference) == min(
                 want, key=lambda pair: pair[1])[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ExtentExceeded as exc:
+        return str(exc)
+
+
+def test_local_xy_matches_to_local():
+    """One numpy pass over the VUT columns gives what ``to_local`` gives
+    each position, bit for bit, and raises its error at the first one
+    beyond the frame's extent."""
+    def loop(trace, frame):
+        xy = np.array([frame.to_local(r.pos) for r in trace.vut])
+        return xy[:, 0], xy[:, 1]
+
+    for seed in range(20):
+        trace = random_trace(np.random.default_rng(seed))
+        frame = LocalFrame.at(trace.vut[seed % len(trace.vut)].pos)
+        got, want = _local_xy(trace, frame), loop(trace, frame)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    far = tuple(
+        VutState(**{**{f: getattr(r, f) for f in r.__slots__},
+                    "pos": GeoPosition(r.pos.lat + k % 2, r.pos.lon)})
+        if k in (3, 5) else r for k, r in enumerate(_cruise_trace().vut))
+    trace = Trace("TC-FID-01", 1, far)
+    frame = LocalFrame.at(BASE)
+    assert _outcome(_local_xy, trace, frame) == _outcome(loop, trace, frame)
+    assert "lies" in _outcome(_local_xy, trace, frame)
 
 
 def test_align_rejects_disjoint_spans():
