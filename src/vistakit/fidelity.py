@@ -27,6 +27,14 @@ ALIGN_WINDOW = 5.0
 ALIGN_STEP = 0.01
 MIN_OVERLAP_FRACTION = 0.8
 
+# The offset search: every _STRIDE-th sample enters an offset's lower
+# bound, the bounds are computed _CHUNK_ELEMENTS samples at a time (a
+# 256 KiB block per array), and _MARGIN covers the summation order that
+# alone tells a bound from its exact score.
+_STRIDE = 32
+_CHUNK_ELEMENTS = 1 << 15
+_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class FidelityTolerances:
@@ -92,31 +100,53 @@ def align(virtual: Trace, reference: Trace, window: float = ALIGN_WINDOW,
           step: float = ALIGN_STEP) -> float:
     """Clock offset between the recordings, from their speed profiles.
 
-    Scans offsets in ``[-window, window]`` at ``step`` resolution and
+    Searches offsets in ``[-window, window]`` at ``step`` resolution and
     returns the one whose speed profiles agree best in the mean squared
     sense.  A vanishing quadratic penalty on the offset keeps the result
     deterministic when a plateau of offsets scores identically, as
-    happens with constant-speed stretches.
+    happens with constant-speed stretches.  The search is exact but
+    scores only the offsets that a lower bound cannot rule out, and
+    costs nothing for the part of the window where the recordings
+    cannot overlap long enough.
     """
-    scores = _scores(virtual, reference, window, step)
-    if not scores:
+    return _best(*_channels(virtual), *_channels(reference), window,
+                 step)[0]
+
+
+def _best(tv, vv, tr, vr, window: float, step: float) -> tuple:
+    """(offset, score) of the best admissible offset: the first, in
+    offset order, of the lowest score.
+
+    Offsets are scored exactly in ascending order of their lower bound,
+    until the next bound exceeds the best score by more than the
+    relative ``_MARGIN``; every offset left unscored is then strictly
+    worse, so ties resolve as a full scan resolves them.
+    """
+    offsets, lo, hi = _admissible(tv, tr, window, step)
+    if not len(offsets):
         raise InsufficientOverlap(
             f"no admissible clock offset within +/-{window} s")
-    return min(scores, key=lambda pair: pair[1])[0]
+    bounds = _bounds(tv, vv, tr, vr, offsets, lo, hi, step)
+    best, scored = math.inf, {}
+    for j in np.argsort(bounds, kind="stable"):
+        if bounds[j] > best * (1.0 + _MARGIN):
+            break
+        scored[j] = _score(tv, vv, tr, vr, float(offsets[j]), lo[j], hi[j],
+                           step)
+        best = min(best, scored[j])
+    first = min(j for j, score in scored.items() if score == best)
+    return float(offsets[first]), best
 
 
-def _scores(virtual: Trace, reference: Trace, window: float,
-            step: float) -> list:
-    """(offset, score) of each scanned offset whose overlap is long
-    enough, in offset order.
+def _admissible(tv, tr, window: float, step: float) -> tuple:
+    """(offsets, lo, hi) of each offset ``k * step`` in the window whose
+    overlap ``[lo, hi]`` (in virtual time) is long enough, in offset
+    order.
 
-    The offsets whose overlap starts at the same virtual time share one
-    interpolation of the virtual speeds: ``np.arange`` from one start at
-    one step gives the same values whatever its stop, so each of their
-    sample grids is a prefix of the longest one.
+    Only offsets in ``[tr0 - tvN + min_overlap, trN - tv0 - min_overlap]``
+    can overlap that long, so ``k`` is clamped to that range, one step
+    wider on each side for rounding, before the exact test.
     """
-    tv, vv = _channels(virtual)
-    tr, vr = _channels(reference)
     dur_v = tv[-1] - tv[0]
     dur_r = tr[-1] - tr[0]
     if min(dur_v, dur_r) <= 0:
@@ -124,28 +154,55 @@ def _scores(virtual: Trace, reference: Trace, window: float,
     min_overlap = max(1.0, 0.25 * min(dur_v, dur_r))
 
     n = int(round(window / step))
-    windows = []
-    for k in range(-n, n + 1):
-        offset = k * step
-        lo = max(tv[0], tr[0] - offset)
-        hi = min(tv[-1], tr[-1] - offset)
-        if hi - lo < min_overlap:
-            continue
-        windows.append((offset, lo, hi))
-    reach = {}
-    for _, lo, hi in windows:
-        reach[lo] = max(hi, reach.get(lo, hi))
-    scores, start = [], None
-    for offset, lo, hi in windows:
-        if lo != start:     # lo never rises with the offset
-            start = lo
-            speeds = np.interp(np.arange(lo, reach[lo] + 1e-12, step), tv,
-                               vv)
-        ts = np.arange(lo, hi + 1e-12, step)
-        dv = speeds[:len(ts)] - np.interp(ts + offset, tr, vr)
-        scores.append((offset, float(np.mean(dv * dv))
-                       + 1e-9 * offset * offset))
-    return scores
+    first = max(-n, math.ceil((tr[0] - tv[-1] + min_overlap) / step) - 1)
+    last = min(n, math.floor((tr[-1] - tv[0] - min_overlap) / step) + 1)
+    offsets = np.arange(first, last + 1) * step
+    lo = np.maximum(tv[0], tr[0] - offsets)
+    hi = np.minimum(tv[-1], tr[-1] - offsets)
+    keep = hi - lo >= min_overlap
+    return offsets[keep], lo[keep], hi[keep]
+
+
+def _bounds(tv, vv, tr, vr, offsets, lo, hi, step: float) -> np.ndarray:
+    """A lower bound of each offset's score: the squared speed
+    differences at every ``_STRIDE``-th sample of the offset's own grid,
+    divided by the grid's full sample count, plus the penalty.
+
+    Every term is one of the exact score's, so only the order of
+    summation tells the two apart.  Rows are batched about
+    ``_CHUNK_ELEMENTS`` samples at a time.
+    """
+    width = int((hi - lo).max() / step) // _STRIDE + 2
+    rows = max(1, _CHUNK_ELEMENTS // width)
+    bounds = np.empty(len(offsets))
+    for a in range(0, len(offsets), rows):
+        s = slice(a, a + rows)
+        ts, kept, counts = _strided_grid(lo[s], hi[s], step)
+        dv = (np.interp(ts, tv, vv)
+              - np.interp(ts + offsets[s, None], tr, vr))
+        bounds[s] = np.where(kept, dv * dv, 0.0).sum(axis=1) / counts
+    return bounds + 1e-9 * offsets * offsets
+
+
+def _strided_grid(lo, hi, step: float) -> tuple:
+    """Every ``_STRIDE``-th time of each row's ``np.arange(lo, hi +
+    1e-12, step)``, padded past the row's end; whether each is in the
+    row; and each row's sample count.
+
+    arange fills ``lo + i * ((lo + step) - lo)``, so these are its very
+    values.
+    """
+    counts = np.ceil((hi + 1e-12 - lo) / step)
+    picks = np.arange(0, int(counts.max()), _STRIDE)
+    ts = lo[:, None] + picks * ((lo + step) - lo)[:, None]
+    return ts, picks < counts[:, None], counts
+
+
+def _score(tv, vv, tr, vr, offset: float, lo, hi, step: float) -> float:
+    """Mean squared speed difference over the overlap, plus the penalty."""
+    ts = np.arange(lo, hi + 1e-12, step)
+    dv = np.interp(ts, tv, vv) - np.interp(ts + offset, tr, vr)
+    return float(np.mean(dv * dv)) + 1e-9 * offset * offset
 
 
 def _local_xy(trace: Trace, frame: LocalFrame):

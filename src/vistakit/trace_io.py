@@ -1160,7 +1160,7 @@ def _columns(candidates, values, always=()) -> list:
     """
     cols = [c for c in candidates
             if schema.BY_NAME[c].required == "yes" or c in always
-            or any(v is not None for v in values[c])]
+            or values[c] != [None] * len(values[c])]
     pos = [c for c in cols if schema.BY_NAME[c].required == "alt_pos"]
     if len(pos) > 2:
         raise ValueError("cannot write world and VCS actor positions in "

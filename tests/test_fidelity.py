@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from vistakit import fidelity
 from vistakit.errors import ExtentExceeded, InsufficientOverlap
 from vistakit.fidelity import (
     ALIGN_STEP,
     ALIGN_WINDOW,
     FidelityTolerances,
+    _MARGIN,
+    _STRIDE,
+    _admissible,
+    _best,
+    _bounds,
+    _channels,
     _local_xy,
-    _scores,
+    _strided_grid,
     align,
     compare,
     select_recalibration_subset,
@@ -107,6 +114,16 @@ def _loop_scores(virtual, reference, window=ALIGN_WINDOW, step=ALIGN_STEP):
     return scores
 
 
+def _search(virtual, reference, window=ALIGN_WINDOW):
+    return _best(*_channels(virtual), *_channels(reference), window,
+                 ALIGN_STEP)
+
+
+def _loop_best(virtual, reference, window=ALIGN_WINDOW):
+    return min(_loop_scores(virtual, reference, window),
+               key=lambda pair: pair[1])
+
+
 @pytest.mark.parametrize("rate", [10.0, 100.0])
 def test_scores_match_loop_reference(rate):
     # Seeded twins of a run: the run itself, shifted clocks, and shifted
@@ -119,11 +136,93 @@ def test_scores_match_loop_reference(rate):
                            (0.21, 0.1)])]
     for virtual in twins[:3]:
         for reference in twins:
-            want = _loop_scores(virtual, reference)
-            assert want and _scores(virtual, reference, ALIGN_WINDOW,
-                                    ALIGN_STEP) == want
-            assert align(virtual, reference) == min(
-                want, key=lambda pair: pair[1])[0]
+            want = _loop_best(virtual, reference)
+            assert _search(virtual, reference) == want
+            assert align(virtual, reference) == want[0]
+
+
+def _plateaus(t):
+    return 4.0 if t < 4.0 else 6.0 if t < 9.0 else 5.0
+
+
+def test_search_matches_loop_reference_property():
+    """The pruned search picks the loop reference's offset and score,
+    ``==``, over seeded pairs: constant and piecewise-constant speeds
+    (where the penalty decides among equal fits), a 10 Hz virtual run
+    against a 100 Hz reference, shifts at and beyond the window's edge,
+    and speed noise up to sigma 1.0, each pair both ways round."""
+    rng = np.random.default_rng(19)
+    profiles = [lambda t: 5.0, _plateaus, None]
+    for case in range(12):
+        speed_fn = profiles[case % 3]
+        virtual = _cruise_trace(duration=12.0, rate=10.0, speed_fn=speed_fn)
+        fine = _cruise_trace(duration=12.0, rate=100.0 if case % 2 else 10.0,
+                             speed_fn=speed_fn)
+        shift = float(rng.choice([ALIGN_WINDOW, 4.99, 5.37,
+                                  rng.uniform(0.0, 4.0)]))
+        sigma = float(rng.choice([0.0, 0.05, 0.3, 1.0]))
+        reference = perturb(fine, time_shift=shift, speed_sigma=sigma,
+                            seed=case)
+        for pair in ((virtual, reference), (reference, virtual)):
+            want = _loop_scores(*pair)
+            assert _search(*pair) == min(want, key=lambda p: p[1]), (
+                case, shift, sigma)
+            tv, vv = _channels(pair[0])
+            tr, vr = _channels(pair[1])
+            offsets, lo, hi = _admissible(tv, tr, ALIGN_WINDOW, ALIGN_STEP)
+            bounds = _bounds(tv, vv, tr, vr, offsets, lo, hi, ALIGN_STEP)
+            assert offsets.tolist() == [o for o, _ in want]
+            assert all(b <= score * (1.0 + _MARGIN)
+                       for b, (_, score) in zip(bounds, want))
+    steady = _cruise_trace(duration=12.0, speed_fn=lambda t: 5.0)
+    assert _search(steady, _shifted(steady, 1.0)) == (0.0, 0.0)
+
+
+def test_strided_grid_is_arange_bit_for_bit():
+    """The bound samples each offset at the very times, and divides by the
+    very count, of the exact score's ``np.arange``."""
+    rng = np.random.default_rng(7)
+    lo = np.concatenate([rng.uniform(0.0, 30.0, 200),
+                         rng.uniform(0.0, 1e-3, 50),
+                         np.round(rng.uniform(0.0, 30.0, 50), 2)])
+    hi = lo + rng.uniform(1.0, 30.0, len(lo))
+    ts, kept, counts = _strided_grid(lo, hi, ALIGN_STEP)
+    for row in range(len(lo)):
+        want = np.arange(lo[row], hi[row] + 1e-12, ALIGN_STEP)
+        assert counts[row] == len(want)
+        assert ts[row][kept[row]].tobytes() == want[::_STRIDE].tobytes()
+
+
+def test_search_scores_few_offsets_on_a_clean_shift(monkeypatch):
+    """A clean time-shifted 100 Hz pair is decided by its lower bounds:
+    only a handful of offsets is scored exactly, not the whole window."""
+    calls = []
+    score = fidelity._score
+    monkeypatch.setattr(fidelity, "_score",
+                        lambda *args: calls.append(args[4]) or score(*args))
+    base = _cruise_trace(duration=25.0, rate=100.0)
+    reference = perturb(base, time_shift=1.37, pos_sigma=0.05, seed=4)
+    assert align(base, reference) == pytest.approx(1.37, abs=1e-9)
+    assert 1 <= len(calls) <= 3
+
+
+def test_window_beyond_the_traces_costs_nothing():
+    """Offsets whose overlap cannot be long enough are never generated,
+    so a huge window admits the same offsets as one that reaches just the
+    farthest offset at which the traces overlap at all, and picks the
+    same offset with the same score."""
+    virtual = _cruise_trace(duration=8.0)
+    reference = perturb(virtual, time_shift=1.2, speed_sigma=0.1, seed=5)
+    tv, tr = _channels(virtual)[0], _channels(reference)[0]
+    covering = max(abs(tr[0] - tv[-1]), abs(tr[-1] - tv[0]))
+    huge = _admissible(tv, tr, 1e9, ALIGN_STEP)
+    assert len(huge[0]) < 2000
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        huge, _admissible(tv, tr, covering, ALIGN_STEP)))
+    assert _search(virtual, reference, 1e9) == _search(virtual, reference,
+                                                       covering)
+    assert _search(virtual, reference, 1e9) == _loop_best(
+        virtual, reference, covering)
 
 
 def _outcome(fn, *args):
