@@ -16,7 +16,6 @@ timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -217,10 +216,9 @@ def _cmd_evaluate(args) -> int:
                 stem = dir_name(tc, trace.run_id)
                 _write_json(out_dir / f"{stem}_verdict.json", ev.to_dict())
                 if args.series:
-                    with open(out_dir / f"{stem}_series.csv", "w",
-                              encoding="utf-8", newline="") as fh:
-                        csv.writer(fh, lineterminator="\n").writerows(
-                            series_rows(ev.series))
+                    header, *rows = series_rows(ev.series)
+                    trace_io._write(out_dir / f"{stem}_series.csv", header,
+                                    list(zip(*rows)))
     return EXIT_OK if all_passed else EXIT_FINDINGS
 
 

@@ -57,9 +57,15 @@ such as a throttle above 1 or a negative step, is a BadValue finding at
 its row.  Genuine I/O problems (missing path, unreadable file) raise
 OSError as usual.
 
-Files are comma-separated UTF-8; both LF and CRLF are accepted and LF is
-written.  ``inf`` is the sentinel for never-occurring TTC/NTD values.
-WGS84 position arrays are read and written latitude first.
+Files are comma-separated UTF-8.  The writers write the bytes
+``csv.writer`` writes with LF line ends, and the readers read what the
+csv module reads (LF, CRLF or CR line ends, a leading byte order mark,
+quoted cells).  Only a table that needs it goes through the csv
+module: one with a cell to quote, a CR or NUL, a row not as wide as its
+header or a one-column header.  Any other is joined and cut at its
+commas and newlines (``_write``, ``_cut``).  ``inf`` is the sentinel
+for never-occurring TTC/NTD values.  WGS84 position arrays are read and
+written latitude first.
 """
 
 from __future__ import annotations
@@ -446,7 +452,8 @@ def _by_column(rows, width):
         fit[k] = (rows[k] + [""] * width)[:width]
     warnings = {k: [(it.WARNING, it.BAD_VALUE, f"row has {len(rows[k])} "
                      f"cells, header has {width}", None)] for k in misfits}
-    return (len(rows), list(zip(*fit)) if fit else [()] * width), warnings
+    flat = list(itertools.chain.from_iterable(fit))
+    return (len(rows), [flat[j::width] for j in range(width)]), warnings
 
 
 def _report(found, fname, rep):
@@ -673,9 +680,79 @@ def _run_ids(name, pattern, what, form, rep):
     return m.group("tc"), run_id
 
 
+def _table(path, fname, rep):
+    """(header, table, warnings) of a CSV file, the table and warnings as
+    ``_by_column`` gives them; None, with a finding, when the file is
+    empty or not UTF-8 CSV text.  A file ``_cut`` refuses is read by the
+    csv module (``_load``)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            got = _cut(fh)
+    except UnicodeDecodeError:      # _load reports it
+        got = None
+    if got is None:
+        rows = _load(path, fname, rep)
+        if rows is None:
+            return None
+        got = rows[0], *_by_column(rows[1:], len(rows[0]))
+    return got
+
+
+# Characters per block that _cut reads.  No copy of a whole file's text
+# is made beside its cells, and blocks this small keep the peak memory of
+# a 100 Hz parse at the csv module's.
+_BLOCK = 1 << 14
+
+
+def _cut(fh):
+    """(header, table, {}) of a CSV text cut at its newlines and commas,
+    which gives the csv module's cells when the header has two columns or
+    more and the text has no quote, CR or NUL, every line as many cells
+    as the header and none longer than the csv module's field limit;
+    None for any other text.
+
+    Each newline is cut out as a cell of its own, so a line of the
+    header's width ends in a newline cell exactly where one is due.
+    """
+    limit = csv.field_size_limit()
+    columns = None
+    for text in _blocks(fh):
+        if columns is None:
+            step = text.count(",", 0, text.index("\n")) + 2
+            columns = [[] for _ in range(step - 1)]
+        if step < 3 or '"' in text or "\r" in text or "\x00" in text or (
+                len(text) > limit
+                and max(map(len, text.split("\n"))) > limit):
+            return None
+        cells = text.replace("\n", ",\n,").split(",")
+        del cells[-1]
+        n = text.count("\n")
+        if len(cells) != n * step or cells[step - 1::step].count("\n") != n:
+            return None
+        for j, column in enumerate(columns):
+            column += cells[j::step]
+    if columns is None:
+        return None
+    header = [column.pop(0) for column in columns]
+    return header, (len(columns[0]), columns), {}
+
+
+def _blocks(fh):
+    """The text of fh in blocks of whole lines, each ending in a newline."""
+    rest = ""
+    for block in iter(functools.partial(fh.read, _BLOCK), ""):
+        text = rest + block
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest + "\n"
+
+
 def _load(path, fname, rep):
-    """The rows of a CSV file; None, with a finding, when it is empty or
-    not UTF-8 CSV text."""
+    """The rows of a CSV file read by the csv module; None, with a
+    finding, when it is empty or not UTF-8 CSV text."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -921,10 +998,11 @@ def parse_flat(path):
                    "results_<testcase_id>_r<run_id>.csv", rep)
     if ids is None:
         return None, rep
-    rows = _load(p, fname, rep)
-    if rows is None:
+    got = _table(p, fname, rep)
+    if got is None:
         return None, rep
-    base, groups = _segment_header(rows[0], fname, rep)
+    header, table, found = got
+    base, groups = _segment_header(header, fname, rep)
 
     ok = _require_columns(base, schema.CLOCK + schema.required_names("vut"),
                           fname, rep)
@@ -945,7 +1023,6 @@ def parse_flat(path):
                for group, colmap in groups]
     # A row's findings: its width, its VUT cells, then, when it holds a
     # VUT record, the cells of each group in header order.
-    table, found = _by_column(rows[1:], len(rows[0]))
     clock = {name: _bulk(table[1][idx], name) for name, idx in clock.items()}
     vut_rows, vut, faults = vut_reader.read_columns(table, clock)
     _bad_values(found, faults)
@@ -996,11 +1073,12 @@ def _read_role(folder, role, rep):
     """Read one role file -> (colmap, its rows by column, see _by_column)
     or None; the rows not as wide as the header are reported."""
     p = folder / role
-    rows = _load(p, role, rep) if p.exists() else None
-    if rows is None:
+    got = _table(p, role, rep) if p.exists() else None
+    if got is None:
         return None
+    header, table, warnings = got
     colmap = {}
-    for idx, raw_name in enumerate(rows[0]):
+    for idx, raw_name in enumerate(header):
         name = raw_name.strip()
         if name in colmap:
             _unknown(name, role, rep, "duplicate column {!r} ignored")
@@ -1012,7 +1090,6 @@ def _read_role(folder, role, rep):
                 if schema.BY_NAME[c].required == "yes"]
     if not _require_columns(colmap, required, role, rep):
         return None
-    table, warnings = _by_column(rows[1:], len(rows[0]))
     _report(warnings, role, rep)
     return colmap, table
 
@@ -1171,11 +1248,34 @@ def _columns(candidates, values, always=()) -> list:
     return cols
 
 
+# Rows per piece of text written.  Small pieces keep the writer's memory
+# small; a piece the csv module would quote goes through it.
+_ROWS = 128
+
+
 def _write(path, header, columns) -> None:
+    """Write a CSV file of str cells: the header, then the columns' rows,
+    as ``csv.writer`` writes them with LF line ends.
+
+    The rows go in pieces of ``_ROWS``.  A piece whose rows have two cells
+    or more and no comma, quote, CR or newline in any cell is written as
+    the cells joined by commas, which is what the csv module would
+    write; the csv module writes any other piece.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*columns))
+        rows = zip(*columns)
+        piece = [header]
+        while piece:
+            width = len(piece[0])
+            text = "\n".join([*map(",".join, piece), ""])
+            if width > 1 and text.count(",") == len(piece) * (width - 1) \
+                    and text.count("\n") == len(piece) \
+                    and '"' not in text and "\r" not in text:
+                fh.write(text)
+            else:
+                w.writerows(piece)
+            piece = list(itertools.islice(rows, _ROWS))
 
 
 def _cells(values, shapes) -> list:

@@ -33,8 +33,9 @@ def _rich_trace():
     raise AssertionError("no random trace has every table")
 
 
-def mutate(data: bytes, rng) -> bytes:
-    """1-3 mutations: delete, duplicate, flip a bit or insert a byte."""
+def mutate(data: bytes, rng, inserts=INSERTS) -> bytes:
+    """1-3 mutations: delete, duplicate, flip a bit or insert a byte of
+    ``inserts``."""
     data = bytearray(data)
     for _ in range(int(rng.integers(1, 4))):
         k = int(rng.integers(len(data)))
@@ -46,7 +47,7 @@ def mutate(data: bytes, rng) -> bytes:
         elif op == 2:
             data[k] ^= 1 << int(rng.integers(8))
         else:
-            data.insert(k, INSERTS[int(rng.integers(len(INSERTS)))])
+            data.insert(k, inserts[int(rng.integers(len(inserts)))])
     return bytes(data)
 
 
