@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientOverlap
-from .frames import MAX_EXTENT_M, LocalFrame
+from .frames import LocalFrame
 from .model import Trace
 
 ALIGN_WINDOW = 5.0
@@ -205,19 +205,6 @@ def _score(tv, vv, tr, vr, offset: float, lo, hi, step: float) -> float:
     return float(np.mean(dv * dv)) + 1e-9 * offset * offset
 
 
-def _local_xy(trace: Trace, frame: LocalFrame):
-    """The VUT positions in frame, as :meth:`LocalFrame.to_local` gives
-    each (the same subtraction and product, which numpy rounds as Python
-    does), raising its error at the first one beyond the frame's extent."""
-    lat, lon = np.array(_vut(trace, "lat")), np.array(_vut(trace, "lon"))
-    x = (lon - frame.origin.lon) * frame.m_per_deg_lon
-    y = (lat - frame.origin.lat) * frame.m_per_deg_lat
-    beyond = (np.abs(x) > MAX_EXTENT_M) | (np.abs(y) > MAX_EXTENT_M)
-    if beyond.any():
-        frame.to_local(trace.channels("vut").position(int(beyond.argmax())))
-    return x, y
-
-
 def _heading_unwrapped(trace: Trace) -> np.ndarray:
     h = np.radians(_vut(trace, "heading"))
     return np.degrees(np.unwrap(h))
@@ -251,8 +238,8 @@ def compare(virtual: Trace, reference: Trace,
     ts = lo + np.arange(count) / rate
 
     frame = LocalFrame.at(reference.channels("vut").position(0))
-    xv, yv = _local_xy(virtual, frame)
-    xr, yr = _local_xy(reference, frame)
+    xv, yv = frame.to_local_all(virtual.channels("vut"))
+    xr, yr = frame.to_local_all(reference.channels("vut"))
 
     dx = np.interp(ts, tv, xv) - np.interp(ts + offset, tr, xr)
     dy = np.interp(ts, tv, yv) - np.interp(ts + offset, tr, yr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -30,14 +31,25 @@ WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 MAX_EXTENT_M = 50_000.0
 
 
-def meridional_radius(lat_deg: float) -> float:
-    s2 = math.sin(math.radians(lat_deg)) ** 2
-    return WGS84_A * (1.0 - WGS84_E2) / (1.0 - WGS84_E2 * s2) ** 1.5
-
-
-def prime_vertical_radius(lat_deg: float) -> float:
-    s2 = math.sin(math.radians(lat_deg)) ** 2
-    return WGS84_A / math.sqrt(1.0 - WGS84_E2 * s2)
+def scales(lat_deg) -> tuple:
+    """(metres per degree of latitude, of longitude) arrays of the frames
+    at a sequence of latitudes, from the WGS84 meridional and
+    prime-vertical radii.  Sines, cosines and powers come from math, one
+    value at a time, so a batch scales exactly like one frame.  The first
+    degenerate frame raises ValueError."""
+    rad = list(map(math.radians, lat_deg))
+    s2 = list(map(float.__pow__, map(math.sin, rad), repeat(2)))
+    base = 1.0 - WGS84_E2 * np.array(s2)
+    k_lat = math.radians(1.0) * (WGS84_A * (1.0 - WGS84_E2) / np.array(
+        list(map(float.__pow__, base.tolist(), repeat(1.5)))))
+    k_lon = math.radians(1.0) * (WGS84_A / np.sqrt(base)) \
+        * np.array(list(map(math.cos, rad)))
+    ok = (k_lat > 0.0) & (k_lon > 0.0) & np.isfinite(k_lat) \
+        & np.isfinite(k_lon)
+    if not ok.all():
+        raise ValueError(
+            f"degenerate frame at latitude {lat_deg[int(ok.argmin())]}")
+    return k_lat, k_lon
 
 
 @dataclass(frozen=True)
@@ -50,15 +62,9 @@ class LocalFrame:
 
     @classmethod
     def at(cls, origin: GeoPosition) -> "LocalFrame":
-        lat = origin.lat
-        k_lat = math.radians(1.0) * meridional_radius(lat)
-        k_lon = math.radians(1.0) * prime_vertical_radius(lat) * math.cos(
-            math.radians(lat)
-        )
-        if not (k_lat > 0.0 and k_lon > 0.0 and math.isfinite(k_lat)
-                and math.isfinite(k_lon)):
-            raise ValueError(f"degenerate frame at latitude {lat}")
-        return cls(origin=origin, m_per_deg_lat=k_lat, m_per_deg_lon=k_lon)
+        k_lat, k_lon = scales([origin.lat])
+        return cls(origin=origin, m_per_deg_lat=float(k_lat[0]),
+                   m_per_deg_lon=float(k_lon[0]))
 
     def to_local(self, p: GeoPosition) -> tuple[float, float]:
         """Project to (x_east, y_north) metres relative to the origin."""
@@ -69,6 +75,19 @@ class LocalFrame:
                 f"point {p.lat}, {p.lon} lies {math.hypot(x, y):.0f} m from "
                 "the frame origin"
             )
+        return x, y
+
+    def to_local_all(self, channel) -> tuple:
+        """(x_east, y_north) arrays of a channel's positions, each as
+        :meth:`to_local` gives it (numpy rounds the same arithmetic), and
+        its error for the first one beyond the frame's extent."""
+        lat, lon = (np.array(channel.column(name), dtype=float)
+                    for name in ("lat", "lon"))
+        x = (lon - self.origin.lon) * self.m_per_deg_lon
+        y = (lat - self.origin.lat) * self.m_per_deg_lat
+        beyond = (np.abs(x) > MAX_EXTENT_M) | (np.abs(y) > MAX_EXTENT_M)
+        if beyond.any():
+            self.to_local(channel.position(int(beyond.argmax())))
         return x, y
 
     def from_local(self, x_east: float, y_north: float,

@@ -53,33 +53,27 @@ def poly_array(poly) -> np.ndarray:
         pts = np.asarray(poly, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise DegeneratePolygon(f"need an (N>=3, 2) vertex array, got {pts.shape}")
-    fault = outline_faults(pts[None])[0]
-    if fault is not None:
-        raise DegeneratePolygon(fault)
+    code = fault_codes(pts[None])[0]
+    if code:
+        raise DegeneratePolygon(FAULTS[code])
     return pts
 
 
-def outline_faults(outlines: np.ndarray) -> list:
-    """Why each outline of an (S, N>=3, 2) stack is unusable, or None.
+# Why an outline is unusable, by the code of :func:`fault_codes`.
+FAULTS = (None, "polygon vertices must be finite",
+          "polygon needs at least 3 distinct vertices",
+          "polygon has zero area")
 
-    The checks and messages are those of :func:`poly_array`, in its
-    order: finite vertices, at least 3 distinct vertices, non-zero area.
-    """
+
+def fault_codes(outlines: np.ndarray) -> np.ndarray:
+    """Index into FAULTS of the first check of :func:`poly_array` each
+    outline of an (S, N>=3, 2) stack fails (finite vertices, at least 3
+    distinct vertices, non-zero area), 0 where it passes them all."""
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(outlines).all(axis=(1, 2))
         distinct = _distinct_counts(outlines)
         area = np.abs(shoelace_area(outlines))
-    faults = []
-    for ok, n, a in zip(finite.tolist(), distinct.tolist(), area.tolist()):
-        if not ok:
-            faults.append("polygon vertices must be finite")
-        elif n < 3:
-            faults.append("polygon needs at least 3 distinct vertices")
-        elif a <= _EPS:
-            faults.append("polygon has zero area")
-        else:
-            faults.append(None)
-    return faults
+    return np.select([~finite, distinct < 3, area <= _EPS], [1, 2, 3], 0)
 
 
 def _distinct_counts(outlines: np.ndarray) -> np.ndarray:
@@ -140,11 +134,6 @@ def _contains(points: np.ndarray, polys: np.ndarray) -> np.ndarray:
     return on.any(axis=-1) | (np.count_nonzero(crosses, axis=-1) % 2 == 1)
 
 
-def point_in_polygon(point, pts: np.ndarray) -> bool:
-    """Boundary-inclusive point-in-polygon test (crossing number)."""
-    return bool(_contains(np.asarray(point, dtype=float)[:2], pts))
-
-
 def _orient(p, q, r):
     """(q - p) x (r - p) over stacks of points: > 0 where r lies left of
     the line pq, < 0 right of it, 0 on it."""
@@ -187,11 +176,6 @@ def _intersecting(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _segments_intersect(a1, a2, b1, b2).any(axis=(-2, -1)) | \
             _contains(A[..., 0, :], B) | _contains(B[..., 0, :], A)
-
-
-def polygons_intersect(a, b) -> bool:
-    """True when the polygons share any point (touching counts)."""
-    return bool(_intersecting(poly_array(a), poly_array(b)))
 
 
 # Elements per kernel chunk; bounds temporary memory.
@@ -363,7 +347,7 @@ def axis_clearances(vut: np.ndarray, outlines: np.ndarray) -> tuple:
     """Directional clearances of every outline in an (S, N, 2) stack.
 
     ``vut`` is one validated (M, 2) outline and ``outlines`` are already
-    validated (see :func:`outline_faults`).  Returns the arrays
+    validated (see :func:`fault_codes`).  Returns the arrays
     (lateral, longitudinal, lateral_side, longitudinal_side), each (S,),
     with the meaning of the :class:`DirectionalClearance` fields.
     """
@@ -455,7 +439,7 @@ def first_contact_times(vut, outlines, rel_vels, horizon: float = 30.0):
     for i in range(0, len(B), chunk):
         Bc = B[i:i + chunk]
         parts.append(_contact_times(A, Bc, w[i:i + chunk], horizon,
-                                    outline_faults(Bc), _intersecting(A, Bc)))
+                                    fault_codes(Bc), _intersecting(A, Bc)))
     return np.concatenate(parts)
 
 
@@ -476,19 +460,18 @@ def separations_and_contact_times(vut, outlines, rel_vels,
         touching = _intersecting(A, B)
         seps.append(_separations(A, B, touching))
         times.append(_contact_times(A, B, rel_vels[i:i + chunk], horizon,
-                                    [None] * len(B), touching))
+                                    np.zeros(len(B), dtype=int), touching))
     return np.concatenate(seps), np.concatenate(times)
 
 
-def _contact_times(A, B, w, horizon, faults, touching):
+def _contact_times(A, B, w, horizon, codes, touching):
     """:func:`first_contact_times` of a validated (1, M, 2) ``A`` and an
-    (S, N, 2) ``B`` whose :func:`outline_faults` are ``faults`` and
+    (S, N, 2) ``B`` whose :func:`fault_codes` are ``codes`` and
     :func:`_intersecting` is ``touching``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bad = np.array([f is not None for f in faults]) | \
-            ~(touching | np.isfinite(w).all(axis=1))
+        bad = (codes != 0) | ~(touching | np.isfinite(w).all(axis=1))
         if bad.any():
-            fault = faults[int(bad.argmax())]
+            fault = FAULTS[codes[bad.argmax()]]
             if fault is not None:
                 raise DegeneratePolygon(fault)
             raise ValueError("velocities must be finite")
@@ -509,7 +492,7 @@ def first_contact_time(a, vel_a, b, vel_b, horizon: float = 30.0) -> float:
     """
     A, B = poly_array(a)[None], poly_array(b)[None]
     w = np.asarray(vel_b, dtype=float) - np.asarray(vel_a, dtype=float)
-    return float(_contact_times(A, B, w[None], horizon, [None],
+    return float(_contact_times(A, B, w[None], horizon, np.zeros(1, int),
                                 _intersecting(A, B))[0])
 
 

@@ -670,15 +670,6 @@ def _obstacle_code(actor_type, speed, vel_lat, vel_long, acc_lat,
     return code if still and code >= OBSTACLE_CODE_MIN else None
 
 
-def actor_mimics_obstacle(a: ActorState) -> bool:
-    """True when an actor record is an obstacle in disguise.
-
-    Obstacles exported through the actor channel carry a numeric type
-    code from the obstacle code space and show no motion at all.
-    """
-    return _obstacle_code(*map(a.__getattribute__, _DISGUISE)) is not None
-
-
 def obstacle_from_actor(a: ActorState) -> ObstacleState:
     """Re-express an obstacle-coded actor record as an ObstacleState."""
     code = _obstacle_code(*map(a.__getattribute__, _DISGUISE))

@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
-from .clearance import ClearanceSeries, clearance_series
+import numpy as np
+
+from .clearance import ClearanceSeries, _floats, clearance_series, entities
 from .errors import MalformedRules, VistaError
 from .frames import LocalFrame
-from .model import (
-    GeoPosition,
-    Trace,
-    VehicleProfile,
-    is_fixed_infrastructure,
-    normalize_heading,
-)
+from .model import GeoPosition, Trace, VehicleProfile, normalize_heading
 
 # Context classes for the lateral clearance rule.
 STATIC_OBSTACLE = "static_obstacle"
@@ -228,8 +226,49 @@ class RunEvaluation:
         }
 
 
-def _wrap180(deg: float) -> float:
-    return (deg + 180.0) % 360.0 - 180.0
+# The note on a run that has nothing to measure clearance against.
+NO_ENTITY_NOTE = ("no actor or portable obstacle logged; clearance rules "
+                  "not applied")
+# The context class of each actor type that has one for the whole run.
+_TYPE_CONTEXT = {"vru_cyclist": CYCLIST, "vru_pmd": PMD_RIDER}
+
+
+def _contexts(trace: Trace, entity_id: str, rules: RuleSet) -> tuple:
+    """(steps, classes, the index into classes of each step's class,
+    notes) of one entity: what :func:`classify_lateral_context` returns,
+    as columns."""
+    obstacles = trace.channels("obstacles")
+    if entity_id in obstacles:
+        steps = obstacles[entity_id].column("step")
+        return steps, (STATIC_OBSTACLE,), np.zeros(len(steps), int), []
+    col = trace.channels("actors")[entity_id].column
+    steps = col("step")
+    same = np.zeros(len(steps), int)
+    atype = col("actor_type")[0]
+    if atype == "tsv":
+        eps = rules.stopped_speed_eps
+        moving = (_floats(col("speed")) >= eps).any() or any(map(
+            operator.ge, map(math.hypot, col("vel_lat"), col("vel_long")),
+            repeat(eps)))
+        return steps, (MOVING_TSV if moving else STOPPED_VEHICLE,), same, []
+    if atype in _TYPE_CONTEXT:
+        return steps, (_TYPE_CONTEXT[atype],), same, []
+    if atype == "vru_pedestrian":
+        heading = _floats(col("heading"))
+        has = ~np.isnan(heading)
+        vut = trace.channels("vut")
+        at = np.searchsorted(vut.column("step"), steps)[has]
+        # The VUT's headings lie in [0, 360), so fmod alone normalises.
+        oncoming = np.fmod(_floats(vut.column("heading"))[at] + 180.0, 360.0)
+        same[has] = np.abs((heading[has] - oncoming + 180.0) % 360.0
+                           - 180.0) < 90.0
+        notes = [] if has.all() else [
+            f"{entity_id}: no heading logged, treated as facing away from "
+            "traffic"]
+        return steps, (PED_FACING_AWAY, PED_FACING_TRAFFIC), same, notes
+    return steps, (ROAD_USER_OTHER,), same, [
+        f"{entity_id}: unrecognised actor type {atype!r}, strictest "
+        "road-user threshold applied"]
 
 
 def classify_lateral_context(trace: Trace, entity_id: str,
@@ -242,89 +281,49 @@ def classify_lateral_context(trace: Trace, entity_id: str,
     direction of travel; an unreadable orientation falls back to the
     stricter facing-away class.
     """
-    rules = rules or RuleSet()
-    notes = []
-    if entity_id in trace.obstacles:
-        ctx = {r.step: STATIC_OBSTACLE for r in trace.obstacles[entity_id]}
-        return ctx, notes
-    records = trace.actors[entity_id]
-    vut_by_step = {r.step: r for r in trace.vut}
-    ctx = {}
-    atype = records[0].actor_type
-    if atype == "tsv":
-        moving = any(
-            r.speed >= rules.stopped_speed_eps
-            or math.hypot(r.vel_lat, r.vel_long) >= rules.stopped_speed_eps
-            for r in records
-        )
-        cls = MOVING_TSV if moving else STOPPED_VEHICLE
-        return {r.step: cls for r in records}, notes
-    if atype == "vru_cyclist":
-        return {r.step: CYCLIST for r in records}, notes
-    if atype == "vru_pmd":
-        return {r.step: PMD_RIDER for r in records}, notes
-    if atype == "vru_pedestrian":
-        warned = False
-        for r in records:
-            if r.heading is None:
-                ctx[r.step] = PED_FACING_AWAY
-                if not warned:
-                    notes.append(
-                        f"{entity_id}: no heading logged, treated as "
-                        "facing away from traffic"
-                    )
-                    warned = True
-                continue
-            oncoming = normalize_heading(vut_by_step[r.step].heading + 180.0)
-            if abs(_wrap180(r.heading - oncoming)) < 90.0:
-                ctx[r.step] = PED_FACING_TRAFFIC
-            else:
-                ctx[r.step] = PED_FACING_AWAY
-        return ctx, notes
-    notes.append(f"{entity_id}: unrecognised actor type {atype!r}, "
-                 "strictest road-user threshold applied")
-    return {r.step: ROAD_USER_OTHER for r in records}, notes
+    steps, classes, codes, notes = _contexts(trace, entity_id,
+                                             rules or RuleSet())
+    return dict(zip(steps, map(classes.__getitem__, codes.tolist()))), notes
 
 
-def _offence_summary(steps: list) -> tuple:
-    if not steps:
-        return ()
-    return (min(steps), max(steps))
+def _span(steps: list, rows: np.ndarray) -> tuple:
+    """(smallest, largest) of the given rows' steps, () for no row."""
+    at = np.array(steps)[rows]
+    return (steps[rows[at.argmin()]], steps[rows[at.argmax()]]) \
+        if len(rows) else ()
 
 
-def _attribute(sample) -> str:
-    """Who closed the gap at this sample."""
-    if sample.entity_closing > sample.vut_closing + 1e-9:
-        return ATTR_OTHER
-    return ATTR_VUT
+def _clearance_verdict(rule: str, columns, applies, gap, limit, threshold,
+                       never: str, margin=None,
+                       label=lambda k: "") -> RuleVerdict:
+    """One clearance axis judged over the samples of a series' columns
+    where ``applies``.
 
-
-def _clearance_verdict(rule: str, samples: list, gap, limit, never: str,
-                       margin=None, label=lambda s: "") -> RuleVerdict:
-    """One clearance axis judged over the samples where it applies.
-
-    ``gap`` and ``limit`` give a sample's clearance and threshold.  The
-    worst sample is the first minimum of ``margin`` (the gap by default);
-    ``label`` gives the context named in the detail.
+    ``gap`` and ``limit`` are each sample's clearance and threshold, as
+    arrays.  The worst sample is the first minimum of ``margin`` (the gap
+    by default); ``threshold`` and ``label`` give a sample's threshold as
+    the rule set holds it and the context named in the detail.
     """
-    if not samples:
+    rows = np.flatnonzero(applies)
+    if not len(rows):
         return RuleVerdict(rule=rule, outcome=NOT_APPLICABLE, detail=never)
-    worst = min(samples, key=margin or gap)
-    offending = [s for s in samples if gap(s) < limit(s)]
-    collision = any(gap(s) < 0.0 for s in offending)
-    attribution = _attribute(offending[0]) if offending else None
-    if not offending:
-        outcome = PASS
-    elif attribution == ATTR_OTHER and not collision:
-        outcome = WARNING
-    else:
-        outcome = FAIL
+    worst = int(rows[(gap if margin is None else margin)[rows].argmin()])
+    offending = rows[gap[rows] < limit[rows]]
+    collision = bool((gap[offending] < 0.0).any())
+    attribution, outcome = None, PASS
+    if len(offending):
+        # Who closed the gap at the first offending sample.
+        k = offending[0]
+        attribution = ATTR_OTHER if columns["entity_closing"][k] > \
+            columns["vut_closing"][k] + 1e-9 else ATTR_VUT
+        outcome = WARNING if attribution == ATTR_OTHER and not collision \
+            else FAIL
     detail = "; ".join(filter(None, (label(worst),
                                      "bodies overlap" if collision else "")))
     return RuleVerdict(
-        rule=rule, outcome=outcome, measured=gap(worst),
-        threshold=limit(worst),
-        offending_steps=_offence_summary([s.step for s in offending]),
+        rule=rule, outcome=outcome, measured=gap[worst].item(),
+        threshold=threshold(worst),
+        offending_steps=_span(columns["step"], offending),
         attribution=attribution, detail=detail)
 
 
@@ -332,49 +331,49 @@ def evaluate_clearances(trace: Trace, series: ClearanceSeries,
                         rules: RuleSet) -> tuple:
     """Lateral and longitudinal verdicts for one entity's series."""
     eid = series.entity_id
-    context, notes = classify_lateral_context(trace, eid, rules)
-
-    def lat_limit(s):
-        return rules.lateral_threshold(context[s.step])
+    steps, classes, codes, notes = _contexts(trace, eid, rules)
+    c = series.columns
+    context = codes[np.searchsorted(steps, c["step"])]
+    limits = [rules.lateral_threshold(name) for name in classes]
+    lat_limit = _floats(limits)[context]
 
     lat = _clearance_verdict(
-        f"lateral_clearance[{eid}]",
-        [s for s in series.samples if math.isfinite(s.lateral)],
-        lambda s: s.lateral, lat_limit, "never abreast of the vehicle",
-        margin=lambda s: s.lateral - lat_limit(s),
-        label=lambda s: context[s.step])
+        f"lateral_clearance[{eid}]", c, np.isfinite(c["lateral"]),
+        c["lateral"], lat_limit, lambda k: limits[context[k]],
+        "never abreast of the vehicle", margin=c["lateral"] - lat_limit,
+        label=lambda k: classes[context[k]])
+    lon_limit = rules.longitudinal_threshold
     lon = _clearance_verdict(
-        f"longitudinal_clearance[{eid}]",
-        [s for s in series.samples
-         if math.isfinite(s.longitudinal) and s.longitudinal_side > 0],
-        lambda s: s.longitudinal, lambda s: rules.longitudinal_threshold,
-        "never ahead of the vehicle")
+        f"longitudinal_clearance[{eid}]", c,
+        np.isfinite(c["longitudinal"]) & (c["longitudinal_side"] > 0),
+        c["longitudinal"], np.full(len(c["step"]), lon_limit),
+        lambda k: lon_limit, "never ahead of the vehicle")
     return (lat, lon), tuple(notes)
 
 
 def evaluate_kinematics(trace: Trace, rules: RuleSet) -> tuple:
     """Speed-limit verdict and hard-deceleration warning."""
-    top = max(trace.vut, key=lambda r: r.speed)
+    vut = trace.channels("vut")
+    steps, speed, acc = map(vut.column, ("step", "speed", "acc_long"))
+    v, a = _floats(speed), _floats(acc)
     limit = rules.speed_limit
-    offending = [r.step for r in trace.vut
-                 if r.speed > limit + rules.speed_tolerance]
-    speed = RuleVerdict(
-        rule="speed_limit", outcome=FAIL if offending else PASS,
-        measured=top.speed, threshold=limit,
-        offending_steps=_offence_summary(offending),
-        attribution=ATTR_VUT if offending else None,
+    offending = np.flatnonzero(v > limit + rules.speed_tolerance)
+    speed_verdict = RuleVerdict(
+        rule="speed_limit", outcome=FAIL if len(offending) else PASS,
+        measured=speed[v.argmax()], threshold=limit,
+        offending_steps=_span(steps, offending),
+        attribution=ATTR_VUT if len(offending) else None,
     )
-    hardest = min(trace.vut, key=lambda r: r.acc_long)
-    braking = [r.step for r in trace.vut if r.acc_long <= rules.decel_warning]
+    braking = np.flatnonzero(a <= rules.decel_warning)
     decel = RuleVerdict(
         rule="hard_deceleration",
-        outcome=WARNING if braking else PASS,
-        measured=hardest.acc_long, threshold=rules.decel_warning,
-        offending_steps=_offence_summary(braking),
-        detail="hard braking is reported for review, never failed" if braking
-        else "",
+        outcome=WARNING if len(braking) else PASS,
+        measured=acc[a.argmin()], threshold=rules.decel_warning,
+        offending_steps=_span(steps, braking),
+        detail="hard braking is reported for review, never failed"
+        if len(braking) else "",
     )
-    return speed, decel
+    return speed_verdict, decel
 
 
 def _not_evaluable(names, subject, exc, verdicts, notes) -> None:
@@ -390,7 +389,9 @@ def evaluate_traffic_lights(trace: Trace, rules: RuleSet) -> tuple:
     """Stop-line verdicts, one per signal controller seen in the trace."""
     verdicts = []
     notes = []
-    for cid, records in sorted(trace.controllers.items()):
+    vut = trace.channels("vut")
+    controllers = trace.channels("controllers")
+    for cid in sorted(controllers):
         rule = f"signal_compliance[{cid}]"
         line = rules.stop_lines.get(cid)
         if line is None:
@@ -400,32 +401,26 @@ def evaluate_traffic_lights(trace: Trace, rules: RuleSet) -> tuple:
             notes.append(f"{cid}: no stop line configured, signal "
                          "compliance not checked")
             continue
-        frame = LocalFrame.at(line.pos)
-        h = math.radians(line.heading_deg)
-        fe, fn = math.sin(h), math.cos(h)
-        phase_by_step = {r.step: r.phase for r in records}
-        progress = []
         try:
-            for r in trace.vut:
-                e, n = frame.to_local(r.pos)
-                progress.append((r.step, e * fe + n * fn))
+            e, n = LocalFrame.at(line.pos).to_local_all(vut)
         except VistaError as exc:
             _not_evaluable([rule], cid, exc, verdicts, notes)
             continue
-        crossing = None
-        for (s0, p0), (s1, p1) in zip(progress, progress[1:]):
-            if p0 < 0.0 <= p1:
-                crossing = (s0, s1)
-                break
-        if crossing is None:
+        # The VUT's progress along the line's heading, from the line.
+        h = math.radians(line.heading_deg)
+        progress = e * math.sin(h) + n * math.cos(h)
+        cross = np.flatnonzero((progress[:-1] < 0.0) & (progress[1:] >= 0.0))
+        if not len(cross):
             verdicts.append(RuleVerdict(
                 rule=rule, outcome=NOT_APPLICABLE,
                 detail="stop line never crossed"))
             continue
-        phase = phase_by_step.get(crossing[1])
-        if phase is None:
-            known = [s for s in phase_by_step if s <= crossing[1]]
-            phase = phase_by_step[max(known)] if known else None
+        steps = vut.column("step")
+        crossing = (steps[cross[0]], steps[cross[0] + 1])
+        # The phase logged last at or before the step after the crossing.
+        col = controllers[cid].column
+        k = int(np.searchsorted(col("step"), crossing[1], side="right")) - 1
+        phase = col("phase")[k] if k >= 0 else None
         if phase is None:
             verdicts.append(RuleVerdict(
                 rule=rule, outcome=NOT_APPLICABLE,
@@ -450,21 +445,19 @@ def evaluate_run(trace: Trace, rules: RuleSet | None = None,
     An entity whose clearance cannot be measured (a point beyond the safe
     extent of the VUT's frame, say) fails both clearance rules, with the
     reason in their detail and in a note; a stop line too far from the
-    VUT fails its signal rule the same way.
+    VUT fails its signal rule the same way.  A run with no actor and no
+    portable obstacle says so in a note.
     """
     rules = rules or RuleSet()
     profile = profile or VehicleProfile()
     verdicts = []
-    notes = []
     all_series = []
 
-    entity_ids = list(trace.actors)
-    for oid, recs in trace.obstacles.items():
-        if recs and is_fixed_infrastructure(recs[0].obst_type):
-            notes.append(f"{oid}: fixed infrastructure, clearance rules "
-                         "not applied")
-            continue
-        entity_ids.append(oid)
+    entity_ids, fixed = entities(trace)
+    notes = [f"{oid}: fixed infrastructure, clearance rules not applied"
+             for oid in fixed]
+    if not entity_ids:
+        notes.append(NO_ENTITY_NOTE)
     for eid in entity_ids:
         try:
             series = clearance_series(trace, eid, profile=profile)

@@ -15,7 +15,6 @@ from vistakit.fidelity import (
     _best,
     _bounds,
     _channels,
-    _local_xy,
     _strided_grid,
     align,
     compare,
@@ -243,7 +242,8 @@ def test_local_xy_matches_to_local():
     for seed in range(20):
         trace = random_trace(np.random.default_rng(seed))
         frame = LocalFrame.at(trace.vut[seed % len(trace.vut)].pos)
-        got, want = _local_xy(trace, frame), loop(trace, frame)
+        got = frame.to_local_all(trace.channels("vut"))
+        want = loop(trace, frame)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     far = tuple(
         VutState(**{**{f: getattr(r, f) for f in r.__slots__},
@@ -251,8 +251,9 @@ def test_local_xy_matches_to_local():
         if k in (3, 5) else r for k, r in enumerate(_cruise_trace().vut))
     trace = Trace("TC-FID-01", 1, far)
     frame = LocalFrame.at(BASE)
-    assert _outcome(_local_xy, trace, frame) == _outcome(loop, trace, frame)
-    assert "lies" in _outcome(_local_xy, trace, frame)
+    vut = trace.channels("vut")
+    assert _outcome(frame.to_local_all, vut) == _outcome(loop, trace, frame)
+    assert "lies" in _outcome(frame.to_local_all, vut)
 
 
 def test_align_rejects_disjoint_spans():

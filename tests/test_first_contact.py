@@ -15,12 +15,13 @@ from vistakit import geometry, synth
 from vistakit.errors import DegeneratePolygon
 from vistakit.model import VehicleProfile
 
+from predicates import polygons_intersect
 from test_kernel import _random_outline
 
 
 def _loop_first_contact(a, vel_a, b, vel_b, horizon=30.0):
     A, B = geometry.poly_array(a), geometry.poly_array(b)
-    if geometry.polygons_intersect(A, B):
+    if polygons_intersect(A, B):
         return 0.0
     w = np.asarray(vel_b, dtype=float) - np.asarray(vel_a, dtype=float)
     if not np.isfinite(w).all():
@@ -124,7 +125,7 @@ def test_kernel_matches_loop_reference(vut_kind, chunk, monkeypatch):
     setups = [_random_setup(rng, k) for k in range(800)]
     groups = {}
     for i, (outline, _, horizon) in enumerate(setups):
-        if geometry.outline_faults(outline[None])[0] is None:
+        if geometry.fault_codes(outline[None])[0] == 0:
             groups.setdefault((len(outline), horizon), []).append(i)
     outcomes = set()
     for (_, horizon), idx in groups.items():

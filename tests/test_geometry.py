@@ -11,8 +11,6 @@ from vistakit.geometry import (
     directional_clearance,
     first_contact_time,
     min_separation,
-    point_in_polygon,
-    polygons_intersect,
     rect,
     rect_incursion,
     shoelace_area,
@@ -25,6 +23,7 @@ from oracles import (
     sliced_axis_gap,
     stepped_first_contact,
 )
+from predicates import point_in_polygon, polygons_intersect
 
 
 def _random_convex(rng, cx, cy, r_lo=0.4, r_hi=2.0):

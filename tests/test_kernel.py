@@ -254,7 +254,7 @@ def test_kernel_matches_loop_reference(vut_kind, monkeypatch):
     outlines = [_random_outline(rng, k % 4) for k in range(400)]
     by_count = {}
     for i, poly in enumerate(outlines):
-        if geometry.outline_faults(poly[None])[0] is None:
+        if geometry.fault_codes(poly[None])[0] == 0:
             by_count.setdefault(len(poly), []).append(i)
     assert sum(map(len, by_count.values())) > 350
     classes = {0: set(), 1: set()}
@@ -311,7 +311,7 @@ def test_unread_fields_not_computed_by_evaluate(tmp_path, monkeypatch):
 
 def test_unread_fields_computed_once_on_read(monkeypatch):
     series = clearance_series(mixed_trace(), "CYC")
-    counts = _count_calls(monkeypatch, LAZY + ("outline_faults",))
+    counts = _count_calls(monkeypatch, LAZY + ("fault_codes",))
     assert len(series.samples) == STEPS
     assert counts == dict.fromkeys(counts, 0)
     first = series.samples[0]
@@ -320,10 +320,10 @@ def test_unread_fields_computed_once_on_read(monkeypatch):
     # Both come for the whole series at once: one call per vertex count
     # (4, including the default footprints, and the concave 8), and the
     # outlines, checked when the series was built, are not checked again.
-    assert counts == {**dict.fromkeys(LAZY, 2), "outline_faults": 0}
+    assert counts == {**dict.fromkeys(LAZY, 2), "fault_codes": 0}
     for _ in range(2):
         [(s.ntd, s.euclidean_min) for s in series.samples]
-    assert counts == {**dict.fromkeys(LAZY, 2), "outline_faults": 0}
+    assert counts == {**dict.fromkeys(LAZY, 2), "fault_codes": 0}
 
 
 @pytest.mark.parametrize("entity_id", ["CYC", "CONE"])

@@ -12,7 +12,6 @@ from vistakit.model import (
     VcsPosition,
     VehicleProfile,
     VutState,
-    actor_mimics_obstacle,
     default_footprint,
     is_fixed_infrastructure,
     normalize_heading,
@@ -20,6 +19,7 @@ from vistakit.model import (
 )
 
 from conftest import simple_vut
+from predicates import actor_mimics_obstacle
 
 
 def test_normalize_heading_wraps():

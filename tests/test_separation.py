@@ -15,6 +15,7 @@ import pytest
 from vistakit import geometry
 from vistakit.model import VehicleProfile
 
+from predicates import polygons_intersect
 from test_kernel import _random_outline
 
 
@@ -31,7 +32,7 @@ def _loop_points_to_edges_dist(points, e1, e2):
 
 def _loop_min_separation(a, b):
     A, B = geometry.poly_array(a), geometry.poly_array(b)
-    if geometry.polygons_intersect(A, B):
+    if polygons_intersect(A, B):
         return 0.0
     return min(_loop_points_to_edges_dist(A, B, np.roll(B, -1, axis=0)),
                _loop_points_to_edges_dist(B, A, np.roll(A, -1, axis=0)))
@@ -51,7 +52,7 @@ def test_kernel_matches_loop_reference(vut_kind, chunk, monkeypatch):
     outlines = [_random_outline(rng, k % 4) for k in range(2000)]
     by_count = {}
     for i, poly in enumerate(outlines):
-        if geometry.outline_faults(poly[None])[0] is None:
+        if geometry.fault_codes(poly[None])[0] == 0:
             by_count.setdefault(len(poly), []).append(i)
     assert sum(map(len, by_count.values())) > 1900
     outcomes = set()
@@ -93,7 +94,7 @@ def _convex_pairs(rng, count=1000):
     """``count`` pairs of usable convex outlines, drawn one at a time."""
     for _ in range(count):
         a, b = _convex(rng), _convex(rng)
-        while not all(geometry.outline_faults(p[None])[0] is None
+        while not all(geometry.fault_codes(p[None])[0] == 0
                       for p in (a, b)):
             a, b = _convex(rng), _convex(rng)
         yield a, b
@@ -133,7 +134,7 @@ def test_contact_time_is_zero_exactly_when_polygons_meet():
     for a, b in _convex_pairs(rng):
         vel = rng.uniform(-6.0, 6.0, 2)
         t = geometry.first_contact_time(a, np.zeros(2), b, vel)
-        touching = geometry.polygons_intersect(a, b)
+        touching = polygons_intersect(a, b)
         assert (t == 0.0) == touching
         meet += touching
     assert 100 < meet < 900
