@@ -157,7 +157,7 @@ def entities(trace: Trace) -> tuple:
     """(actor and portable obstacle ids, fixed infrastructure ids)."""
     obstacles = trace.channels("obstacles")
     fixed = [oid for oid, channel in obstacles.items() if len(channel)
-             and is_fixed_infrastructure(channel.column("obst_type")[0])]
+             and is_fixed_infrastructure(channel.columns["obst_type"][0])]
     return [*trace.channels("actors"),
             *(oid for oid in obstacles if oid not in fixed)], fixed
 
@@ -234,19 +234,19 @@ def clearance_series(trace: Trace, entity_id: str,
     if channel is None:
         raise UnknownEntity(f"no actor or obstacle with id {entity_id!r}")
     actor = channel.type is ActorState
-    col = channel.column
+    col = channel.columns
     footprint = geometry.poly_array(profile.footprint)
-    steps = col("step")
+    steps = col["step"]
     n = len(steps)
     vut = trace.channels("vut")
-    at = np.searchsorted(vut.column("step"), steps)
-    lon, lat, heading, speed = (_floats(vut.column(name))[at]
+    at = np.searchsorted(vut.columns["step"], steps)
+    lon, lat, heading, speed = (_floats(vut.columns[name])[at]
                                 for name in ("lon", "lat", "heading", "speed"))
     frame = (lon, lat, *scales(lat), heading)       # each row's VUT frame
 
     # Each row's logged outline in its VCS, one stack per vertex count,
     # and the row's place in it.
-    shapes = col("bbox_true" if actor else "poly_true")
+    shapes = col["bbox_true" if actor else "poly_true"]
     count, geo, place, rings = _outlines(shapes)
     usable = np.zeros(n, dtype=bool)
     beyond_at = []      # (row, 0 for an outline or 1 for a centre, point)
@@ -272,7 +272,7 @@ def clearance_series(trace: Trace, entity_id: str,
     rects = None
     if actor:
         kept = np.arange(n)
-        ids = col("actor_id")
+        ids = col["actor_id"]
         missing = np.flatnonzero(count == 0).tolist()[::-1]
         notes_at = [(i, 0, f"{a}: no outline logged, default footprint used")
                     for a, i in dict(zip(map(ids.__getitem__, missing),
@@ -280,10 +280,10 @@ def clearance_series(trace: Trace, entity_id: str,
         notes_at += [(i, 0, f"{ids[i]}: degenerate outline at step "
                       f"{steps[i]}, default footprint used")
                      for i in np.flatnonzero((count > 0) & ~usable).tolist()]
-        yaw = _floats(col("heading")) - heading     # NaN without a heading
+        yaw = _floats(col["heading"]) - heading     # NaN without a heading
         has = ~np.isnan(yaw)
-        vel_long, vel_lat = _floats(col("vel_long")), _floats(col("vel_lat"))
-        moving = (_floats(col("speed")) != 0.0) | (vel_lat != 0.0) \
+        vel_long, vel_lat = _floats(col["vel_long"]), _floats(col["vel_lat"])
+        moving = (_floats(col["speed"]) != 0.0) | (vel_lat != 0.0) \
             | (vel_long != 0.0)
         unknown = np.flatnonzero(~has & moving)
         if len(unknown):
@@ -300,7 +300,7 @@ def clearance_series(trace: Trace, entity_id: str,
         rows = np.flatnonzero(~usable)
         place[rows] = np.arange(len(rows))
         if len(rows):
-            x, y, plat, plon = (_floats(col(name))[rows]
+            x, y, plat, plon = (_floats(col[name])[rows]
                                 for name in ("x", "y", "lat", "lon"))
             g = ~np.isnan(plat)
             own = rows[g]
@@ -311,7 +311,7 @@ def clearance_series(trace: Trace, entity_id: str,
                 if beyond.any():
                     row = int(own[beyond.argmax()])
                     beyond_at.append((row, 1, channel.position(row)))
-            types = map(col("actor_type").__getitem__, rows.tolist())
+            types = map(col["actor_type"].__getitem__, rows.tolist())
             length, width = zip(*(DEFAULT_FOOTPRINTS.get(
                 t, FALLBACK_FOOTPRINT) for t in types))
             rects = np.array(list(map(
@@ -319,7 +319,7 @@ def clearance_series(trace: Trace, entity_id: str,
                 np.where(has[rows], yaw[rows], 0.0).tolist())))
     else:
         kept = np.flatnonzero(usable)
-        ids = col("obstacle_id")
+        ids = col["obstacle_id"]
         notes_at = [(i, 0, f"{ids[i]}: unusable outline at step {steps[i]}")
                     for i in np.flatnonzero(~usable).tolist()]
     if beyond_at:
@@ -369,7 +369,7 @@ def clearance_series(trace: Trace, entity_id: str,
     columns = dict(zip(_METRICS, (lateral, longitudinal, lat_side, lon_side,
                                   vut_closing, entity_closing)),
                    step=list(map(steps.__getitem__, kept)),
-                   time=list(map(col("time").__getitem__, kept)))
+                   time=list(map(col["time"].__getitem__, kept)))
     series = object.__new__(ClearanceSeries)
     series.__dict__.update(
         entity_id=entity_id, notes=tuple(notes), columns=columns,

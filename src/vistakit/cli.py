@@ -179,6 +179,8 @@ def _cmd_validate(args) -> int:
 # evaluate
 
 def _cmd_evaluate(args) -> int:
+    if args.series and not args.out:
+        raise _CliError("--series requires --out")
     paths = _expand_inputs(args.inputs)
     results = _parse_all(paths)
 

@@ -80,7 +80,7 @@ class FidelityReport:
 
 
 def _vut(trace: Trace, name) -> list:
-    return trace.channels("vut").column(name)
+    return trace.channels("vut").columns[name]
 
 
 def _channels(trace: Trace):

@@ -99,7 +99,7 @@ def check_frequency(trace, f_min: float) -> list:
     warning.
     """
     out = []
-    times = trace.channels("vut").column("time")
+    times = trace.channels("vut").columns["time"]
     if len(times) < 2:
         out.append(Finding(
             ERROR, FREQUENCY_TOO_LOW,

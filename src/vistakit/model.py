@@ -23,7 +23,9 @@ A :class:`Trace` holds each channel (the VUT's, and each entity's) as a
 fields.  The trace readers and the synthesizer make traces from columns
 they have checked, and ``Trace.vut``, ``.actors``, ``.obstacles`` and
 ``.controllers`` build the records on first read, once.  A trace made
-from records keeps them, and gets its columns from them on first use.
+from records keeps them, and gathers its columns from them when made.
+A channel keeps its columns for life, so one whose records have been
+read holds both.
 """
 
 from __future__ import annotations
@@ -380,18 +382,13 @@ def _column_of(cls, records, name) -> list:
 def _assemble(cls, columns) -> list:
     """The records of type cls held by columns, built in bulk."""
     n = len(columns["step"])
-    values = dict(columns)
-    if _POSITIONS[cls]:
-        values["pos"] = pos = [None] * n
+    values = dict(columns, pos=[None] * n)
     for t in _POSITIONS[cls]:
         parts = [columns[name] for name in _NAMES[t]]
-        if None not in parts[0]:            # every row is in this frame
-            values["pos"] = _build(t, n, *parts)
-            break
         rows = [k for k, v in enumerate(parts[0]) if v is not None]
         for k, p in zip(rows, _build(t, len(rows), *(
                 [part[k] for k in rows] for part in parts))):
-            pos[k] = p
+            values["pos"][k] = p
     return _build(cls, n, *(values[name] for name in _NAMES[cls]))
 
 
@@ -401,59 +398,41 @@ class Channel:
     position column holds None in the rows whose position is in another
     frame, and a column not given holds None throughout.
 
+    The columns are set once, when the channel is made, and kept for its
+    life; a channel made from records gathers them from the records.
     The records are built from the columns on first read, once, without
     their checks: whoever made the columns has checked every value
     against the bounds the constructors check (the trace reader's column
-    pass, ``synth``'s bulk checks).  The columns are then let go, and
-    gathered from the records again should they be read again, as those
-    of a channel made from records are; :meth:`column` gathers one
-    alone.  No value is changed once made, so traces may share a channel.
+    pass, ``synth``'s bulk checks).  They are then held beside the
+    columns, so a caller that reads records holds both.  No value is
+    changed once made, so traces may share a channel.
     """
 
-    __slots__ = ("type", "_columns", "_records")
+    __slots__ = ("type", "columns", "_records")
 
     def __init__(self, type, columns=None, records=None):
         self.type = type
         self._records = records
-        if columns is not None:
-            none = [None] * len(columns["step"])
-            columns = {name: columns.get(name, none)
+        if records is not None:
+            columns = {name: _column_of(type, records, name)
                        for name in COLUMNS[type]}
-        self._columns = columns
+        none = [None] * len(columns["step"])
+        self.columns = {name: columns.get(name, none)
+                        for name in COLUMNS[type]}
 
     def __len__(self) -> int:
-        if self._columns is None:
-            return len(self._records)
-        return len(self._columns["step"])
-
-    @property
-    def columns(self) -> dict:
-        if self._columns is None:
-            self._columns = {name: _column_of(self.type, self._records, name)
-                             for name in COLUMNS[self.type]}
-        return self._columns
-
-    def column(self, name) -> list:
-        """One column; gathered alone, and not kept, when the columns are
-        not held."""
-        if self._columns is None:
-            return _column_of(self.type, self._records, name)
-        return self._columns[name]
+        return len(self.columns["step"])
 
     @property
     def records(self) -> tuple:
         if self._records is None:
-            self._records = tuple(_assemble(self.type, self._columns))
-            self._columns = None        # gathered again if read again
+            self._records = tuple(_assemble(self.type, self.columns))
         return self._records
 
     def position(self, k):
-        """The position of row k, made on its own when the records are
-        not built."""
-        if self._records is not None:
-            return self._records[k].pos
+        """The position of row k, made on its own."""
         for t in _POSITIONS[self.type]:
-            parts = [self._columns[name][k] for name in _NAMES[t]]
+            parts = [self.columns[name][k] for name in _NAMES[t]]
             if parts[0] is not None:
                 return t(*parts)
         return None
@@ -525,10 +504,10 @@ class Trace:
     clock.  ``declared_frequency`` is carried metadata (Hz) and does not
     take part in equality.
 
-    Each channel is held as a :class:`Channel` (see :meth:`channels`).
-    A trace made by the readers or the synthesizer has only the columns:
-    ``vut`` and the entity tables build their records on first read,
-    once.
+    Each channel is held as a :class:`Channel` (see :meth:`channels`),
+    and only as one: ``vut`` and the entity tables are their channels'
+    records.  A trace made by the readers or the synthesizer has only
+    the columns, and builds the records on first read, once.
     """
 
     testcase_id: str
@@ -541,34 +520,25 @@ class Trace:
 
     def __post_init__(self):
         self._check_run()
-        for rec in self.vut:
-            if not isinstance(rec, VutState):
-                raise TypeError("vut entries must be VutState records")
-        times = [r.time for r in self.vut]
-        steps = [r.step for r in self.vut]
+        vut = self.channels("vut").columns
+        times, steps = vut["time"], vut["step"]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("VUT time must be strictly increasing")
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValueError("VUT step numbers must be strictly increasing")
         vut_steps = set(steps)
-        for kind, table, want in (
-            ("actor", self.actors, ActorState),
-            ("obstacle", self.obstacles, ObstacleState),
-            ("controller", self.controllers, TrafficControllerState),
-        ):
-            for eid, records in table.items():
-                prev = -1
-                for rec in records:
-                    if not isinstance(rec, want):
-                        raise TypeError(f"{kind} {eid!r} holds a foreign record type")
-                    if rec.step not in vut_steps:
+        for table in ("actors", "obstacles", "controllers"):
+            for eid, channel in self.channels(table).items():
+                steps = channel.columns["step"]
+                for prev, step in zip([-1, *steps], steps):
+                    if step not in vut_steps:
                         raise ValueError(
-                            f"{kind} {eid!r} references step {rec.step} "
+                            f"{table[:-1]} {eid!r} references step {step} "
                             "missing from the VUT channel"
                         )
-                    if rec.step <= prev:
-                        raise ValueError(f"{kind} {eid!r} steps must increase")
-                    prev = rec.step
+                    if step <= prev:
+                        raise ValueError(
+                            f"{table[:-1]} {eid!r} steps must increase")
 
     def _check_run(self):
         if not self.testcase_id:
@@ -598,14 +568,7 @@ class Trace:
         """The Channel of the VUT (``table`` "vut"), or {entity id:
         Channel} of an entity table ("actors", "obstacles",
         "controllers")."""
-        held = self.__dict__
-        if "_" + table not in held:
-            cls, records = _TABLES[table], held[table]
-            held["_" + table] = (
-                Channel(cls, records=records) if table == "vut" else
-                {eid: Channel(cls, records=recs)
-                 for eid, recs in records.items()})
-        return held["_" + table]
+        return self.__dict__["_" + table]
 
     def _renumbered(self, run_id) -> "Trace":
         """This trace under another run id, sharing its channels."""
@@ -615,28 +578,38 @@ class Trace:
 
     @property
     def vut_steps(self) -> tuple:
-        return tuple(self.channels("vut").column("step"))
+        return tuple(self.channels("vut").columns["step"])
 
     @property
     def duration(self) -> float:
-        times = self.channels("vut").column("time")
+        times = self.channels("vut").columns["time"]
         return times[-1] - times[0]
 
 
-def _records_of(table):
-    """Trace's ``table`` field: its records, built from its channels on
-    first read when the trace was made from channels."""
-    def get(self):
-        held = self.__dict__
-        if table not in held:
-            channels = held["_" + table]
-            held[table] = channels.records if table == "vut" else {
-                eid: channel.records for eid, channel in channels.items()}
-        return held[table]
+def _channel(cls, records, what) -> Channel:
+    """The channel of records, each of which must be a cls."""
+    if not all(map(isinstance, records, itertools.repeat(cls))):
+        raise TypeError(what)
+    return Channel(cls, records=records)
 
-    def put(self, records):         # the dataclass __init__ stores here
-        self.__dict__[table] = records
-        self.__dict__.pop("_" + table, None)
+
+def _records_of(table):
+    """Trace's ``table`` field: the records of its channels.  Records
+    given, as the dataclass ``__init__`` gives them, are held as
+    channels."""
+    cls = _TABLES[table]
+
+    def get(self):
+        held = self.__dict__["_" + table]
+        return held.records if table == "vut" else {
+            eid: channel.records for eid, channel in held.items()}
+
+    def put(self, records):
+        self.__dict__["_" + table] = _channel(
+            cls, records, "vut entries must be VutState records") \
+            if table == "vut" else {eid: _channel(
+                cls, recs, f"{table[:-1]} {eid!r} holds a foreign record type")
+                for eid, recs in records.items()}
 
     return property(get, put)
 

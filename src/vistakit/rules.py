@@ -4,8 +4,9 @@ Each rule yields a verdict with the measured extremum, the threshold it
 was held against, the offending step range, and, for clearance rules, an
 attribution: when the gap collapses it matters whether the vehicle under
 test drove into the entity or the entity moved into the vehicle.  A
-collapse caused by the other party is reported as a warning instead of a
-failure; interpenetration (negative clearance) always fails.
+collapse caused by the other party (closing, and faster than the vehicle)
+is a warning instead of a failure, so a parked or receding entity is
+never blamed; interpenetration (negative clearance) always fails.
 
 Hard braking never fails a run on its own; it is surfaced as a warning so
 a reviewer can decide whether the manoeuvre was justified.
@@ -239,27 +240,27 @@ def _contexts(trace: Trace, entity_id: str, rules: RuleSet) -> tuple:
     as columns."""
     obstacles = trace.channels("obstacles")
     if entity_id in obstacles:
-        steps = obstacles[entity_id].column("step")
+        steps = obstacles[entity_id].columns["step"]
         return steps, (STATIC_OBSTACLE,), np.zeros(len(steps), int), []
-    col = trace.channels("actors")[entity_id].column
-    steps = col("step")
+    col = trace.channels("actors")[entity_id].columns
+    steps = col["step"]
     same = np.zeros(len(steps), int)
-    atype = col("actor_type")[0]
+    atype = col["actor_type"][0]
     if atype == "tsv":
         eps = rules.stopped_speed_eps
-        moving = (_floats(col("speed")) >= eps).any() or any(map(
-            operator.ge, map(math.hypot, col("vel_lat"), col("vel_long")),
+        moving = (_floats(col["speed"]) >= eps).any() or any(map(
+            operator.ge, map(math.hypot, col["vel_lat"], col["vel_long"]),
             repeat(eps)))
         return steps, (MOVING_TSV if moving else STOPPED_VEHICLE,), same, []
     if atype in _TYPE_CONTEXT:
         return steps, (_TYPE_CONTEXT[atype],), same, []
     if atype == "vru_pedestrian":
-        heading = _floats(col("heading"))
+        heading = _floats(col["heading"])
         has = ~np.isnan(heading)
         vut = trace.channels("vut")
-        at = np.searchsorted(vut.column("step"), steps)[has]
+        at = np.searchsorted(vut.columns["step"], steps)[has]
         # The VUT's headings lie in [0, 360), so fmod alone normalises.
-        oncoming = np.fmod(_floats(vut.column("heading"))[at] + 180.0, 360.0)
+        oncoming = np.fmod(_floats(vut.columns["heading"])[at] + 180.0, 360.0)
         same[has] = np.abs((heading[has] - oncoming + 180.0) % 360.0
                            - 180.0) < 90.0
         notes = [] if has.all() else [
@@ -315,7 +316,7 @@ def _clearance_verdict(rule: str, columns, applies, gap, limit, threshold,
         # Who closed the gap at the first offending sample.
         k = offending[0]
         attribution = ATTR_OTHER if columns["entity_closing"][k] > \
-            columns["vut_closing"][k] + 1e-9 else ATTR_VUT
+            max(columns["vut_closing"][k], 0.0) + 1e-9 else ATTR_VUT
         outcome = WARNING if attribution == ATTR_OTHER and not collision \
             else FAIL
     detail = "; ".join(filter(None, (label(worst),
@@ -354,7 +355,7 @@ def evaluate_clearances(trace: Trace, series: ClearanceSeries,
 def evaluate_kinematics(trace: Trace, rules: RuleSet) -> tuple:
     """Speed-limit verdict and hard-deceleration warning."""
     vut = trace.channels("vut")
-    steps, speed, acc = map(vut.column, ("step", "speed", "acc_long"))
+    steps, speed, acc = map(vut.columns.get, ("step", "speed", "acc_long"))
     v, a = _floats(speed), _floats(acc)
     limit = rules.speed_limit
     offending = np.flatnonzero(v > limit + rules.speed_tolerance)
@@ -415,12 +416,12 @@ def evaluate_traffic_lights(trace: Trace, rules: RuleSet) -> tuple:
                 rule=rule, outcome=NOT_APPLICABLE,
                 detail="stop line never crossed"))
             continue
-        steps = vut.column("step")
+        steps = vut.columns["step"]
         crossing = (steps[cross[0]], steps[cross[0] + 1])
         # The phase logged last at or before the step after the crossing.
-        col = controllers[cid].column
-        k = int(np.searchsorted(col("step"), crossing[1], side="right")) - 1
-        phase = col("phase")[k] if k >= 0 else None
+        col = controllers[cid].columns
+        k = int(np.searchsorted(col["step"], crossing[1], side="right")) - 1
+        phase = col["phase"][k] if k >= 0 else None
         if phase is None:
             verdicts.append(RuleVerdict(
                 rule=rule, outcome=NOT_APPLICABLE,

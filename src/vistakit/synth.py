@@ -484,7 +484,7 @@ def _shifted(channel, time_shift, **columns) -> Channel:
     replaced; one that would come out the same is returned as it is.  A
     time no longer finite, the one check a shift can fail, raises the
     constructor's error."""
-    times = channel.column("time")
+    times = channel.columns["time"]
     time = [t + time_shift for t in times]
     if not time or (not columns and time_shift == 0.0
                     and repr(time) == repr(times)):

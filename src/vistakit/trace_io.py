@@ -41,8 +41,8 @@ row order, each with its findings in the order a row-by-row read meets
 them.  These are the checks ``Trace`` makes of its records, so the trace
 is made from the columns without making them again.
 
-Both writers read the trace's channel columns (a trace made from records
-gathers them from its records once), map them to file columns through
+Both writers read the trace's channel columns (which a channel made
+from records gathers when it is made), map them to file columns through
 the one field/column map the readers use, and write, in schema order,
 every column the schema requires and every other one that some row
 fills.  Each written column is formatted in one pass (each outline
@@ -1301,9 +1301,8 @@ def _cells(values, shapes) -> list:
 
 def _entities(trace) -> dict:
     """group -> {entity id: Channel} of a trace."""
-    return {"actor": trace.channels("actors"),
-            "obstacle": trace.channels("obstacles"),
-            "controller": trace.channels("controllers")}
+    return {group: trace.channels(group + "s")
+            for group in ("actor", "obstacle", "controller")}
 
 
 def write_flat(trace, directory) -> Path:

@@ -331,8 +331,9 @@ def _offence_summary(steps: list) -> tuple:
 
 
 def _attribute(sample) -> str:
-    """Who closed the gap at this sample."""
-    if sample.entity_closing > sample.vut_closing + 1e-9:
+    """Who closed the gap at this sample: the other party only when it
+    closes, and faster than the VUT."""
+    if sample.entity_closing > max(sample.vut_closing, 0.0) + 1e-9:
         return ATTR_OTHER
     return ATTR_VUT
 

@@ -134,6 +134,15 @@ def test_bad_env_variable_is_named(monkeypatch, capsys, name, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_series_without_out_is_usage_error(capsys):
+    # Refused before any input is read: the input does not exist.
+    rc = cli.main(["evaluate", "no_such_trace.csv", "--series"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.err == "error: --series requires --out\n"
+    assert captured.out == ""
+
+
 def test_generate_infeasible_target(tmp_path, capsys):
     rc = cli.main(["generate", "--case", "3", "--runs", "1",
                    "--out", str(tmp_path), "--target-clearance", "20.0"])

@@ -56,12 +56,14 @@ def _record_types(trace):
         for t in TABLES[1:]]
 
 
+def _channels(trace) -> list:
+    return [trace.channels("vut")] + [
+        c for t in TABLES[1:] for c in trace.channels(t).values()]
+
+
 def _columns_only(trace) -> bool:
     """Whether no record of the trace has been built yet."""
-    channels = [trace.channels("vut")] + [
-        c for t in TABLES[1:] for c in trace.channels(t).values()]
-    return all(t not in trace.__dict__ for t in TABLES) and \
-        all(c._records is None for c in channels)
+    return all(c._records is None for c in _channels(trace))
 
 
 def assert_equivalent(columnar, constructed):
@@ -175,6 +177,31 @@ def test_setting_a_channel_replaces_its_columns():
     vut = trace.vut[:2]
     object.__setattr__(trace, "vut", vut)
     assert trace.channels("vut").columns["step"] == [0, 1]
+    assert trace.vut is vut and "vut" not in trace.__dict__
+
+
+@pytest.mark.parametrize("made", ["parsed", "synthesized", "perturbed"])
+def test_reading_records_keeps_the_columns(tmp_path, made):
+    """A channel's columns are the same dict of the same lists before and
+    after its records are built, and the trace holds the records only in
+    its channels."""
+    trace = synth.synthesize(synth.ScenarioSpec(), 2)
+    if made == "parsed":
+        trace, _ = parse_trace(write_trace(trace, tmp_path, "distributed"))
+    elif made == "perturbed":
+        trace = synth.perturb(trace, pos_sigma=0.1, speed_sigma=0.1,
+                              time_shift=0.5, seed=4)
+    held = [(c.columns, dict(c.columns)) for c in _channels(trace)]
+    assert _columns_only(trace) and len(held) == 2
+    assert trace.vut and all(map(len, trace.actors.values()))
+    for channel, (columns, lists) in zip(_channels(trace), held):
+        assert channel._records is not None
+        assert channel.columns is columns
+        assert columns.keys() == lists.keys()
+        assert all(columns[name] is lists[name] for name in lists)
+    assert set(trace.__dict__) == {
+        "testcase_id", "run_id", "declared_frequency",
+        *(f"_{t}" for t in TABLES)}
 
 
 # --- what builds records ----------------------------------------------------

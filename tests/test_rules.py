@@ -186,6 +186,23 @@ def test_overtaker_attribution_softens_to_warning():
     assert ev.passed
 
 
+def test_parked_entity_is_not_blamed():
+    # A stopped vehicle 0.4 m to the side, its centre 1 m behind the
+    # VUT's: the VUT recedes from it and it does not close at all, so
+    # the broken clearance is the VUT's and the run fails.
+    vut = straight_vut_series(20)
+    recs = tuple(_tsv(k, 0.9 + 0.4 + 0.9, x=-1.0) for k in range(20))
+    t = Trace("TC-ATTR-02", 1, vut, actors={"A1": recs})
+    series = clearance_series(t, "A1")
+    assert (series.columns["vut_closing"] < 0.0).all()
+    assert (series.columns["entity_closing"] == 0.0).all()
+    ev = evaluate_run(t, RuleSet())
+    v = ev.verdict("lateral_clearance[A1]")
+    assert v.outcome == FAIL
+    assert v.attribution == ATTR_VUT
+    assert not ev.passed
+
+
 def test_collision_always_fails():
     from vistakit.model import BoundingShape
     vut = straight_vut_series(3, speed=5.0)
