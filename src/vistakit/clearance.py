@@ -30,7 +30,7 @@ from .model import (
     VehicleProfile,
     is_fixed_infrastructure,
 )
-from .trace_io import _fmt
+from .trace_io import _cells
 
 NTD_HORIZON = 30.0
 
@@ -388,11 +388,21 @@ SERIES_COLUMNS = ("step", "time", "entity_id", "lateral", "longitudinal",
                   "euclidean_min", "ntd")
 
 
-def series_rows(series_list) -> list:
-    """Plot-ready rows (header first) for one or more clearance series,
-    each cell formatted as the trace writers format theirs."""
-    rows = [list(SERIES_COLUMNS)]
+def series_columns(series_list) -> tuple:
+    """(header, columns) of one or more clearance series, plot-ready: each
+    column's cells formatted as the trace writers format theirs, from the
+    series' columns (``euclidean_min`` and ``ntd`` from their batched
+    computation), building no sample."""
+    columns = [[] for _ in SERIES_COLUMNS]
     for series in series_list:
-        for s in series.samples:
-            rows.append([_fmt(getattr(s, c)) for c in SERIES_COLUMNS])
-    return rows
+        c = series.columns
+        unread = series.__dict__.get("_unread")
+        measured = unread.measured if unread else (
+            [s.euclidean_min for s in series.samples],
+            [s.ntd for s in series.samples])
+        for column, values in zip(columns, (
+                c["step"], c["time"], [series.entity_id] * len(c["step"]),
+                c["lateral"].tolist(), c["longitudinal"].tolist(),
+                *measured)):
+            column += values
+    return list(SERIES_COLUMNS), [_cells(v, {}) for v in columns]

@@ -10,7 +10,8 @@ Four subcommands cover the everyday jobs:
 Exit codes: 0 success, 1 findings or failed verdicts, 2 bad usage or
 unreadable inputs.  All output is deterministic for a given input set:
 file lists are sorted, JSON is written with sorted keys and no
-timestamps.
+timestamps.  ``validate`` and ``evaluate`` hold one parsed run at a time,
+so their memory grows with the largest run, not with the batch.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import fidelity as fidelity_mod
 from . import integrity as it
@@ -29,7 +31,7 @@ from . import rules as rules_mod
 from . import synth
 from . import trace_io
 # all_clearance_series is unused here: perfbench/tracer.py wraps this name.
-from .clearance import all_clearance_series, series_rows  # noqa: F401
+from .clearance import all_clearance_series, series_columns  # noqa: F401
 from .errors import InsufficientOverlap, VistaError
 from .model import VehicleProfile
 from .rules import RuleSet
@@ -108,14 +110,14 @@ def _expand_inputs(paths) -> list:
     return out
 
 
-def _parse_all(paths):
-    """[(path, trace | None, report)] for every expanded input."""
-    return [(p, *trace_io.parse_trace(p)) for p in paths]
+def _findings(path, findings) -> str:
+    return "".join(f"{path}: {f.render()}\n" for f in findings)
 
 
-def _print_findings(path, findings):
-    for f in findings:
-        print(f"{path}: {f.render()}")
+def _entry(name, ok: bool, findings) -> dict:
+    """One input's entry in the ``validate --out`` JSON."""
+    return {"input": str(name), "ok": ok,
+            "findings": [asdict(f) for f in findings]}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -130,49 +132,38 @@ def _write_json(path: Path, payload) -> None:
 
 def _cmd_validate(args) -> int:
     paths = _expand_inputs(args.inputs)
-    f_min = args.f_min
-    results = _parse_all(paths)
-
-    any_error = False
-    payload = []
-    groups: dict = {}
-    for path, trace, report in results:
-        if trace is not None and f_min > 0:
-            report.findings.extend(it.check_frequency(trace, f_min))
-        _print_findings(path, report.findings)
+    # Each input is parsed, checked and dropped before the next: the
+    # run-set check reads only the runs' ids.  The lines are printed once
+    # every input is read, so an input that cannot be read prints none.
+    text, payload, groups = [], [], {}
+    for path in paths:
+        trace, report = trace_io.parse_trace(path)
         if trace is not None:
-            groups.setdefault(trace.testcase_id, []).append(trace)
-        ok = report.ok
-        any_error = any_error or not ok
-        payload.append({
-            "input": str(path),
-            "ok": ok,
-            "findings": [asdict(f) for f in report.findings],
-        })
-        print(f"{'OK' if ok else 'INVALID'} {path}")
+            if args.f_min > 0:
+                report.findings.extend(it.check_frequency(trace, args.f_min))
+            groups.setdefault(trace.testcase_id, []).append(SimpleNamespace(
+                testcase_id=trace.testcase_id, run_id=trace.run_id))
+        del trace
+        text.append(_findings(path, report.findings)
+                    + f"{'OK' if report.ok else 'INVALID'} {path}\n")
+        payload.append(_entry(path, report.ok, report.findings))
 
-    check_sets = args.n_required is not None
-    n_required = args.n_required if check_sets else RuleSet.n_required
+    n_required = args.n_required or RuleSet.n_required
     set_findings = []
     for tc in sorted(groups):
-        runs = groups[tc]
-        if not check_sets and len(runs) < 2:
-            continue
-        for f in it.check_run_set(runs, n_required):
-            set_findings.append(f)
-            print(f"{tc}: {f.render()}")
-            if f.severity == it.ERROR:
-                any_error = True
+        if args.n_required or len(groups[tc]) > 1:
+            found = it.check_run_set(groups[tc], n_required)
+            set_findings += found
+            text.append(_findings(tc, found))
     if set_findings:
-        payload.append({
-            "input": "run sets",
-            "ok": all(f.severity != it.ERROR for f in set_findings),
-            "findings": [asdict(f) for f in set_findings],
-        })
+        payload.append(_entry("run sets", all(
+            f.severity != it.ERROR for f in set_findings), set_findings))
 
+    sys.stdout.write("".join(text))
     if args.out:
         _write_json(Path(args.out), payload)
-    return EXIT_FINDINGS if any_error else EXIT_OK
+    return EXIT_OK if all(entry["ok"] for entry in payload) \
+        else EXIT_FINDINGS
 
 
 # ---------------------------------------------------------------------------
@@ -182,45 +173,46 @@ def _cmd_evaluate(args) -> int:
     if args.series and not args.out:
         raise _CliError("--series requires --out")
     paths = _expand_inputs(args.inputs)
-    results = _parse_all(paths)
-
     overrides = rules_mod.load_rules(args.rules) if args.rules else None
     profile = VehicleProfile(length=args.vut_length, width=args.vut_width)
 
-    bad = False
-    for path, trace, report in results:
+    # Each run is evaluated as soon as it is parsed, and only its
+    # evaluation is kept.  Once an input has errors the rest are only
+    # read, for their errors, and nothing is judged.
+    failed, rulesets, groups = [], {}, {}
+    for path in paths:
+        trace, report = trace_io.parse_trace(path)
         if trace is None or not report.ok:
-            _print_findings(path, report.errors)
-            bad = True
-    if bad:
-        print("evaluation aborted: inputs have integrity errors")
+            failed.append(_findings(path, report.errors))
+        elif not failed:
+            tc = trace.testcase_id
+            if tc not in rulesets:
+                rulesets[tc] = rules_mod.ruleset_for(tc, overrides)
+            ev = rules_mod.evaluate_run(trace, rulesets[tc], profile)
+            groups.setdefault(tc, []).append(
+                ev if args.series else replace(ev, series=()))
+        del trace
+    if failed:
+        sys.stdout.write("".join(failed) + "evaluation aborted: inputs "
+                         "have integrity errors\n")
         return EXIT_FINDINGS
-
-    groups: dict = {}
-    for path, trace, _ in results:
-        groups.setdefault(trace.testcase_id, []).append((path, trace))
 
     out_dir = Path(args.out) if args.out else None
     all_passed = True
     for tc in sorted(groups):
-        pairs = sorted(groups[tc], key=lambda pt: pt[1].run_id)
-        ruleset = rules_mod.ruleset_for(tc, overrides)
-        n_required = ruleset.n_required if args.n_required is None \
-            else args.n_required
-        evaluations = [rules_mod.evaluate_run(t, ruleset, profile)
-                       for _, t in pairs]
-        case = rules_mod.aggregate(evaluations, n_required=n_required)
+        evaluations = sorted(groups[tc], key=lambda ev: ev.run_id)
+        case = rules_mod.aggregate(evaluations, n_required=(
+            args.n_required or rulesets[tc].n_required))
         all_passed = all_passed and case.passed
         sys.stdout.write(rules_mod.render_text(case))
         if out_dir is not None:
             _write_json(out_dir / f"{tc}_summary.json", case.to_dict())
-            for (path, trace), ev in zip(pairs, evaluations):
-                stem = dir_name(tc, trace.run_id)
+            for ev in evaluations:
+                stem = dir_name(tc, ev.run_id)
                 _write_json(out_dir / f"{stem}_verdict.json", ev.to_dict())
                 if args.series:
-                    header, *rows = series_rows(ev.series)
-                    trace_io._write(out_dir / f"{stem}_series.csv", header,
-                                    list(zip(*rows)))
+                    trace_io._write(out_dir / f"{stem}_series.csv",
+                                    *series_columns(ev.series))
     return EXIT_OK if all_passed else EXIT_FINDINGS
 
 
@@ -233,7 +225,7 @@ def _one_trace(path_str: str):
         raise _CliError(f"{path_str}: expected exactly one trace")
     trace, report = trace_io.parse_trace(paths[0])
     if trace is None or not report.ok:
-        _print_findings(paths[0], report.errors)
+        sys.stdout.write(_findings(paths[0], report.errors))
         raise _CliError(f"{path_str}: integrity errors, cannot compare")
     return trace
 

@@ -65,16 +65,9 @@ class IntegrityReport:
             column: str | None = None) -> None:
         self.findings.append(Finding(severity, code, message, file, row, column))
 
-    def extend(self, other: "IntegrityReport") -> None:
-        self.findings.extend(other.findings)
-
     @property
     def errors(self) -> list:
         return [f for f in self.findings if f.severity == ERROR]
-
-    @property
-    def warnings(self) -> list:
-        return [f for f in self.findings if f.severity == WARNING]
 
     @property
     def ok(self) -> bool:
@@ -131,7 +124,8 @@ def check_run_set(traces, n_required: int) -> list:
     """Completeness findings for the runs of one test case.
 
     All traces must belong to the same test case; mixing cases is caller
-    error and raises.
+    error and raises.  Only their ``testcase_id`` and ``run_id`` are read,
+    so any objects with those two attributes will do.
     """
     if n_required < 1:
         raise ValueError("n_required must be >= 1")

@@ -207,10 +207,6 @@ class RunEvaluation:
     def passed(self) -> bool:
         return all(v.outcome != FAIL for v in self.verdicts)
 
-    @property
-    def warnings(self) -> tuple:
-        return tuple(v for v in self.verdicts if v.outcome == WARNING)
-
     def verdict(self, rule: str) -> RuleVerdict:
         for v in self.verdicts:
             if v.rule == rule:

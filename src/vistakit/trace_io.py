@@ -348,7 +348,8 @@ class _Reader:
         holds the clock columns' ``_bulk`` results when another reader of
         the same rows has them.
 
-        Each column is decoded and checked in one pass.  A row's faults
+        Each column is decoded and checked in one pass, and its cells are
+        then dropped from ``table`` (set to None).  A row's faults
         are noted in the order of the module docstring, so the first one
         noted is its finding.  The rows with a cell the bounds flagged
         then get their records built and checked by the record
@@ -367,6 +368,7 @@ class _Reader:
         for idx, name in self.clock:
             vals[name], faults = clock[name] if clock else _bulk(
                 columns[idx], name)
+            columns[idx] = None
             note(range(n), faults, name)
         live = [k for k in range(n) if k not in found] if found \
             else range(n)
@@ -379,7 +381,7 @@ class _Reader:
         frames, faults = self._frames(columns, live)
         note(live, faults, _POS_COLUMN)
         for idx, name in self.rest:
-            cells = _pick(columns[idx], live)
+            cells, columns[idx] = _pick(columns[idx], live), None
             if schema.BY_NAME[name].kind == "array":
                 vals[name], faults = _outlines(cells, frames, name)
             else:
@@ -700,7 +702,8 @@ def _table(path, fname, rep):
 
 # Characters per block that _cut reads.  No copy of a whole file's text
 # is made beside its cells, and blocks this small keep the peak memory of
-# a 100 Hz parse at the csv module's.
+# a 100 Hz parse at the csv module's.  The column pass then drops each
+# column's cells once decoded, so cells and values are not all held at once.
 _BLOCK = 1 << 14
 
 
@@ -1182,6 +1185,7 @@ def _attach(folder, role, tables, rep):
              for i, step in enumerate(cols["step"])}
     ids = list(map(str.strip, columns[colmap[id_col]]))
     steps, bad = _bulk(columns[colmap["Step_number"]], "Step_number")
+    columns[colmap["Step_number"]] = None
     at = {k: index.get((ids[k], steps[k])) for k in range(n)
           if ids[k] and bad.get(k) is None}
     matched = [k for k, i in at.items() if i is not None]
@@ -1192,6 +1196,7 @@ def _attach(folder, role, tables, rep):
             _pick(columns[colmap[column]], matched),
             ["vcs" if entities[ids[k]]["lat"][at[k]] is None else "wgs84"
              for k in matched], column)
+        columns[colmap[column]] = None
     shapes = dict(zip(matched, shapes))
     faults = {matched[m]: message for m, message in faults.items()}
     copied = set()

@@ -7,7 +7,8 @@ GeoPosition and projects them through one ``LocalFrame.at`` per sample.
 ``evaluate_run`` applies the rules to the records of ``trace.vut`` and of
 each entity, on the series of ``clearance_series`` here.  The package's
 versions must agree with these ``repr`` for ``repr``, sample by sample,
-verdict by verdict and note by note.
+verdict by verdict and note by note.  ``series_rows`` formats a series
+sample by sample, cell by cell, as ``evaluate --series`` must write it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from vistakit import geometry
 from vistakit.clearance import (
     DEFAULT_FOOTPRINTS,
     FALLBACK_FOOTPRINT,
+    SERIES_COLUMNS,
     ClearanceSample,
     ClearanceSeries,
     _concave,
@@ -57,6 +59,7 @@ from vistakit.rules import (
     RunEvaluation,
     _not_evaluable,
 )
+from vistakit.trace_io import _fmt
 
 
 def _records(trace: Trace, entity_id: str) -> tuple:
@@ -505,3 +508,13 @@ def evaluate_run(trace: Trace, rules: RuleSet | None = None,
     return RunEvaluation(testcase_id=trace.testcase_id, run_id=trace.run_id,
                          verdicts=tuple(verdicts), notes=tuple(notes),
                          series=tuple(all_series))
+
+
+def series_rows(series_list) -> list:
+    """Plot-ready rows (header first) for one or more clearance series,
+    each cell of each sample formatted by ``_fmt``."""
+    rows = [list(SERIES_COLUMNS)]
+    for series in series_list:
+        for s in series.samples:
+            rows.append([_fmt(getattr(s, c)) for c in SERIES_COLUMNS])
+    return rows

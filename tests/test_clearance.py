@@ -2,12 +2,14 @@ import math
 
 import pytest
 
+from vistakit import synth
 from vistakit.clearance import (
     DEFAULT_FOOTPRINTS,
     SERIES_COLUMNS,
+    ClearanceSeries,
     all_clearance_series,
     clearance_series,
-    series_rows,
+    series_columns,
 )
 from vistakit.errors import UnknownEntity
 from vistakit.frames import LocalFrame
@@ -22,6 +24,7 @@ from vistakit.model import (
 )
 from vistakit.rules import evaluate_run
 
+from clearance_reference import series_rows
 from conftest import BASE, geo_quad, straight_vut_series
 
 
@@ -157,7 +160,11 @@ def test_series_rows_export():
     vut = straight_vut_series(2)
     t = Trace("TC-CL-10", 1, vut,
               actors={"A1": tuple(_vcs_actor(k, 3.0) for k in range(2))})
-    rows = series_rows([clearance_series(t, "A1")])
+    series = clearance_series(t, "A1")
+    header, columns = series_columns([series])
+    assert "samples" not in series.__dict__
+    rows = [header, *map(list, zip(*columns))]
+    assert rows == series_rows([series])
     assert rows[0] == list(SERIES_COLUMNS)
     assert SERIES_COLUMNS == ("step", "time", "entity_id", "lateral",
                               "longitudinal", "euclidean_min", "ntd")
@@ -167,6 +174,18 @@ def test_series_rows_export():
     assert first["entity_id"] == "A1"
     assert float(first["lateral"]) == pytest.approx(3.0 - 0.9 - 0.3)
     assert float(first["ntd"]) == math.inf
+
+
+def test_series_columns_match_the_sample_rows():
+    """Every stock case's series, and a series made from its samples,
+    format as the sample-by-sample reference does."""
+    series = [s for case in (1, 2, 3) for s in all_clearance_series(
+        synth.synthesize(synth.ScenarioSpec(), case))]
+    header, columns = series_columns(series)
+    rows = [header, *map(list, zip(*columns))]
+    assert rows == series_rows(series)
+    made = [ClearanceSeries(s.entity_id, s.samples, s.notes) for s in series]
+    assert series_columns(made) == (header, columns)
 
 
 def test_concave_outline_noted_once():
