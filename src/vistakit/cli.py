@@ -32,7 +32,7 @@ from . import synth
 from . import trace_io
 # all_clearance_series is unused here: perfbench/tracer.py wraps this name.
 from .clearance import all_clearance_series, series_columns  # noqa: F401
-from .errors import InsufficientOverlap, VistaError
+from .errors import VistaError
 from .model import VehicleProfile
 from .rules import RuleSet
 from .schema import (DIR_NAME_RE, FLAT_NAME_RE, MAX_RUN_ID, ROLE_VUT,
@@ -238,12 +238,8 @@ def _cmd_fidelity(args) -> int:
         speed_rmse=args.tol_speed,
         heading_rmse=args.tol_heading,
     )
-    try:
-        report = fidelity_mod.compare(virtual, reference, tolerances=tol,
-                                      window=args.window)
-    except InsufficientOverlap as exc:
-        print(f"error: {exc}")
-        return EXIT_USAGE
+    report = fidelity_mod.compare(virtual, reference, tolerances=tol,
+                                  window=args.window)
     verdict = "PASS" if report.passed else "RECALIBRATE"
     print(f"offset_s={report.offset:.3f} "
           f"position_rmse_m={report.position_rmse:.4f} "

@@ -41,8 +41,6 @@ INDICATOR_NAMES = frozenset(
      "brake", "reverse", "hazard"}
 )
 
-VEHICLE_CLASSES = ("class3", "class4", "aesv_class3", "aesv_class4")
-
 # Numeric obstacle type codes.  Codes below FIXED_INFRA_CODE_MIN are
 # portable objects that take part in clearance evaluation; codes at or
 # above it are fixed roadside infrastructure, which is exempt from the
@@ -72,6 +70,17 @@ def _check_finite(name: str, value: float) -> None:
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_step(step) -> None:
+    if not isinstance(step, int) or step < 0:
+        raise ValueError(f"step must be a non-negative int, got {step!r}")
+
+
+def _check_texts(record, *names) -> None:
+    for name in names:
+        if not getattr(record, name):
+            raise ValueError(f"{name} must be non-empty")
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,8 +199,7 @@ class VutState:
         _check_finite("time", self.time)
         if self.time < 0.0:
             raise ValueError(f"time must be >= 0, got {self.time}")
-        if not isinstance(self.step, int) or self.step < 0:
-            raise ValueError(f"step must be a non-negative int, got {self.step!r}")
+        _check_step(self.step)
         _check_finite("travelled", self.travelled)
         if self.travelled < 0.0:
             raise ValueError("travelled must be >= 0")
@@ -215,10 +223,7 @@ class VutState:
             val = getattr(self, name)
             if val is not None:
                 _check_finite(name, val)
-        if not self.drive_status:
-            raise ValueError("drive_status must be non-empty")
-        if not self.special_op:
-            raise ValueError("special_op must be non-empty")
+        _check_texts(self, "drive_status", "special_op")
 
 
 def _check_ttc(name: str, value: float) -> None:
@@ -254,12 +259,8 @@ class ActorState:
 
     def __post_init__(self):
         _check_finite("time", self.time)
-        if not isinstance(self.step, int) or self.step < 0:
-            raise ValueError(f"step must be a non-negative int, got {self.step!r}")
-        if not self.actor_id:
-            raise ValueError("actor_id must be non-empty")
-        if not self.actor_type:
-            raise ValueError("actor_type must be non-empty")
+        _check_step(self.step)
+        _check_texts(self, "actor_id", "actor_type")
         if not isinstance(self.pos, (GeoPosition, VcsPosition)):
             raise TypeError("pos must be GeoPosition or VcsPosition")
         _check_finite("speed", self.speed)
@@ -299,10 +300,8 @@ class ObstacleState:
 
     def __post_init__(self):
         _check_finite("time", self.time)
-        if not isinstance(self.step, int) or self.step < 0:
-            raise ValueError(f"step must be a non-negative int, got {self.step!r}")
-        if not self.obstacle_id:
-            raise ValueError("obstacle_id must be non-empty")
+        _check_step(self.step)
+        _check_texts(self, "obstacle_id")
         if not isinstance(self.obst_type, int) or isinstance(self.obst_type, bool):
             raise TypeError("obst_type must be an integer code")
         if self.obst_type < OBSTACLE_CODE_MIN:
@@ -328,12 +327,8 @@ class TrafficControllerState:
 
     def __post_init__(self):
         _check_finite("time", self.time)
-        if not isinstance(self.step, int) or self.step < 0:
-            raise ValueError(f"step must be a non-negative int, got {self.step!r}")
-        if not self.controller_id:
-            raise ValueError("controller_id must be non-empty")
-        if not self.phase:
-            raise ValueError("phase must be non-empty")
+        _check_step(self.step)
+        _check_texts(self, "controller_id", "phase")
 
 
 _NAMES = {cls: tuple(f.name for f in fields(cls))
@@ -461,16 +456,13 @@ def default_footprint(length: float = CAR_SIZE[0],
 
 @dataclass(frozen=True)
 class VehicleProfile:
-    """Static facts about the vehicle under test."""
+    """The size of the vehicle under test and its footprint in the VCS."""
 
-    vehicle_class: str = "class3"
     length: float = CAR_SIZE[0]
     width: float = CAR_SIZE[1]
     footprint: BoundingShape | None = None
 
     def __post_init__(self):
-        if self.vehicle_class not in VEHICLE_CLASSES:
-            raise ValueError(f"unknown vehicle class {self.vehicle_class!r}")
         _check_finite("length", self.length)
         _check_finite("width", self.width)
         if self.length <= 0 or self.width <= 0:

@@ -30,7 +30,9 @@ whole; it fixes the frame of the row's outlines), then the other cells
 in file column order, and last the record type's checks, which run on
 every row with a cell the bounds flagged.  The bounds may be stricter
 than the record types (``Time`` >= 0 holds for every group): such a row
-keeps its record.
+keeps its record.  A perceived overlay row's first fault is, in this
+order: the id cell (empty: no record, no finding), a clock cell, no
+true row of its id and step, its outline.
 
 Rows are assembled into channels from masks over whole columns, not row
 by row: the VUT clock flags repeated steps, times that do not increase
@@ -911,17 +913,12 @@ def _join(table, group, rows, cols, step_times, half_period, found):
     drift = np.zeros(len(rows), dtype=bool)
     if half_period is not None:
         drift = np.abs(t - vt) > half_period
-    # Per entity, in row order, its records not orphaned; those at or
-    # below the running maximum of the ones before are refused.
+    # Each entity's rows on the clock in row order, entities by first row;
+    # a row whose step does not top its entity's earlier ones is refused.
+    entities = {}
+    for m in np.flatnonzero(~orphan).tolist():
+        entities.setdefault(eids[m], []).append(m)
     s = _ints(steps)
-    live = np.flatnonzero(~orphan)
-    entity = {eid: j for j, eid in enumerate(
-        dict.fromkeys(map(eids.__getitem__, live.tolist())))}
-    code = np.fromiter(map(entity.__getitem__, map(eids.__getitem__,
-                                                   live.tolist())),
-                       int, len(live))
-    live = live[np.argsort(code, kind="stable")]
-    bounds = np.cumsum(np.bincount(code, minlength=len(entity))).tolist()
     refused = np.zeros(len(rows), dtype=bool)
     repeated = np.zeros(len(rows), dtype=bool)
     moved = np.flatnonzero(~orphan & (t != vt)).tolist()
@@ -929,8 +926,8 @@ def _join(table, group, rows, cols, step_times, half_period, found):
         cols = dict(cols, time=list(times))
         for m in moved:
             cols["time"][m] = vut_times[m]
-    for eid, lo, hi in zip(entity, [0] + bounds, bounds):
-        at = live[lo:hi]
+    for eid, at in entities.items():
+        at = np.array(at)
         top = np.maximum.accumulate(s[at])[:-1]
         refused[at[1:]] = s[at[1:]] <= top
         repeated[at[1:]] = s[at[1:]] == top
@@ -960,7 +957,10 @@ def _finish_trace(ids, vut, tables, period, rep):
 
     The rows' checks are the trace's own checks of its records (VUT time
     and steps increase, entity steps are on the VUT clock and increase),
-    so the Trace is built from the columns without them."""
+    so the Trace is built from the columns without them.  Nor can its run
+    checks refuse it: the name patterns capture a non-empty test case id,
+    ``_run_ids`` refuses a run id below 1, and ``_vut_clock`` a VUT with
+    no row."""
     if not rep.ok:
         return None
     actors, obstacles = tables["actor"], tables["obstacle"]
@@ -974,19 +974,15 @@ def _finish_trace(ids, vut, tables, period, rep):
 
     def channels(group):
         return {k: Channel(_TYPES[group], v) for k, v in tables[group].items()}
-    try:
-        return Trace._checked(
-            *ids,
-            vut=Channel(VutState, vut),
-            actors=channels("actor"),
-            obstacles=channels("obstacle"),
-            controllers=channels("controller"),
-            declared_frequency=round(1.0 / period, 6)
-            if period is not None and period > 0 else 0.0,
-        )
-    except (ValueError, TypeError) as exc:
-        rep.add(it.ERROR, it.BAD_VALUE, f"trace rejected: {exc}")
-        return None
+    return Trace._checked(
+        *ids,
+        vut=Channel(VutState, vut),
+        actors=channels("actor"),
+        obstacles=channels("obstacle"),
+        controllers=channels("controller"),
+        declared_frequency=round(1.0 / period, 6)
+        if period is not None and period > 0 else 0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1097,14 +1093,6 @@ def _read_role(folder, role, rep):
     return colmap, table
 
 
-def _read(reader, table, found):
-    """(rows, columns) of a role file read by _read_role, its column
-    pass's findings noted in found."""
-    rows, cols, faults = reader.read_columns(table)
-    _bad_values(found, faults)
-    return rows, cols
-
-
 def parse_distributed(path):
     """Parse a distributed run folder -> (Trace | None, IntegrityReport)."""
     folder = Path(path)
@@ -1129,7 +1117,8 @@ def parse_distributed(path):
                     f"{schema.ROLE_VUT} is missing", file=folder.name)
         return None, rep
     found = {}
-    vut_rows, vut = _read(_Reader("vut", got[0]), got[1], found)
+    vut_rows, vut, faults = _Reader("vut", got[0]).read_columns(got[1])
+    _bad_values(found, faults)
     _report(found, schema.ROLE_VUT, rep)
     clock = _vut_clock(vut_rows, vut, schema.ROLE_VUT, rep,
                        "no usable VUT rows")
@@ -1146,8 +1135,9 @@ def parse_distributed(path):
                 got[0], role, rep)):
             continue
         found = {}
-        _join(table, group, *_read(_Reader(group, got[0]), got[1], found),
-              step_times, half_period, found)
+        rows, cols, faults = _Reader(group, got[0]).read_columns(got[1])
+        _bad_values(found, faults)
+        _join(table, group, rows, cols, step_times, half_period, found)
         _report(found, role, rep)
     for role in _OVERLAYS:
         _attach(folder, role, tables, rep)
@@ -1160,10 +1150,12 @@ def _attach(folder, role, tables, rep):
 
     A row joins the true row of its id and step, and its outline is read
     in that row's position frame.  Its first fault is reported:
-    an empty id (no record, no finding), a bad step, no true counterpart
-    (a warning), a bad outline.  The perceived traffic-light overlay
-    carries nothing the model keeps: its rows are only read, and a bad
-    one is a warning.
+    an empty id (no record, no finding), a bad clock cell (the first in
+    file column order), no true counterpart (a warning), a bad outline.
+    A clock value the schema bounds flag but its decoder accepts (a
+    negative time) is no fault, as in a true row.  The perceived
+    traffic-light overlay carries nothing the model keeps: its rows are
+    only read, and a bad one is a warning.
     """
     group, column, field = _OVERLAYS[role]
     got = _read_role(folder, role, rep)
@@ -1177,17 +1169,21 @@ def _attach(folder, role, tables, rep):
                  for k, (column, message) in faults.items()}, role, rep)
         return
     n, columns = table
-    if not n:
-        return
     id_col = _IDS[group][0]
     entities = tables[group]
     index = {(eid, step): i for eid, cols in entities.items()
              for i, step in enumerate(cols["step"])}
     ids = list(map(str.strip, columns[colmap[id_col]]))
-    steps, bad = _bulk(columns[colmap["Step_number"]], "Step_number")
-    columns[colmap["Step_number"]] = None
-    at = {k: index.get((ids[k], steps[k])) for k in range(n)
-          if ids[k] and bad.get(k) is None}
+    live = [k for k in range(n) if ids[k]]
+    bad, clock = {}, {}
+    for idx, name in sorted((colmap[name], name) for name in schema.CLOCK):
+        clock[name], faults = _bulk(_pick(columns[idx], live), name)
+        columns[idx] = None
+        for m, message in faults.items():
+            if message is not None:
+                bad.setdefault(live[m], (name, message))
+    steps = dict(zip(live, clock["Step_number"]))
+    at = {k: index.get((ids[k], steps[k])) for k in live if k not in bad}
     matched = [k for k, i in at.items() if i is not None]
     shapes, faults = [None] * len(matched), {}
     if column in colmap:
@@ -1200,12 +1196,11 @@ def _attach(folder, role, tables, rep):
     shapes = dict(zip(matched, shapes))
     faults = {matched[m]: message for m, message in faults.items()}
     copied = set()
-    for k, eid in enumerate(ids):
-        if not eid:
-            continue
-        if bad.get(k) is not None:
-            rep.add(it.ERROR, it.BAD_VALUE, bad[k], file=role, row=k + 2,
-                    column="Step_number")
+    for k in live:
+        eid = ids[k]
+        if k in bad:
+            rep.add(it.ERROR, it.BAD_VALUE, bad[k][1], file=role, row=k + 2,
+                    column=bad[k][0])
         elif at[k] is None:
             rep.add(it.WARNING, it.ORPHAN_STEP,
                     f"{id_col}={eid}: perceived record at step {steps[k]} "

@@ -263,7 +263,7 @@ def attach(folder, role, tables, rep):
         eid: list(Channel(_TYPES[group], cols).records)
         for eid, cols in tables[group].items()}
     if field is not None:
-        keep = ("Step_number", _IDS[group][0], column)
+        keep = ("Time", "Step_number", _IDS[group][0], column)
         colmap = {k: i for k, i in colmap.items() if k in keep}
     reader = RowReader(group, colmap)
     index = {(eid, rec.step): i

@@ -95,6 +95,16 @@ def test_validate_writes_json_report(case3_set, tmp_path):
     assert payload[0]["findings"] == []
 
 
+def test_folder_without_traces_is_usage_error(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no trace here\n")
+    rc = cli.main(["validate", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {tmp_path}: no trace files or run folders inside\n"
+
+
 def test_missing_input_is_usage_error(capsys):
     rc = cli.main(["validate", "no_such_trace.csv"])
     err = capsys.readouterr().err
@@ -234,6 +244,47 @@ def test_fidelity_json_report(case3_set, tmp_path):
     payload = json.loads(out_file.read_text())
     assert payload["position_rmse_m"] == pytest.approx(0.0)
     assert payload["passed"] is True
+
+
+def test_fidelity_without_overlap_is_a_usage_error(tmp_path, capsys):
+    """Traces 20 s apart have no clock offset within a 0.5 s window: the
+    error goes to stderr, as every command's does."""
+    trace = synth.synthesize(case=2)
+    virtual = trace_io.write_flat(trace, tmp_path / "virtual")
+    reference = trace_io.write_flat(synth.perturb(trace, time_shift=20.0),
+                                    tmp_path / "reference")
+    rc = cli.main(["fidelity", str(virtual), str(reference),
+                   "--window", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == \
+        "error: no admissible clock offset within +/-0.5 s\n"
+
+
+def test_fidelity_of_a_folder_of_runs_is_a_usage_error(case3_set, capsys):
+    rc = cli.main(["fidelity", str(case3_set), str(case3_set)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {case3_set}: expected exactly one trace\n"
+
+
+def test_fidelity_of_a_run_with_errors_prints_them(case1_file, tmp_path,
+                                                   capsys):
+    body = MIN_HEADER + "\n" + ROW0 + "\n" + ROW0 + "\n"
+    path = _flat(tmp_path, body)
+    rc = cli.main(["fidelity", str(path), str(case1_file)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.out == (
+        f"{path}: ERROR DuplicateStep {path.name}:3 step 0 appears more "
+        "than once [Step_number]\n"
+        f"{path}: ERROR NonMonotoneTime {path.name}:3 time 0.0 does not "
+        "increase past 0.0 [Time]\n")
+    assert captured.err == \
+        f"error: {path}: integrity errors, cannot compare\n"
 
 
 def test_evaluate_outputs_are_deterministic(case3_set, tmp_path, capsys):

@@ -199,6 +199,7 @@ OBSTACLES_P = "Obst_Id,Obst_poly_perceived"
 OBSTACLES = _role(test_io_golden.OBST_HEADER,
                   f"0.0,0,{test_io_golden.OBST_OK}")
 CTRL = test_io_golden.CTRL_HEADER
+ACTOR_A2 = test_io_golden._actor(Actor_Id="A2")
 CORPUS = dict(test_io_golden.CORPUS, **{
     "flat half world pair beside a whole VCS pair": test_io_golden._flat(
         f"{ROW0},A1,tsv,1.354,,10,0,,2,0,2,0,0,90,inf",
@@ -246,17 +247,70 @@ CORPUS = dict(test_io_golden.CORPUS, **{
         lights=_role(CTRL, "0.0,0,TL1,go", "0.1,1,TL1,go"),
         lights_p=_role(CTRL, "0.0,0,TL1,", "0.1,-1,TL1,go", "0.1,1,TL1",
                        "-0.1,1,TL1,go,x", "0.1,1,,")),
+    # Two entities interleaved: A2's first row is orphaned, so A1 enters
+    # the trace first, and A1 repeats a step.
+    "dist interleaved entities with an orphan and a repeat": _folder(
+        actors=_actors_true(
+            f"0.0,7,{ACTOR_A2}", f"0.0,0,{ACTOR_OK}", f"0.0,0,{ACTOR_A2}",
+            f"0.0,0,{ACTOR_OK}", f"0.1,1,{ACTOR_OK}", f"0.1,1,{ACTOR_A2}")),
 })
+
+
+def _input(tmp_path, files):
+    """The trace input of a corpus entry, written under tmp_path."""
+    for fname, body in files.items():
+        p = tmp_path / fname
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(body, encoding="utf-8")
+    return tmp_path / next(iter(files)).split("/")[0]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_malformed_inputs_match_row_decoder(tmp_path, monkeypatch, name):
-    for fname, body in CORPUS[name].items():
-        p = tmp_path / fname
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(body, encoding="utf-8")
-    assert_same_as_row_decoder(
-        tmp_path / next(iter(CORPUS[name])).split("/")[0], monkeypatch)
+    assert_same_as_row_decoder(_input(tmp_path, CORPUS[name]), monkeypatch)
+
+
+def test_join_orders_entities_as_the_row_decoder(tmp_path, monkeypatch):
+    """Entities enter the tables in the order of their first row on the
+    clock, each with its kept rows in row order, as the row decoder's
+    join puts them."""
+    path = _input(tmp_path, CORPUS[
+        "dist interleaved entities with an orphan and a repeat"])
+    tables = []
+    monkeypatch.setattr(trace_io, "_finish_trace",
+                        lambda ids, vut, got, period, rep: tables.append(got))
+    parse_trace(path)
+    row_by_row(path, monkeypatch)
+    columns, reference = (t["actor"] for t in tables)
+    assert list(columns) == list(reference) == ["A1", "A2"]
+    assert [c["step"] for c in columns.values()] == [[0, 1], [0, 1]]
+    assert columns == reference
+
+
+# A time the decoder rejects in each row of each perceived overlay.
+TIMES = ("abc", "inf", "")
+PERCEIVED_TIMES = {
+    test_io_golden.ACTORS_PERCEIVED: _folder(
+        actors=_actors_true(f"0.0,0,{ACTOR_OK}"),
+        actors_p=_role(ACTORS_P, *(f"{t},0,A1,{BOX}" for t in TIMES))),
+    test_io_golden.OBSTACLES_PERCEIVED: _folder(
+        obstacles=OBSTACLES, obstacles_p=_role(OBSTACLES_P, *(
+            f"{t},0,CONE,{test_io_golden.POLY}" for t in TIMES))),
+}
+
+
+@pytest.mark.parametrize("role", sorted(PERCEIVED_TIMES))
+def test_perceived_time_cells_are_decoded(tmp_path, monkeypatch, role):
+    """A perceived row's time the decoder rejects is the row's finding,
+    as it is in a true table."""
+    findings, trace = assert_same_as_row_decoder(
+        _input(tmp_path, PERCEIVED_TIMES[role]), monkeypatch)
+    assert findings == [
+        f"ERROR BadValue {role}:2 could not convert string to float: "
+        "'abc' [Time]",
+        f"ERROR BadValue {role}:3 value must be finite, got 'inf' [Time]",
+        f"ERROR BadValue {role}:4 mandatory value is empty [Time]"]
+    assert trace is None
 
 
 @pytest.mark.parametrize("seed", range(50))
