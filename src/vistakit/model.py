@@ -342,8 +342,8 @@ _SETTERS = {cls: tuple(getattr(cls, name).__set__ for name in names)
 def _build(cls, n, *values) -> list:
     """n records of cls from one value sequence per field, in field order.
 
-    ``__post_init__`` does not run: the caller has checked every value
-    against the bounds the constructors check (see :class:`Channel`).
+    ``__post_init__`` does not run: the maker of the values has checked
+    them as :class:`Channel` says, each flagged row by :func:`_check_row`.
     Each field is set through its slot, one C-level pass per field.
     """
     records = list(map(object.__new__, itertools.repeat(cls, n)))
@@ -398,9 +398,10 @@ class Channel:
     The records are built from the columns on first read, once, without
     their checks: whoever made the columns has checked every value
     against the bounds the constructors check (the trace reader's column
-    pass, ``synth``'s bulk checks).  They are then held beside the
-    columns, so a caller that reads records holds both.  No value is
-    changed once made, so traces may share a channel.
+    pass, ``synth``'s bulk checks), and each row they flag with
+    :func:`_check_row`.  They are then held beside the columns, so a
+    caller that reads records holds both.  No value is changed once
+    made, so traces may share a channel.
     """
 
     __slots__ = ("type", "columns", "_records")
@@ -431,6 +432,16 @@ class Channel:
             if parts[0] is not None:
                 return t(*parts)
         return None
+
+
+def _check_row(cls, columns, k) -> None:
+    """Raise the first error that constructing row k of columns (see
+    :class:`Channel`) as a cls would raise, its position's checks first."""
+    rec = Channel(cls, {name: [values[k]]
+                        for name, values in columns.items()}).records[0]
+    if getattr(rec, "pos", None) is not None:
+        rec.pos.__post_init__()
+    rec.__post_init__()
 
 
 # A passenger car's (length, width) in metres: the default footprint of
@@ -635,23 +646,10 @@ def _obstacle_code(actor_type, speed, vel_lat, vel_long, acc_lat,
     return code if still and code >= OBSTACLE_CODE_MIN else None
 
 
-def obstacle_from_actor(a: ActorState) -> ObstacleState:
-    """Re-express an obstacle-coded actor record as an ObstacleState."""
-    code = _obstacle_code(*map(a.__getattribute__, _DISGUISE))
-    if code is None:
-        raise ValueError(f"actor {a.actor_id!r} is not obstacle-coded")
-    if not isinstance(a.pos, GeoPosition):
-        raise ValueError("obstacle-coded actors must carry world positions")
-    if a.bbox_true is None:
-        raise ValueError("obstacle-coded actors must carry a true bounding shape")
-    return ObstacleState(obst_type=code, **{
-        name: getattr(a, source) for name, source in _AS_OBSTACLE.items()})
-
-
 def _obstacle_columns(columns) -> dict | None:
     """An actor channel's columns as an obstacle's, when every row is an
-    obstacle in disguise with a world position and a true outline (what
-    obstacle_from_actor needs of a record); None otherwise."""
+    obstacle in disguise with a world position and a true outline; None
+    otherwise."""
     codes = []
     for values in zip(*map(columns.get, _DISGUISE)):
         codes.append(_obstacle_code(*values))

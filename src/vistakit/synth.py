@@ -25,8 +25,8 @@ cosines, arctangents, degrees and ``** 1.5`` from :mod:`math` one value
 at a time (numpy's SIMD versions need not round as libm does), so every
 value is the one a step-by-step evaluation gives.  The trace is made
 from the channels' columns after bulk checks, and builds its records
-only when they are read; a row the checks refuse goes through the record
-constructors, which raise its error.
+only when they are read; a row the checks refuse goes through the frame
+and ``model._check_row``, which raise its error.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .model import (
     Trace,
     VehicleProfile,
     VutState,
+    _check_row,
     normalize_heading,
 )
 from .rules import RuleSet
@@ -356,7 +357,7 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
                               np.where(moving, 0.0, 0.3)))
 
     # The checks of from_local, GeoPosition and VutState, in bulk; a row
-    # they refuse goes through the constructors, which raise its error.
+    # they refuse raises its error in from_local or _check_row.
     o, k_lat, k_lon = frame.origin, frame.m_per_deg_lat, frame.m_per_deg_lon
     lat, lon = o.lat + n / k_lat, o.lon + e / k_lon
     channels = (t, s, v, acc_lat, a, yaw_rate, throttle, brake, steering)
@@ -374,14 +375,14 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
                heading=heading, indicators=indicators, throttle=throttle,
                brake=brake, steering_angle=steering,
                drive_status=["autonomous"] * step_count,
-               special_op=["normal"] * step_count)
+               special_op=["normal"] * step_count,
+               lat=lat.tolist(), lon=lon.tolist())
     for k in np.flatnonzero(~ok).tolist():      # raises at the first
-        VutState(pos=frame.from_local(float(e[k]), float(n[k])),
-                 **{name: column[k] for name, column in vut.items()})
-    vut.update(lat=lat.tolist(), lon=lon.tolist())
+        frame.from_local(float(e[k]), float(n[k]))
+        _check_row(VutState, vut, k)
 
     # The parked TSV's outline in each step's VCS, and its zero velocity
-    # minus the VUT's (speed, 0) there.
+    # minus the VUT's (speed, 0) there; each TTC is >= 0 or +inf.
     outlines = enu_to_vcs(tsv_rel_all - np.stack([e, n], axis=-1)[:, None],
                           np.array(heading)[:, None])
     ttcs = first_contact_times(footprint, outlines, np.zeros(2)
@@ -389,9 +390,6 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
     tsv = dict(actor_id="TSV-01", actor_type="tsv", bbox_true=tsv_shape,
                speed=0.0, vel_lat=0.0, vel_long=0.0, acc_lat=0.0,
                acc_long=0.0, heading=0.0)
-    for k in np.flatnonzero(~(ttcs >= 0.0)).tolist():   # NaN or negative
-        ActorState(time=time[k], step=k, pos=tsv_pos, ttc=float(ttcs[k]),
-                   **tsv)
     tsv.update(lat=tsv_pos.lat, lon=tsv_pos.lon)
     tsv = {name: [value] * step_count for name, value in tsv.items()}
 
@@ -427,12 +425,12 @@ def perturb(trace: Trace, pos_sigma: float = 0.0, speed_sigma: float = 0.0,
 
     The same seed always yields the same twin.  Only the vehicle channel
     is perturbed, and its elevation is kept; environment channels just
-    follow the clock shift.  Each channel is one numpy pass over the
-    trace's columns of what :func:`_jitter` does per row, checked in
-    bulk; a row the checks refuse goes through :func:`_jitter`, which
-    raises the row's error.  The trace is made from the columns without
-    ``Trace``'s per-record checks, which the input passed and the noise
-    cannot fail, save the clock's.
+    follow the clock shift.  The vehicle channel is one numpy pass over
+    the trace's columns, checked in bulk; a row the checks refuse goes
+    through the frame and ``model._check_row``, which raise its error.
+    The trace is made from the columns without ``Trace``'s per-record
+    checks, which the input passed and the noise cannot fail, save the
+    clock's.
     """
     rng = np.random.default_rng(seed)
     channel = trace.channels("vut")
@@ -449,48 +447,40 @@ def perturb(trace: Trace, pos_sigma: float = 0.0, speed_sigma: float = 0.0,
     lat, lon = o.lat + n / k_lat, o.lon + e / k_lon
     s = np.array(vut["speed"], float) + noise[:, 2] * speed_sigma
     speed = np.where(s > 0.0, s, 0.0)   # max(0.0, s): np.maximum keeps -0.0
-    t = np.array([v + time_shift for v in vut["time"]], float)
+    time = [v + time_shift for v in vut["time"]]
+    t = np.array(time, float)
     ok = (np.abs(np.stack([x, y, e, n])) <= MAX_EXTENT_M).all(axis=0) \
         & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0) \
         & np.isfinite(t) & (t >= 0.0) & np.isfinite(speed)
+    vut = dict(vut, time=time, lat=lat.tolist(), lon=lon.tolist(),
+               speed=speed.tolist())
     for k in np.flatnonzero(~ok).tolist():     # raises at the first
-        _jitter(frame, trace.vut[k], noise[k].tolist(), pos_sigma,
-                speed_sigma, time_shift)
+        frame.to_local(channel.position(k))
+        frame.from_local(float(e[k]), float(n[k]))
+        _check_row(VutState, vut, k)
     env = {table: {k: _shifted(v, time_shift)
                    for k, v in trace.channels(table).items()}
            for table in ("actors", "obstacles", "controllers")}
     twin = Trace._checked(
-        trace.testcase_id, trace.run_id,
-        _shifted(channel, time_shift, lat=lat.tolist(), lon=lon.tolist(),
-                 speed=speed.tolist()),
+        trace.testcase_id, trace.run_id, Channel(VutState, vut),
         declared_frequency=trace.declared_frequency, **env)
     # Only the clock can fail the trace's checks: a shift can round two
-    # close times into one, and the constructor then raises.
-    return replace(twin) if (t[1:] <= t[:-1]).any() else twin
+    # close times into one, and the checks, which read columns, raise.
+    if (t[1:] <= t[:-1]).any():
+        twin.__post_init__()
+    return twin
 
 
-def _jitter(frame, r, noise, pos_sigma, speed_sigma, time_shift):
-    """One VUT row of :func:`perturb`, checked by the constructors."""
-    e, n = frame.to_local(r.pos)
-    e += noise[0] * pos_sigma
-    n += noise[1] * pos_sigma
-    speed = max(0.0, r.speed + noise[2] * speed_sigma)
-    return replace(r, time=r.time + time_shift,
-                   pos=frame.from_local(e, n, r.pos.elev), speed=speed)
-
-
-def _shifted(channel, time_shift, **columns) -> Channel:
-    """A channel with its clock shifted and the named columns' values
-    replaced; one that would come out the same is returned as it is.  A
-    time no longer finite, the one check a shift can fail, raises the
-    constructor's error."""
+def _shifted(channel, time_shift) -> Channel:
+    """A channel with its clock shifted; one that would come out the
+    same is returned as it is.  A time no longer finite, the one check a
+    shift can fail, raises its row's error (``model._check_row``)."""
     times = channel.columns["time"]
     time = [t + time_shift for t in times]
-    if not time or (not columns and time_shift == 0.0
-                    and repr(time) == repr(times)):
+    if not time or (time_shift == 0.0 and repr(time) == repr(times)):
         return channel
+    columns = dict(channel.columns, time=time)
     finite = list(map(math.isfinite, time))
     if False in finite:
-        k = finite.index(False)
-        replace(channel.records[k], time=time[k])
-    return Channel(channel.type, dict(channel.columns, time=time, **columns))
+        _check_row(channel.type, columns, finite.index(False))
+    return Channel(channel.type, columns)

@@ -7,6 +7,8 @@ Two layouts carry the same information:
 * distributed: a folder ``<testcase_id>_r<run_id>`` with up to seven role
   files (``VUT_status.csv`` is the master clock and the only mandatory
   one; the ``*_perceived`` overlays attach onto the true-channel rows).
+  Each role file holds the clock and one group's columns; a column of
+  another group is a warning, and is not read.
 
 The column schema (``schema.COLUMNS``) is the codec.  A column's ``kind``
 picks its cell decoder, ``allow_empty`` says whether an empty cell is
@@ -27,12 +29,12 @@ decoder's message.  The first fault of a row is reported, in this order:
 the clock cells, then the id cell (empty means "no record at this
 step"), then the alt_pos rule (exactly one position pair is filled,
 whole; it fixes the frame of the row's outlines), then the other cells
-in file column order, and last the record type's checks, which run on
-every row with a cell the bounds flagged.  The bounds may be stricter
-than the record types (``Time`` >= 0 holds for every group): such a row
-keeps its record.  A perceived overlay row's first fault is, in this
-order: the id cell (empty: no record, no finding), a clock cell, no
-true row of its id and step, its outline.
+in file column order, and last the record type's checks, which
+``model._check_row`` runs on every row with a cell the bounds flagged.
+The bounds may be stricter than the record types (``Time`` >= 0 holds
+for every group): such a row keeps its record.  A perceived overlay
+row's first fault is, in this order: the id cell (empty: no record, no
+finding), a clock cell, no true row of its id and step, its outline.
 
 Rows are assembled into channels from masks over whole columns, not row
 by row: the VUT clock flags repeated steps, times that do not increase
@@ -98,6 +100,7 @@ from .model import (
     VutState,
     _NAMES,
     _build,
+    _check_row,
     _obstacle_columns,
     normalize_heading,
 )
@@ -292,16 +295,6 @@ def _cells_of(group, cols) -> dict:
     return values
 
 
-def _checked(rec):
-    """rec once the checks of its constructors have passed, its
-    position's first, as constructing it would run them."""
-    pos = getattr(rec, "pos", None)
-    if pos is not None:
-        pos.__post_init__()
-    rec.__post_init__()
-    return rec
-
-
 _TRUE_ROLES = ((schema.ROLE_ACTORS_TRUE, "actor"),
                (schema.ROLE_OBSTACLES_TRUE, "obstacle"),
                (schema.ROLE_LIGHTS_TRUE, "controller"))
@@ -330,9 +323,8 @@ class _Reader:
     def __init__(self, group, colmap):
         self.group = group
         self.id_col = _IDS[group][0] if group in _IDS else None
-        names = schema.CLOCK + schema.column_names(group)
         cols = sorted((idx, name) for name, idx in colmap.items()
-                      if name in names and name != self.id_col)
+                      if name != self.id_col)
         self.id_idx = colmap.get(self.id_col)
         self.clock = [c for c in cols if c[1] in schema.CLOCK]
         self.rest = [c for c in cols if c[1] not in schema.CLOCK]
@@ -353,9 +345,9 @@ class _Reader:
         Each column is decoded and checked in one pass, and its cells are
         then dropped from ``table`` (set to None).  A row's faults
         are noted in the order of the module docstring, so the first one
-        noted is its finding.  The rows with a cell the bounds flagged
-        then get their records built and checked by the record
-        constructors; no other row's record is built.
+        noted is its finding.  Each row with a cell the bounds flagged
+        then has its record checked by ``_check_row``; no other row's
+        record is built.
         """
         n, columns = table
         vals, found, check = {}, {}, set()
@@ -399,8 +391,7 @@ class _Reader:
             for m, k in enumerate(rows):
                 if k in check:
                     try:
-                        _checked(Channel(_TYPES[self.group],
-                                         _take(cols, [m])).records[0])
+                        _check_row(_TYPES[self.group], cols, m)
                     except (ValueError, TypeError) as exc:
                         found[k] = (None, str(exc))
                         continue
@@ -1068,9 +1059,10 @@ def _row_major(parts) -> tuple:
 # ---------------------------------------------------------------------------
 # distributed layout
 
-def _read_role(folder, role, rep):
-    """Read one role file -> (colmap, its rows by column, see _by_column)
-    or None; the rows not as wide as the header are reported."""
+def _read_role(folder, role, group, rep):
+    """Read one role file of a group -> (colmap, its rows by column, see
+    _by_column) or None; the rows not as wide as the header are reported,
+    and so is each column of another group, which is not read."""
     p = folder / role
     got = _table(p, role, rep) if p.exists() else None
     if got is None:
@@ -1079,12 +1071,16 @@ def _read_role(folder, role, rep):
     colmap = {}
     for idx, raw_name in enumerate(header):
         name = raw_name.strip()
+        spec = schema.BY_NAME.get(name)
         if name in colmap:
             _unknown(name, role, rep, "duplicate column {!r} ignored")
-        elif name in schema.BY_NAME:
-            colmap[name] = idx
-        else:
+        elif spec is None:
             _unknown(name, role, rep)
+        elif spec.group not in ("common", group):
+            _unknown(name, role, rep,
+                     "group column {!r} appears outside its group")
+        else:
+            colmap[name] = idx
     required = [c for c in schema.ROLE_COLUMNS[role]
                 if schema.BY_NAME[c].required == "yes"]
     if not _require_columns(colmap, required, role, rep):
@@ -1110,7 +1106,7 @@ def parse_distributed(path):
                     f"unrecognized file {child.name!r} in run folder",
                     file=child.name)
 
-    got = _read_role(folder, schema.ROLE_VUT, rep)
+    got = _read_role(folder, schema.ROLE_VUT, "vut", rep)
     if got is None:
         if not (folder / schema.ROLE_VUT).exists():
             rep.add(it.ERROR, it.MISSING_VUT_FILE,
@@ -1130,7 +1126,7 @@ def parse_distributed(path):
     tables = {}
     for role, group in _TRUE_ROLES:
         table = tables[group] = {}
-        got = _read_role(folder, role, rep)
+        got = _read_role(folder, role, group, rep)
         if got is None or (group == "actor" and not _check_actor_pos_columns(
                 got[0], role, rep)):
             continue
@@ -1158,7 +1154,7 @@ def _attach(folder, role, tables, rep):
     only read, and a bad one is a warning.
     """
     group, column, field = _OVERLAYS[role]
-    got = _read_role(folder, role, rep)
+    got = _read_role(folder, role, group, rep)
     if got is None:
         return
     colmap, table = got

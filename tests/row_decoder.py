@@ -36,10 +36,18 @@ from vistakit.trace_io import (
     _POS_COLUMN,
     _TYPES,
     _cell_float,
-    _checked,
     _fields,
     _read_role,
 )
+
+
+def _checked(rec):
+    """rec once the checks of its constructors have passed, its
+    position's first, as constructing it would run them."""
+    if getattr(rec, "pos", None) is not None:
+        rec.pos.__post_init__()
+    rec.__post_init__()
+    return rec
 
 
 class RowProblem(Exception):
@@ -254,7 +262,7 @@ def attach(folder, role, tables, rep):
     and a bad one is a warning.
     """
     group, column, field = _OVERLAYS[role]
-    got = _read_role(folder, role, rep)
+    got = _read_role(folder, role, group, rep)
     if got is None:
         return
     colmap, (_, columns) = got

@@ -118,6 +118,14 @@ def test_no_command_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_validate_one_row_run_has_no_sample_rate(tmp_path, capsys):
+    path = _flat(tmp_path, f"{MIN_HEADER}\n{ROW0}\n")
+    assert cli.main(["validate", str(path)]) == cli.EXIT_FINDINGS
+    assert capsys.readouterr().out == (
+        f"{path}: ERROR FrequencyTooLow cannot establish a sample rate from "
+        f"1 record(s)\nINVALID {path}\n")
+
+
 def test_f_min_env_variable(case3_set, capsys, monkeypatch):
     # The stock runs sample at 10 Hz; an inflated floor must trip the
     # frequency check without any flag on the command line.

@@ -172,8 +172,8 @@ def test_clean_run_needs_no_row_decoder(run100, written, monkeypatch,
     no outline on its own: no row is decoded as a row decoder would."""
     path = written[layout]
     calls = []
-    monkeypatch.setattr(trace_io, "_checked",
-                        lambda rec: calls.append(rec) or rec)
+    monkeypatch.setattr(trace_io, "_check_row",
+                        lambda *a: calls.append(a))
     monkeypatch.setattr(trace_io, "shape_from_array",
                         lambda *a, **k: calls.append(a) or None)
     trace, rep = parse_trace(path)

@@ -28,11 +28,11 @@ from vistakit.model import (
     TrafficControllerState,
     VcsPosition,
     VutState,
-    obstacle_from_actor,
 )
 from vistakit.trace_io import parse_trace, write_trace
 
 from conftest import random_trace
+from predicates import obstacle_from_actor
 from test_perturb import RECORD_TYPES, _constructed, _loop_perturb
 
 RECORDS = (VutState, ActorState, ObstacleState, TrafficControllerState)

@@ -15,11 +15,10 @@ from vistakit.model import (
     default_footprint,
     is_fixed_infrastructure,
     normalize_heading,
-    obstacle_from_actor,
 )
 
 from conftest import simple_vut
-from predicates import actor_mimics_obstacle
+from predicates import actor_mimics_obstacle, obstacle_from_actor
 
 
 def test_normalize_heading_wraps():
@@ -143,6 +142,17 @@ def test_trace_time_must_increase():
         Trace("TC", 1, (simple_vut(0, 0.0), simple_vut(1, 0.0)))
     with pytest.raises(ValueError):
         Trace("TC", 1, (simple_vut(0, 0.1), simple_vut(0, 0.2)))
+
+
+@pytest.mark.parametrize("testcase_id, run_id, vut, message", [
+    ("", 1, (simple_vut(0, 0.0),), "testcase_id must be non-empty"),
+    ("TC", 0, (simple_vut(0, 0.0),), "run_id must be a positive int, got 0"),
+    ("TC", 1, (), "trace must contain at least one VUT record"),
+], ids=["no test case id", "run id zero", "no VUT record"])
+def test_trace_run_checks(testcase_id, run_id, vut, message):
+    with pytest.raises(ValueError) as exc:
+        Trace(testcase_id, run_id, vut)
+    assert str(exc.value) == message
 
 
 def test_trace_equality_ignores_declared_frequency():

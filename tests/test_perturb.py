@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from vistakit import synth, trace_io
+from vistakit import model, synth, trace_io
 from vistakit.frames import LocalFrame
 from vistakit.model import (
     ActorState,
@@ -178,6 +178,24 @@ def test_errors_match_loop_reference(make, kw):
     want = _outcome(_loop_perturb, trace, seed=4, **kw)
     assert not want.startswith("Trace("), want
     assert _outcome(synth.perturb, trace, seed=4, **kw) == want
+
+
+@pytest.mark.parametrize("make, kw, most", [
+    (lambda: synth.synthesize(synth.ScenarioSpec(), 1),
+     dict(time_shift=math.inf), 1),
+    (lambda: _trace(simple_vut(k, k * 1e-17) for k in range(3)),
+     dict(time_shift=1.0), 0),
+], ids=["infinite shift", "clock collision"])
+def test_errors_build_at_most_the_failing_row(monkeypatch, make, kw, most):
+    # A refused row is checked on its own: the trace's other records are
+    # not built to raise its error, nor any to raise the clock's.
+    trace, rows = make(), []
+    assemble = model._assemble
+    monkeypatch.setattr(model, "_assemble", lambda cls, columns: rows.append(
+        len(columns["step"])) or assemble(cls, columns))
+    with pytest.raises(ValueError):
+        synth.perturb(trace, seed=4, **kw)
+    assert sum(rows) <= most
 
 
 RECORD_TYPES = (GeoPosition, VcsPosition, BoundingShape, VutState,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vistakit import integrity as it
+from vistakit import synth
 from vistakit.frames import LocalFrame
 from vistakit.model import (
     ActorState,
@@ -345,6 +346,88 @@ def test_validate_reports_rejected_value(tmp_path, capsys, layout, column,
     out = capsys.readouterr().out
     assert f"{path}: ERROR BadValue {fname}:2 " in out
     assert f"INVALID {path}" in out
+
+
+def _outside(fname, *names):
+    return [f"WARNING UnknownColumn {fname}:1 group column {name!r} appears "
+            f"outside its group [{name}]" for name in names]
+
+
+def _missing(fname, *names):
+    return [f"ERROR MissingMandatoryColumn {fname}:1 mandatory column "
+            f"{name!r} is missing [{name}]" for name in names]
+
+
+FLAT = "results_TC-IO-01_r01.csv"
+BBOX = "Actor_bbox_true"
+
+
+def _with_bbox(cell):
+    """ACTOR_COLUMNS with an outline column, and ACTOR_ROW holding cell."""
+    return (ACTOR_COLUMNS.replace(",Actor_vel_abs", f",{BBOX},Actor_vel_abs"),
+            ACTOR_ROW.replace(",10,0,", f",10,0,{cell},"))
+
+
+# Actor groups the flat reader refuses, each in a one-row file: (header,
+# cells, findings).
+REFUSED_GROUPS = {
+    "outline with no positions": (
+        *_with_bbox("<0 |>"),
+        [f"ERROR BadValue {FLAT}:2 position array holds no positions "
+         f"[{BBOX}]"]),
+    "outline count not an integer": (
+        *_with_bbox("< x |1 2|3 4|5 6|"),
+        [f"ERROR BadValue {FLAT}:2 count prefix is not an integer: 'x' "
+         f"[{BBOX}]"]),
+    "outline count negative": (
+        *_with_bbox("< -1 |1 2|"),
+        [f"ERROR BadValue {FLAT}:2 negative position count: -1 [{BBOX}]"]),
+    # A column of another group closes the actor group: it and every
+    # later actor column stand outside their group, and the group lacks
+    # its mandatory columns after the cut.
+    "actor group cut by a controller column": (
+        ACTOR_COLUMNS.replace(",Actor_pos", ",Traffic_Ctrl_phase,Actor_pos",
+                              1),
+        ACTOR_ROW.replace(",10,", ",go,10,", 1),
+        _outside(FLAT, "Traffic_Ctrl_phase", "Actor_pos_true_x",
+                 "Actor_pos_true_y", "Actor_vel_abs", "Actor_vel_lat",
+                 "Actor_vel_long", "Actor_acc_lat", "Actor_acc_long",
+                 "Actor_heading", "Actor_TTC")
+        + _missing(FLAT, "Actor_vel_abs", "Actor_vel_lat", "Actor_vel_long",
+                   "Actor_acc_lat", "Actor_acc_long", "Actor_heading",
+                   "Actor_TTC")
+        + [f"ERROR MissingMandatoryColumn {FLAT}:1 actor group needs "
+           "either Actor_pos_true_lat/lon or Actor_pos_true_x/y"]),
+}
+
+
+@pytest.mark.parametrize("header, cells, findings", REFUSED_GROUPS.values(),
+                         ids=list(REFUSED_GROUPS))
+def test_refused_actor_group_findings(tmp_path, header, cells, findings):
+    path = _flat(tmp_path, f"{MIN_HEADER},{header}\n{ROW0},{cells}\n")
+    trace, rep = parse_trace(path)
+    assert trace is None
+    assert [f.render() for f in rep.findings] == findings
+
+
+def test_role_file_columns_of_another_group_are_not_read(tmp_path):
+    # Each role file holds one group's columns: another group's column
+    # is a warning, as in a flat header, and its cells are not read.
+    trace = synth.synthesize(synth.ScenarioSpec(), 1)
+    folder = write_distributed(trace, tmp_path)
+    extra = {"Environment_actors_true.csv": {"VUT_speed": "abc",
+                                             "Obst_NTD": "xyz"},
+             "VUT_status.csv": {"Actor_TTC": "-5"}}
+    for role, cells in extra.items():
+        header, *rows = (folder / role).read_text().splitlines()
+        (folder / role).write_text("".join(
+            ",".join([line, *values]) + "\n" for line, values in zip(
+                [header, *rows], [cells] + [cells.values()] * len(rows))))
+    got, rep = parse_trace(folder)
+    assert [f.render() for f in rep.findings] == \
+        _outside("VUT_status.csv", "Actor_TTC") \
+        + _outside("Environment_actors_true.csv", "VUT_speed", "Obst_NTD")
+    assert repr(got) == repr(trace)
 
 
 @pytest.mark.parametrize("layout", ["flat", "distributed"])
