@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 findings or failed verdicts, 2 bad usage or
 unreadable inputs.  All output is deterministic for a given input set:
 file lists are sorted, JSON is written with sorted keys and no
 timestamps.  ``validate`` and ``evaluate`` hold one parsed run at a time,
-so their memory grows with the largest run, not with the batch.
+so their memory grows with the largest run, not with the batch;
+``fidelity`` keeps only the VUT channel of each run it compares.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import trace_io
 # all_clearance_series is unused here: perfbench/tracer.py wraps this name.
 from .clearance import all_clearance_series, series_columns  # noqa: F401
 from .errors import VistaError
-from .model import VehicleProfile
+from .model import Trace, VehicleProfile
 from .rules import RuleSet
 from .schema import (DIR_NAME_RE, FLAT_NAME_RE, MAX_RUN_ID, ROLE_VUT,
                      dir_name)
@@ -212,7 +213,7 @@ def _cmd_evaluate(args) -> int:
                 _write_json(out_dir / f"{stem}_verdict.json", ev.to_dict())
                 if args.series:
                     trace_io._write(out_dir / f"{stem}_series.csv",
-                                    *series_columns(ev.series))
+                                    *series_columns(ev.series), {})
     return EXIT_OK if all_passed else EXIT_FINDINGS
 
 
@@ -220,6 +221,8 @@ def _cmd_evaluate(args) -> int:
 # fidelity
 
 def _one_trace(path_str: str):
+    """The one trace at ``path_str``, checked, as ``fidelity`` compares
+    it: its VUT channel only."""
     paths = _expand_inputs([path_str])
     if len(paths) != 1:
         raise _CliError(f"{path_str}: expected exactly one trace")
@@ -227,7 +230,9 @@ def _one_trace(path_str: str):
     if trace is None or not report.ok:
         sys.stdout.write(_findings(paths[0], report.errors))
         raise _CliError(f"{path_str}: integrity errors, cannot compare")
-    return trace
+    return Trace._checked(trace.testcase_id, trace.run_id,
+                          trace.channels("vut"), {}, {}, {},
+                          trace.declared_frequency)
 
 
 def _cmd_fidelity(args) -> int:

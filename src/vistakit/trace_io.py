@@ -8,19 +8,21 @@ Two layouts carry the same information:
   files (``VUT_status.csv`` is the master clock and the only mandatory
   one; the ``*_perceived`` overlays attach onto the true-channel rows).
   Each role file holds the clock and one group's columns; a column of
-  another group is a warning, and is not read.
+  another group, or one a perceived file does not carry, is a warning,
+  and is not read.
 
 The column schema (``schema.COLUMNS``) is the codec.  A column's ``kind``
 picks its cell decoder, ``allow_empty`` says whether an empty cell is
 "no value" or a fault, and ``min``/``max``/``normalised`` bound its
-values.  A file is read column by column: each column of a header is
-decoded in one pass and checked against its schema bounds in bulk, and
-the outline cells in the writer's form are parsed together and checked
-per vertex count.  The rows that pass every check are handed on as
-columns, one value list per record field (``model.Channel``): the trace
-builds their records only when something reads them, without the record
-type's checks running again.  The flat layout's clock columns are
-decoded once, for the VUT and every entity group.
+values.  A file is cut into blocks of rows, and each block is read
+column by column as it is cut: a column is decoded in one pass and
+checked against its schema bounds in bulk, and the outline cells in the
+writer's form are parsed together and checked per vertex count.  The
+rows that pass every check are appended to their file's columns, one
+value list per record field (``model.Channel``): the trace builds their
+records only when something reads them, without the record type's checks
+running again.  The flat layout's clock cells are decoded once, for the
+VUT and every entity group.
 
 A cell that fails a bulk check is decoded once more, alone, by its
 column's decoder: a value it accepts replaces the bulk one (a heading of
@@ -49,10 +51,10 @@ Both writers read the trace's channel columns (which a channel made
 from records gathers when it is made), map them to file columns through
 the one field/column map the readers use, and write, in schema order,
 every column the schema requires and every other one that some row
-fills.  Each written column is formatted in one pass (each outline
-object once per write), and the rows are the columns zipped.  An outline
-out of its row's position frame, and a table with both world and VCS
-actor positions, raise ValueError before any file is made.
+fills.  The rows are written in pieces, each formatted column by column
+as it is written (each outline object once per write).  An outline out
+of its row's position frame, and a table with both world and VCS actor
+positions, raise ValueError before any file is made.
 
 Readers are total: malformed content never raises, it lands in the
 returned IntegrityReport, and a Trace is produced only when the report
@@ -332,15 +334,16 @@ class _Reader:
                       for f, (a, b, _) in _POS.get(group, {}).items()
                       if schema.BY_NAME[a].required == "alt_pos"
                       and (a in colmap or b in colmap)]
+        self.shapes = {}            # the outlines read, see _outlines
 
     def read_columns(self, table, clock=None) -> tuple:
-        """(rows, columns, faults) of a file's ``table`` (see
-        ``_by_column``): the ascending positions of the rows that hold a
-        record, their Channel columns, and {position: (column, message)}
-        of the rows with a finding, the column None for a value its
-        record type rejects.  The other rows hold no record.  ``clock``
-        holds the clock columns' ``_bulk`` results when another reader of
-        the same rows has them.
+        """(rows, columns, faults) of one block of a file's rows,
+        ``table`` (see ``_by_column``): the ascending positions of the
+        rows that hold a record, their Channel columns, and {position:
+        (column, message)} of the rows with a finding, the column None for
+        a value its record type rejects.  The other rows hold no record.
+        ``clock`` holds the clock columns' ``_bulk`` results when another
+        reader of the same rows has them.
 
         Each column is decoded and checked in one pass, and its cells are
         then dropped from ``table`` (set to None).  A row's faults
@@ -377,7 +380,8 @@ class _Reader:
         for idx, name in self.rest:
             cells, columns[idx] = _pick(columns[idx], live), None
             if schema.BY_NAME[name].kind == "array":
-                vals[name], faults = _outlines(cells, frames, name)
+                vals[name], faults = _outlines(cells, frames, name,
+                                               self.shapes)
             else:
                 vals[name], faults = _bulk(cells, name)
             note(live, faults, name)
@@ -469,6 +473,33 @@ def _bad_values(found, faults, keep=None):
                                             column))
 
 
+def _read(readers, blocks, clock=None) -> tuple:
+    """(n, *got) of a file's blocks (see ``_table``): its number of rows,
+    then per reader the (rows, columns, faults) of ``read_columns`` over
+    the whole file, appended block by block.  The clock columns (name ->
+    index), when given, are decoded once per block for every reader."""
+    got, n = [([], {}, {}) for _ in readers], 0
+    for table in blocks:
+        decoded = clock and {name: _bulk(table[1][idx], name)
+                             for name, idx in clock.items()}
+        for reader, (rows, cols, faults) in zip(readers, got):
+            at, values, found = reader.read_columns(table, decoded)
+            rows += range(at.start + n, at.stop + n) if type(at) is range \
+                else map(n.__add__, at)
+            for name, column in values.items():
+                cols.setdefault(name, []).extend(column)
+            faults.update((k + n, fault) for k, fault in found.items())
+        n += table[0]
+    return (n, *got)
+
+
+def _whole(blocks) -> tuple:
+    """The (n, columns) tables of a file's blocks as one table."""
+    blocks = list(blocks)
+    return sum(n for n, _ in blocks), [list(itertools.chain.from_iterable(
+        cells)) for cells in zip(*(columns for _, columns in blocks))]
+
+
 def _pick(values, positions):
     """values at positions, an ascending subset of their indices."""
     if len(positions) == len(values):
@@ -493,6 +524,8 @@ def _bulk(cells, name):
     decode = _DECODE[name]
     try:
         values = list(map(_WHOLE[spec.kind], cells))
+        if spec.kind == "tag":          # equal cells share one string
+            values = list(map({}.setdefault, values, values))
         faults = {} if spec.kind != "tag" or all(values) else None
     except (ValueError, KeyError):
         faults = None
@@ -515,12 +548,12 @@ def _bulk(cells, name):
         finite = spec.kind == "float"
         try:
             # One sum, min and max clear a column: a sum is finite (not
-            # NaN) only when every term is; None, which an empty cell
-            # may give, makes the sum fail.
+            # NaN) only when every term is, and an infinite bound holds
+            # for all else; None, an empty cell's value, fails the sum.
             total = sum(values)
             clear = (math.isfinite(total) if finite else total == total) \
-                and lo <= min(values, default=lo) \
-                and max(values, default=hi) <= hi
+                and (lo == -math.inf or lo <= min(values, default=lo)) \
+                and (hi == math.inf or max(values, default=hi) <= hi)
         except TypeError:
             clear = False
         if not clear:
@@ -539,20 +572,22 @@ def _bulk(cells, name):
 _LAT, _LON = (schema.BY_NAME[c] for c in _POS["actor"]["wgs84"][:2])
 
 
-def _outlines(cells, frames, name):
+def _outlines(cells, frames, name, memo):
     """(shapes, faults) of one outline column: each cell read in its row's
     frame as shape_from_array reads it, and {position: message} of the
     cells it rejects.
 
     Each distinct cell is read once, and its rows share the (immutable)
     shape: a stationary entity repeats its outline verbatim at every
-    step.
+    step.  ``memo`` ({(text, frame): shape}) holds the file's cells read.
     """
     texts = list(map(str.strip, cells))
     keys = list(zip(texts, frames))
-    distinct = [key for key in dict.fromkeys(keys) if key[0]]
+    distinct = [key for key in dict.fromkeys(keys) if key[0]
+                and key not in memo]
     shapes, bad = _shapes(distinct)
-    shape_of = dict(zip(distinct, shapes))
+    memo.update((key, shape) for key, shape in zip(distinct, shapes)
+                if shape is not None)
     bad = {distinct[j]: message for j, message in bad.items()}
     empty_ok = name in _MAY_BE_EMPTY
     faults = {}
@@ -560,7 +595,7 @@ def _outlines(cells, frames, name):
         faults = {k: bad.get(key, "mandatory value is empty")
                   for k, key in enumerate(keys)
                   if key in bad or not (key[0] or empty_ok)}
-    return list(map(shape_of.get, keys)), faults
+    return list(map(memo.get, keys)), faults
 
 
 def _shapes(items):
@@ -675,62 +710,72 @@ def _run_ids(name, pattern, what, form, rep):
     return m.group("tc"), run_id
 
 
-def _table(path, fname, rep):
-    """(header, table, warnings) of a CSV file, the table and warnings as
-    ``_by_column`` gives them; None, with a finding, when the file is
-    empty or not UTF-8 CSV text.  A file ``_cut`` refuses is read by the
-    csv module (``_load``)."""
+def _table(path, fname, rep, read):
+    """``read(header, blocks, warnings)`` of a CSV file, blocks yielding
+    its rows block by block (``_cut``) as ``_by_column`` tables; None, with
+    a finding, when the file is empty or not UTF-8 CSV text.  If a block
+    is refused, the findings since the call are taken back and ``read``
+    runs again on the file read by the csv module (``_load``) as one
+    block, with ``_by_column``'s warnings."""
+    mark = len(rep.findings)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            got = _cut(fh)
-    except UnicodeDecodeError:      # _load reports it
-        got = None
-    if got is None:
-        rows = _load(path, fname, rep)
-        if rows is None:
-            return None
-        got = rows[0], *_by_column(rows[1:], len(rows[0]))
-    return got
+            blocks = _cut(fh)
+            got = read(next(blocks), blocks, {})
+            for _ in blocks:        # cut the blocks read did not take
+                pass
+        return got
+    except (csv.Error, UnicodeDecodeError):     # _load reports the latter
+        del rep.findings[mark:]
+    rows = _load(path, fname, rep)
+    if rows is None:
+        return None
+    table, warnings = _by_column(rows[1:], len(rows[0]))
+    return read(rows[0], [table], warnings)
 
 
-# Characters per block that _cut reads.  No copy of a whole file's text
-# is made beside its cells, and blocks this small keep the peak memory of
-# a 100 Hz parse at the csv module's.  The column pass then drops each
-# column's cells once decoded, so cells and values are not all held at once.
-_BLOCK = 1 << 14
+# Characters per block that _cut reads.  A parse holds one block's cells
+# beside the values decoded so far, so its memory grows with the block,
+# not the file; a 100 Hz run's file is a few blocks.  A block under the
+# csv module's field limit is searched for an overlong line only when it
+# carries a long one over.
+_BLOCK = 120 * 1024
 
 
 def _cut(fh):
-    """(header, table, {}) of a CSV text cut at its newlines and commas,
-    which gives the csv module's cells when the header has two columns or
-    more and the text has no quote, CR or NUL, every line as many cells
-    as the header and none longer than the csv module's field limit;
-    None for any other text.
+    """The header, then the ``(n, columns)`` table of each block, of a CSV
+    text cut at its newlines and commas.  That gives the csv module's
+    cells when the header has two columns or more and the text has no
+    quote, CR or NUL, every line as many cells as the header and none
+    longer than the csv module's field limit; csv.Error at the first
+    block of any other text.
 
     Each newline is cut out as a cell of its own, so a line of the
     header's width ends in a newline cell exactly where one is due.
     """
     limit = csv.field_size_limit()
-    columns = None
+    header = None
     for text in _blocks(fh):
-        if columns is None:
+        if header is None:
             step = text.count(",", 0, text.index("\n")) + 2
-            columns = [[] for _ in range(step - 1)]
-        if step < 3 or '"' in text or "\r" in text or "\x00" in text or (
-                len(text) > limit
-                and max(map(len, text.split("\n"))) > limit):
-            return None
         cells = text.replace("\n", ",\n,").split(",")
         del cells[-1]
         n = text.count("\n")
-        if len(cells) != n * step or cells[step - 1::step].count("\n") != n:
-            return None
-        for j, column in enumerate(columns):
-            column += cells[j::step]
-    if columns is None:
-        return None
-    header = [column.pop(0) for column in columns]
-    return header, (len(columns[0]), columns), {}
+        if step < 3 or '"' in text or "\r" in text or "\x00" in text or (
+                len(cells) != n * step
+                or cells[step - 1::step].count("\n") != n) or (
+                len(text) > limit
+                and max(map(len, text.split("\n"))) > limit):
+            raise csv.Error("not a plain table")
+        columns = [cells[j::step] for j in range(step - 1)]
+        del cells
+        if header is None:
+            header = [column.pop(0) for column in columns]
+            yield header
+            n -= 1
+        yield n, columns
+    if header is None:
+        raise csv.Error("empty")
 
 
 def _blocks(fh):
@@ -885,7 +930,7 @@ def _vut_clock(rows, vut, fname, rep, no_rows):
 def _join(table, group, rows, cols, step_times, half_period, found):
     """Put the entity rows at rows (their positions, in row order), cols
     their Channel columns, onto the VUT clock, into table (entity id ->
-    its columns), noting findings in found.
+    its columns, taken out of cols), noting findings in found.
 
     The VUT file is the master clock: a row whose step it lacks is
     orphaned, one kept carries the VUT time for its step, and drift
@@ -914,7 +959,7 @@ def _join(table, group, rows, cols, step_times, half_period, found):
     repeated = np.zeros(len(rows), dtype=bool)
     moved = np.flatnonzero(~orphan & (t != vt)).tolist()
     if moved:
-        cols = dict(cols, time=list(times))
+        cols["time"] = list(times)
         for m in moved:
             cols["time"][m] = vut_times[m]
     for eid, at in entities.items():
@@ -922,7 +967,11 @@ def _join(table, group, rows, cols, step_times, half_period, found):
         top = np.maximum.accumulate(s[at])[:-1]
         refused[at[1:]] = s[at[1:]] <= top
         repeated[at[1:]] = s[at[1:]] == top
-        table[eid] = _take(cols, at[~refused[at]].tolist())
+        entities[eid] = at[~refused[at]].tolist()
+    for name in list(cols):
+        values = cols.pop(name)
+        for eid, at in entities.items():
+            table.setdefault(eid, {})[name] = _pick(values, at)
     for m in np.flatnonzero(orphan | drift | refused).tolist():
         eid, step = eids[m], steps[m]
         notes = found.setdefault(rows[m], [])
@@ -986,46 +1035,11 @@ def parse_flat(path):
     fname = p.name
     ids = _run_ids(fname, schema.FLAT_NAME_RE, "flat file",
                    "results_<testcase_id>_r<run_id>.csv", rep)
-    if ids is None:
-        return None, rep
-    got = _table(p, fname, rep)
+    got = None if ids is None else _table(
+        p, fname, rep, functools.partial(_flat_rows, fname, rep))
     if got is None:
         return None, rep
-    header, table, found = got
-    base, groups = _segment_header(header, fname, rep)
-
-    ok = _require_columns(base, schema.CLOCK + schema.required_names("vut"),
-                          fname, rep)
-    for group, colmap in groups:
-        ok &= _require_columns(colmap, schema.required_names(group), fname,
-                               rep)
-        if group == "actor":
-            ok &= _check_actor_pos_columns(colmap, fname, rep)
-    if not ok:
-        return None, rep
-
-    vut_reader = _Reader("vut", base)
-    # Each group reads the clock cells too, decoded once for all readers:
-    # a group's faults are kept only on rows that hold a VUT record, and
-    # there its clock values are the VUT's.
-    clock = {name: base[name] for name in schema.CLOCK}
-    readers = [(group, _Reader(group, {**colmap, **clock}))
-               for group, colmap in groups]
-    # A row's findings: its width, its VUT cells, then, when it holds a
-    # VUT record, the cells of each group in header order.
-    clock = {name: _bulk(table[1][idx], name) for name, idx in clock.items()}
-    vut_rows, vut, faults = vut_reader.read_columns(table, clock)
-    _bad_values(found, faults)
-    on_clock = np.zeros(table[0], dtype=bool)
-    on_clock[vut_rows] = True
-    got = {group: [] for group in _ENTITY_GROUPS}
-    for group, reader in readers:
-        at, cols, faults = reader.read_columns(table, clock)
-        _bad_values(found, faults, on_clock)
-        keep = np.flatnonzero(on_clock[at]).tolist()
-        got[group].append((_pick(at, keep), _take(cols, keep)))
-    _report(found, fname, rep)
-
+    (vut_rows, vut), got = got
     clock = _vut_clock(vut_rows, vut, fname, rep,
                        "file contains no usable data rows")
     if clock is None:
@@ -1041,9 +1055,45 @@ def parse_flat(path):
     return _finish_trace(ids, vut, tables, period, rep), rep
 
 
+def _flat_rows(fname, rep, header, blocks, found):
+    """The column pass of a flat file (see ``_table``): the (rows,
+    columns) of its VUT, and group -> the (rows, columns) of each of its
+    readers; None when the header is refused."""
+    base, groups = _segment_header(header, fname, rep)
+    ok = _require_columns(base, schema.CLOCK + schema.required_names("vut"),
+                          fname, rep)
+    for group, colmap in groups:
+        ok &= _require_columns(colmap, schema.required_names(group), fname,
+                               rep)
+        if group == "actor":
+            ok &= _check_actor_pos_columns(colmap, fname, rep)
+    if not ok:
+        return None
+
+    # Each group reads the clock cells too, decoded once for all readers:
+    # a group's faults are kept only on rows that hold a VUT record, and
+    # there its clock values are the VUT's.
+    clock = {name: base[name] for name in schema.CLOCK}
+    n, (vut_rows, vut, faults), *got = _read(
+        [_Reader("vut", base)] + [_Reader(group, {**colmap, **clock})
+                                  for group, colmap in groups], blocks, clock)
+    # A row's findings: its width, its VUT cells, then, when it holds a
+    # VUT record, the cells of each group in header order.
+    _bad_values(found, faults)
+    on_clock = np.zeros(n, dtype=bool)
+    on_clock[vut_rows] = True
+    parts = {group: [] for group in _ENTITY_GROUPS}
+    for (group, _), (at, cols, faults) in zip(groups, got):
+        _bad_values(found, faults, on_clock)
+        keep = np.flatnonzero(on_clock[at]).tolist()
+        parts[group].append((_pick(at, keep), _take(cols, keep)))
+    _report(found, fname, rep)
+    return (vut_rows, vut), parts
+
+
 def _row_major(parts) -> tuple:
     """(rows, columns) of the (rows, columns) of a group's readers of one
-    file, in row order, then reader order."""
+    file, in row order, then reader order, taking the readers' columns."""
     if len(parts) < 2:
         return parts[0] if parts else ([], {})
     rows = list(itertools.chain.from_iterable(r for r, _ in parts))
@@ -1052,41 +1102,49 @@ def _row_major(parts) -> tuple:
                         rows)).tolist()
     return [rows[i] for i in order], {
         name: list(map(list(itertools.chain.from_iterable(
-            c[name] for _, c in parts)).__getitem__, order))
-        for name in parts[0][1]}
+            c.pop(name) for _, c in parts)).__getitem__, order))
+        for name in list(parts[0][1])}
 
 
 # ---------------------------------------------------------------------------
 # distributed layout
 
-def _read_role(folder, role, group, rep):
-    """Read one role file of a group -> (colmap, its rows by column, see
-    _by_column) or None; the rows not as wide as the header are reported,
-    and so is each column of another group, which is not read."""
-    p = folder / role
-    got = _table(p, role, rep) if p.exists() else None
-    if got is None:
+def _read_role(folder, role, group, rep, read):
+    """``read(colmap, blocks)`` of one role file of a group (see
+    ``_table``), or None when the file is missing or refused.  The rows
+    not as wide as the header are reported, and so is each column of
+    another group, and in a perceived file each column it does not carry
+    (``schema.ROLE_COLUMNS``): such a column is not read."""
+    if not (folder / role).exists():
         return None
-    header, table, warnings = got
-    colmap = {}
-    for idx, raw_name in enumerate(header):
-        name = raw_name.strip()
-        spec = schema.BY_NAME.get(name)
-        if name in colmap:
-            _unknown(name, role, rep, "duplicate column {!r} ignored")
-        elif spec is None:
-            _unknown(name, role, rep)
-        elif spec.group not in ("common", group):
-            _unknown(name, role, rep,
-                     "group column {!r} appears outside its group")
-        else:
-            colmap[name] = idx
-    required = [c for c in schema.ROLE_COLUMNS[role]
-                if schema.BY_NAME[c].required == "yes"]
-    if not _require_columns(colmap, required, role, rep):
-        return None
-    _report(warnings, role, rep)
-    return colmap, table
+
+    def role_file(header, blocks, warnings):
+        colmap = {}
+        for idx, raw_name in enumerate(header):
+            name = raw_name.strip()
+            spec = schema.BY_NAME.get(name)
+            if name in colmap:
+                _unknown(name, role, rep, "duplicate column {!r} ignored")
+            elif spec is None:
+                _unknown(name, role, rep)
+            elif spec.group not in ("common", group):
+                _unknown(name, role, rep,
+                         "group column {!r} appears outside its group")
+            elif role in _OVERLAYS and name not in schema.ROLE_COLUMNS[role]:
+                _unknown(name, role, rep,
+                         "column {!r} is not read from a perceived file")
+            else:
+                colmap[name] = idx
+        required = [c for c in schema.ROLE_COLUMNS[role]
+                    if schema.BY_NAME[c].required == "yes"]
+        if not _require_columns(colmap, required, role, rep):
+            return None
+        _report(warnings, role, rep)
+        if role == schema.ROLE_ACTORS_TRUE and not _check_actor_pos_columns(
+                colmap, role, rep):
+            return None
+        return read(colmap, blocks)
+    return _table(folder / role, role, rep, role_file)
 
 
 def parse_distributed(path):
@@ -1106,14 +1164,15 @@ def parse_distributed(path):
                     f"unrecognized file {child.name!r} in run folder",
                     file=child.name)
 
-    got = _read_role(folder, schema.ROLE_VUT, "vut", rep)
+    got = _read_role(folder, schema.ROLE_VUT, "vut", rep, lambda colmap,
+                     blocks: _read([_Reader("vut", colmap)], blocks)[1])
     if got is None:
         if not (folder / schema.ROLE_VUT).exists():
             rep.add(it.ERROR, it.MISSING_VUT_FILE,
                     f"{schema.ROLE_VUT} is missing", file=folder.name)
         return None, rep
     found = {}
-    vut_rows, vut, faults = _Reader("vut", got[0]).read_columns(got[1])
+    vut_rows, vut, faults = got
     _bad_values(found, faults)
     _report(found, schema.ROLE_VUT, rep)
     clock = _vut_clock(vut_rows, vut, schema.ROLE_VUT, rep,
@@ -1126,12 +1185,12 @@ def parse_distributed(path):
     tables = {}
     for role, group in _TRUE_ROLES:
         table = tables[group] = {}
-        got = _read_role(folder, role, group, rep)
-        if got is None or (group == "actor" and not _check_actor_pos_columns(
-                got[0], role, rep)):
+        got = _read_role(folder, role, group, rep, lambda colmap, blocks:
+                         _read([_Reader(group, colmap)], blocks)[1])
+        if got is None:
             continue
         found = {}
-        rows, cols, faults = _Reader(group, got[0]).read_columns(got[1])
+        rows, cols, faults = got
         _bad_values(found, faults)
         _join(table, group, rows, cols, step_times, half_period, found)
         _report(found, role, rep)
@@ -1154,7 +1213,8 @@ def _attach(folder, role, tables, rep):
     only read, and a bad one is a warning.
     """
     group, column, field = _OVERLAYS[role]
-    got = _read_role(folder, role, group, rep)
+    got = _read_role(folder, role, group, rep,
+                     lambda colmap, blocks: (colmap, _whole(blocks)))
     if got is None:
         return
     colmap, table = got
@@ -1165,6 +1225,8 @@ def _attach(folder, role, tables, rep):
                  for k, (column, message) in faults.items()}, role, rep)
         return
     n, columns = table
+    if not n:                       # no row to attach
+        return
     id_col = _IDS[group][0]
     entities = tables[group]
     index = {(eid, step): i for eid, cols in entities.items()
@@ -1187,7 +1249,7 @@ def _attach(folder, role, tables, rep):
         shapes, faults = _outlines(
             _pick(columns[colmap[column]], matched),
             ["vcs" if entities[ids[k]]["lat"][at[k]] is None else "wgs84"
-             for k in matched], column)
+             for k in matched], column, {})
         columns[colmap[column]] = None
     shapes = dict(zip(matched, shapes))
     faults = {matched[m]: message for m, message in faults.items()}
@@ -1244,25 +1306,26 @@ def _columns(candidates, values, always=()) -> list:
     return cols
 
 
-# Rows per piece of text written.  Small pieces keep the writer's memory
-# small; a piece the csv module would quote goes through it.
+# Rows per piece of text written.  A write holds one piece's text beside
+# its values; a piece the csv module would quote goes through it.
 _ROWS = 128
 
 
-def _write(path, header, columns) -> None:
-    """Write a CSV file of str cells: the header, then the columns' rows,
+def _write(path, header, columns, shapes) -> None:
+    """Write a CSV file: the header, then the rows of the value columns,
     as ``csv.writer`` writes them with LF line ends.
 
-    The rows go in pieces of ``_ROWS``.  A piece whose rows have two cells
-    or more and no comma, quote, CR or newline in any cell is written as
-    the cells joined by commas, which is what the csv module would
-    write; the csv module writes any other piece.
+    The rows go in pieces of ``_ROWS``, each formatted by ``_cells`` as it
+    is written.  A piece whose rows have two cells or more and no comma,
+    quote, CR or newline in any cell is written as the cells joined by
+    commas, which is what the csv module would write; the csv module
+    writes any other piece.
     """
+    pieces = (list(zip(*(_cells(c[a:a + _ROWS], shapes) for c in columns)))
+              for a in range(0, len(columns[0]) if columns else 0, _ROWS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        rows = zip(*columns)
-        piece = [header]
-        while piece:
+        for piece in itertools.chain([[header]], pieces):
             width = len(piece[0])
             text = "\n".join([*map(",".join, piece), ""])
             if width > 1 and text.count(",") == len(piece) * (width - 1) \
@@ -1271,7 +1334,6 @@ def _write(path, header, columns) -> None:
                 fh.write(text)
             else:
                 w.writerows(piece)
-            piece = list(itertools.islice(rows, _ROWS))
 
 
 def _cells(values, shapes) -> list:
@@ -1315,16 +1377,15 @@ def write_flat(trace, directory) -> Path:
             # None past the rows' end, a blank cell.
             at = {step: k for k, step in enumerate(channel.columns["step"])}
             rows = [at.get(step, len(channel)) for step in vut["step"]]
-            tables.append((cols, {c: list(map((values[c] + [None])
-                                              .__getitem__, rows))
-                                  for c in cols}))
+            if rows != list(range(len(channel))):
+                values = {c: list(map((values[c] + [None]).__getitem__,
+                                      rows)) for c in cols}
+            tables.append((cols, values))
     path = Path(directory) / schema.flat_filename(trace.testcase_id,
                                                    trace.run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    shapes = {}
     _write(path, [c for cols, _ in tables for c in cols],
-           [_cells(values[c], shapes) for cols, values in tables
-            for c in cols])
+           [values[c] for cols, values in tables for c in cols], {})
     return path
 
 
@@ -1336,35 +1397,41 @@ def write_distributed(trace, directory) -> Path:
     entity order, then row order; rows off the clock are dropped.
     """
     steps = trace.channels("vut").columns["step"]
-    # (role, {column: values}, the rows written, columns always written)
+    # (role, {column: values}, the rows written (None: all), columns
+    # always written)
     tables = [(schema.ROLE_VUT, _cells_of("vut", trace.channels("vut")
-                                          .columns), range(len(steps)), ())]
+                                          .columns), None, ())]
     gathered = {}
     for role, group in _TRUE_ROLES:
         channels = [c.columns for c in _entities(trace)[group].values()]
-        cols = {name: list(itertools.chain.from_iterable(
-            c[name] for c in channels)) for name in COLUMNS[_TYPES[group]]}
         at = {}
-        for k, step in enumerate(cols["step"]):
+        for k, step in enumerate(itertools.chain.from_iterable(
+                c["step"] for c in channels)):
             at.setdefault(step, []).append(k)
-        gathered[group] = (_cells_of(group, cols),
-                           [k for step in steps for k in at.get(step, ())])
-        tables.append((role, *gathered[group], ()))
+        rows = [k for step in steps for k in at.get(step, ())]
+        del at                  # before the columns are gathered
+        # Gathered in the order written, unless one channel is in it.
+        cols = channels[0] if len(channels) == 1 and rows == list(range(
+            len(channels[0]["step"]))) else {name: list(map(list(
+                itertools.chain.from_iterable(c[name] for c in channels))
+                .__getitem__, rows)) for name in COLUMNS[_TYPES[group]]}
+        gathered[group] = _cells_of(group, cols)
+        tables.append((role, gathered[group], None, ()))
     # Every overlay column is required or always written, so choosing
     # them from the whole group's values chooses the same ones.
     for role, (group, column, field) in _OVERLAYS.items():
-        values, rows = gathered[group]
+        values = gathered[group]
         tables.append((role, values, [] if field is None else [
-            k for k in rows if values[column][k] is not None], (column,)))
+            k for k, v in enumerate(values[column]) if v is not None],
+            (column,)))
     tables = [(role, _columns(schema.ROLE_COLUMNS[role], values, always),
                values, rows) for role, values, rows, always in tables]
     root = Path(directory) / schema.dir_name(trace.testcase_id, trace.run_id)
     root.mkdir(parents=True, exist_ok=True)
     shapes = {}
     for role, cols, values, rows in tables:
-        _write(root / role, cols, [
-            _cells(list(map(values[c].__getitem__, rows)), shapes)
-            for c in cols])
+        _write(root / role, cols, [values[c] if rows is None else list(
+            map(values[c].__getitem__, rows)) for c in cols], shapes)
     return root
 
 

@@ -38,6 +38,7 @@ from vistakit.trace_io import (
     _cell_float,
     _fields,
     _read_role,
+    _whole,
 )
 
 
@@ -262,7 +263,8 @@ def attach(folder, role, tables, rep):
     and a bad one is a warning.
     """
     group, column, field = _OVERLAYS[role]
-    got = _read_role(folder, role, group, rep)
+    got = _read_role(folder, role, group, rep,
+                     lambda colmap, blocks: (colmap, _whole(blocks)))
     if got is None:
         return
     colmap, (_, columns) = got

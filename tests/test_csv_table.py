@@ -30,9 +30,11 @@ def reference(path):
 
 
 def table(path):
-    """(table, findings) of a file read by ``_table``."""
+    """(table, findings) of a file read by ``_table``, its blocks joined."""
     rep = IntegrityReport()
-    got = trace_io._table(path, path.name, rep)
+    got = trace_io._table(path, path.name, rep, lambda header, blocks,
+                          warnings: (header, trace_io._whole(blocks),
+                                     warnings))
     return got, [f.render() for f in rep.findings]
 
 
@@ -159,7 +161,7 @@ def test_write_matches_csv_writer(tmp_path):
         tables.append((pick(width), [pick(n) for _ in range(width)]))
     plain = 0
     for header, columns in tables:
-        trace_io._write(path, header, columns)
+        trace_io._write(path, header, columns, {})
         assert path.read_bytes() == csv_bytes(header, columns), \
             (header, columns)
         plain += len(header) > 1 and not any(

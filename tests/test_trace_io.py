@@ -16,6 +16,7 @@ from vistakit.model import (
     Trace,
     VcsPosition,
 )
+from vistakit.positions import shape_to_array
 from vistakit.trace_io import (
     detect_layout,
     parse_trace,
@@ -428,6 +429,25 @@ def test_role_file_columns_of_another_group_are_not_read(tmp_path):
         _outside("VUT_status.csv", "Actor_TTC") \
         + _outside("Environment_actors_true.csv", "VUT_speed", "Obst_NTD")
     assert repr(got) == repr(trace)
+
+
+def test_perceived_role_file_columns_it_does_not_carry_are_not_read(
+        tmp_path):
+    # A perceived file carries the id and the overlay only: any other
+    # column of its group is a warning, and its cells are not read.
+    trace = synth.synthesize(synth.ScenarioSpec(), 1)
+    folder = write_distributed(trace, tmp_path)
+    box = trace.actors["TSV-01"][0].bbox_true
+    (folder / "Environment_actors_perceived.csv").write_text(
+        "Time,Step_number,Actor_Id,Actor_bbox_perceived,Actor_type,"
+        f"Actor_vel_abs\n0.0,0,TSV-01,{shape_to_array(box)},xx,abc\n")
+    got, rep = parse_trace(folder)
+    assert [f.render() for f in rep.findings] == [
+        "WARNING UnknownColumn Environment_actors_perceived.csv:1 column "
+        f"{name!r} is not read from a perceived file [{name}]"
+        for name in ("Actor_type", "Actor_vel_abs")]
+    assert got.actors["TSV-01"][0].bbox_perceived == box
+    assert repr(replace(got, actors=trace.actors)) == repr(trace)
 
 
 @pytest.mark.parametrize("layout", ["flat", "distributed"])

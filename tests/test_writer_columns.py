@@ -251,8 +251,18 @@ def _non_finite_trace():
     return Trace(testcase_id="TC-COLS-03", run_id=1, vut=tuple(vut))
 
 
+def _lone_edge_trace():
+    # One actor, which the distributed writer need not gather: its row off
+    # the VUT clock must still be dropped, and its row at the repeated VUT
+    # step written twice.
+    trace = edge_trace()
+    object.__setattr__(trace, "actors", {"CYC-B": trace.actors["CYC-B"]})
+    return trace
+
+
 @pytest.mark.parametrize("make", [_world_trace, _vcs_trace,
-                                  _non_finite_trace, edge_trace])
+                                  _non_finite_trace, edge_trace,
+                                  _lone_edge_trace])
 def test_column_writers_match_rowwise_reference(make, tmp_path):
     _assert_same_bytes(make(), tmp_path)
 
