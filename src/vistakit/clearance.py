@@ -162,11 +162,6 @@ def entities(trace: Trace) -> tuple:
             *(oid for oid in obstacles if oid not in fixed)], fixed
 
 
-def _floats(values) -> np.ndarray:
-    """A column as a float array, NaN where it holds None."""
-    return np.array(values, dtype=float)
-
-
 def _projected(lon, lat, frame) -> tuple:
     """(VCS points, beyond the safe extent or not) of WGS84 points, each
     in the ``frame`` of its VUT sample: (lon, lat, metres per degree of
@@ -240,7 +235,7 @@ def clearance_series(trace: Trace, entity_id: str,
     n = len(steps)
     vut = trace.channels("vut")
     at = np.searchsorted(vut.columns["step"], steps)
-    lon, lat, heading, speed = (_floats(vut.columns[name])[at]
+    lon, lat, heading, speed = (vut.columns[name][at]
                                 for name in ("lon", "lat", "heading", "speed"))
     frame = (lon, lat, *scales(lat), heading)       # each row's VUT frame
 
@@ -280,10 +275,10 @@ def clearance_series(trace: Trace, entity_id: str,
         notes_at += [(i, 0, f"{ids[i]}: degenerate outline at step "
                       f"{steps[i]}, default footprint used")
                      for i in np.flatnonzero((count > 0) & ~usable).tolist()]
-        yaw = _floats(col["heading"]) - heading     # NaN without a heading
+        yaw = col["heading"] - heading      # NaN without a heading
         has = ~np.isnan(yaw)
-        vel_long, vel_lat = _floats(col["vel_long"]), _floats(col["vel_lat"])
-        moving = (_floats(col["speed"]) != 0.0) | (vel_lat != 0.0) \
+        vel_long, vel_lat = col["vel_long"], col["vel_lat"]
+        moving = (col["speed"] != 0.0) | (vel_lat != 0.0) \
             | (vel_long != 0.0)
         unknown = np.flatnonzero(~has & moving)
         if len(unknown):
@@ -300,7 +295,7 @@ def clearance_series(trace: Trace, entity_id: str,
         rows = np.flatnonzero(~usable)
         place[rows] = np.arange(len(rows))
         if len(rows):
-            x, y, plat, plon = (_floats(col[name])[rows]
+            x, y, plat, plon = (col[name][rows]
                                 for name in ("x", "y", "lat", "lon"))
             g = ~np.isnan(plat)
             own = rows[g]
@@ -369,7 +364,7 @@ def clearance_series(trace: Trace, entity_id: str,
     columns = dict(zip(_METRICS, (lateral, longitudinal, lat_side, lon_side,
                                   vut_closing, entity_closing)),
                    step=list(map(steps.__getitem__, kept)),
-                   time=list(map(col["time"].__getitem__, kept)))
+                   time=col["time"][kept].tolist())
     series = object.__new__(ClearanceSeries)
     series.__dict__.update(
         entity_id=entity_id, notes=tuple(notes), columns=columns,

@@ -79,12 +79,12 @@ class FidelityReport:
         }
 
 
-def _vut(trace: Trace, name) -> list:
+def _vut(trace: Trace, name) -> np.ndarray:
     return trace.channels("vut").columns[name]
 
 
 def _channels(trace: Trace):
-    return np.array(_vut(trace, "time")), np.array(_vut(trace, "speed"))
+    return _vut(trace, "time"), _vut(trace, "speed")
 
 
 def _rate(trace: Trace) -> float:
@@ -93,7 +93,7 @@ def _rate(trace: Trace) -> float:
     t = _vut(trace, "time")
     if len(t) < 2 or t[-1] <= t[0]:
         raise InsufficientOverlap("trace too short to establish a rate")
-    return (len(t) - 1) / (t[-1] - t[0])
+    return (len(t) - 1) / float(t[-1] - t[0])
 
 
 def align(virtual: Trace, reference: Trace, window: float = ALIGN_WINDOW,

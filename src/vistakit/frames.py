@@ -81,8 +81,7 @@ class LocalFrame:
         """(x_east, y_north) arrays of a channel's positions, each as
         :meth:`to_local` gives it (numpy rounds the same arithmetic), and
         its error for the first one beyond the frame's extent."""
-        lat, lon = (np.array(channel.columns[name], dtype=float)
-                    for name in ("lat", "lon"))
+        lat, lon = channel.columns["lat"], channel.columns["lon"]
         x = (lon - self.origin.lon) * self.m_per_deg_lon
         y = (lat - self.origin.lat) * self.m_per_deg_lat
         beyond = (np.abs(x) > MAX_EXTENT_M) | (np.abs(y) > MAX_EXTENT_M)

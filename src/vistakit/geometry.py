@@ -179,7 +179,7 @@ def _intersecting(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 # Elements per kernel chunk; bounds temporary memory.
-_CHUNK_ELEMENTS = 1 << 18
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _pair_chunk(A: np.ndarray, B: np.ndarray) -> int:

@@ -8,8 +8,9 @@ optional file/row/column location.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 ERROR = "error"
 WARNING = "warning"
@@ -78,7 +79,7 @@ def median_period(times) -> float | None:
     """The median spacing of consecutive times; None for fewer than two."""
     if len(times) < 2:
         return None
-    dts = sorted(map(operator.sub, times[1:], times[:-1]))
+    dts = sorted(np.diff(times).tolist())     # np.median pages in more code
     mid = len(dts) // 2
     return dts[mid] if len(dts) % 2 == 1 else 0.5 * (dts[mid - 1] + dts[mid])
 
@@ -107,15 +108,14 @@ def check_frequency(trace, f_min: float) -> list:
             f"median sample rate {rate:.3f} Hz is below the required "
             f"{f_min:g} Hz",
         ))
-    worst = max((abs(b - a - med), i) for i, (a, b)
-                in enumerate(zip(times, times[1:])))
-    if worst[0] > 0.1 * med:
-        i = worst[1]
+    dts = np.diff(times)
+    off = np.abs(dts - med)
+    i = len(off) - 1 - int(off[::-1].argmax())  # the last of the largest
+    if off[i] > 0.1 * med:
         out.append(Finding(
             WARNING, JITTER_EXCEEDED,
-            f"sample spacing {times[i + 1] - times[i]:.6g} s at t="
-            f"{times[i]:.6g} deviates more than 10% from the median "
-            f"{med:.6g} s",
+            f"sample spacing {dts[i]:.6g} s at t={times[i]:.6g} deviates "
+            f"more than 10% from the median {med:.6g} s",
         ))
     return out
 

@@ -19,13 +19,13 @@ their positions and outlines are slotted: they hold no ``__dict__`` and
 take no weak references.
 
 A :class:`Trace` holds each channel (the VUT's, and each entity's) as a
-:class:`Channel`: one value list per field, a position by its own
-fields.  The trace readers and the synthesizer make traces from columns
-they have checked, and ``Trace.vut``, ``.actors``, ``.obstacles`` and
-``.controllers`` build the records on first read, once.  A trace made
-from records keeps them, and gathers its columns from them when made.
-A channel keeps its columns for life, so one whose records have been
-read holds both.
+:class:`Channel`: one column per field (a float one as an array), a
+position by its own fields.  The trace readers and the synthesizer make
+traces from columns they have checked, and ``Trace.vut``, ``.actors``,
+``.obstacles`` and ``.controllers`` build the records on first read,
+once.  A trace made from records keeps them, and gathers its columns
+from them when made.  A channel keeps its columns for life, so one whose
+records have been read holds both.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
+
+import numpy as np
 
 INDICATOR_NAMES = frozenset(
     {"left_front", "left_rear", "right_front", "right_rear",
@@ -365,6 +367,29 @@ COLUMNS = {cls: tuple(itertools.chain.from_iterable(
     else [name] for name in _NAMES[cls])) for cls in _POSITIONS}
 
 
+# Per record type, its columns typed float: the schema's float and ttc.
+FLOATS = {cls: frozenset(f.name for t in (cls, *_POSITIONS[cls])
+                         for f in fields(t) if f.type in ("float",
+                                                          "float | None"))
+          for cls in _POSITIONS}
+
+
+def _frozen(values) -> np.ndarray:
+    """values as a read-only float64 array, NaN for None."""
+    array = np.asarray(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+def _values(column) -> list:
+    """A column's values as record fields: Python floats, None for NaN."""
+    if not isinstance(column, np.ndarray):
+        return column
+    values = column.tolist()
+    return [None if v != v else v for v in values] \
+        if np.isnan(column).any() else values
+
+
 def _column_of(cls, records, name) -> list:
     """The column ``name`` (see COLUMNS) of records of type cls."""
     for t in _POSITIONS[cls]:
@@ -377,9 +402,10 @@ def _column_of(cls, records, name) -> list:
 def _assemble(cls, columns) -> list:
     """The records of type cls held by columns, built in bulk."""
     n = len(columns["step"])
-    values = dict(columns, pos=[None] * n)
+    values = {name: _values(column) for name, column in columns.items()}
+    values["pos"] = [None] * n
     for t in _POSITIONS[cls]:
-        parts = [columns[name] for name in _NAMES[t]]
+        parts = [values[name] for name in _NAMES[t]]
         rows = [k for k, v in enumerate(parts[0]) if v is not None]
         for k, p in zip(rows, _build(t, len(rows), *(
                 [part[k] for k in rows] for part in parts))):
@@ -389,9 +415,12 @@ def _assemble(cls, columns) -> list:
 
 class Channel:
     """The records of one channel, the VUT's or one entity's, as columns:
-    one value list per name of ``COLUMNS[type]``, in row order.  A
-    position column holds None in the rows whose position is in another
-    frame, and a column not given holds None throughout.
+    one per name of ``COLUMNS[type]``, in row order.  A column of
+    ``FLOATS[type]`` is a read-only float64 array, NaN where a row has no
+    value (no float field holds NaN as a value), any other a list, None
+    where a row has none.  A position column has none in the rows whose
+    position is in another frame, and a column not given none at all
+    (all such float columns share one array, the others one list).
 
     The columns are set once, when the channel is made, and kept for its
     life; a channel made from records gathers them from the records.
@@ -412,9 +441,11 @@ class Channel:
         if records is not None:
             columns = {name: _column_of(type, records, name)
                        for name in COLUMNS[type]}
-        none = [None] * len(columns["step"])
-        self.columns = {name: columns.get(name, none)
-                        for name in COLUMNS[type]}
+        n, floats = len(columns["step"]), FLOATS[type]
+        absent = {True: _frozen(np.full(n, math.nan)), False: [None] * n}
+        self.columns = {name: absent[name in floats] if name not in columns
+                        else _frozen(columns[name]) if name in floats
+                        else columns[name] for name in COLUMNS[type]}
 
     def __len__(self) -> int:
         return len(self.columns["step"])
@@ -428,7 +459,7 @@ class Channel:
     def position(self, k):
         """The position of row k, made on its own."""
         for t in _POSITIONS[self.type]:
-            parts = [self.columns[name][k] for name in _NAMES[t]]
+            parts = [_values(self.columns[n][k:k + 1])[0] for n in _NAMES[t]]
             if parts[0] is not None:
                 return t(*parts)
         return None
@@ -437,7 +468,7 @@ class Channel:
 def _check_row(cls, columns, k) -> None:
     """Raise the first error that constructing row k of columns (see
     :class:`Channel`) as a cls would raise, its position's checks first."""
-    rec = Channel(cls, {name: [values[k]]
+    rec = Channel(cls, {name: values[k:k + 1]
                         for name, values in columns.items()}).records[0]
     if getattr(rec, "pos", None) is not None:
         rec.pos.__post_init__()
@@ -525,7 +556,7 @@ class Trace:
         self._check_run()
         vut = self.channels("vut").columns
         times, steps = vut["time"], vut["step"]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if (times[1:] <= times[:-1]).any():
             raise ValueError("VUT time must be strictly increasing")
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValueError("VUT step numbers must be strictly increasing")
@@ -586,7 +617,7 @@ class Trace:
     @property
     def duration(self) -> float:
         times = self.channels("vut").columns["time"]
-        return times[-1] - times[0]
+        return float(times[-1] - times[0])
 
 
 def _channel(cls, records, what) -> Channel:
@@ -651,11 +682,12 @@ def _obstacle_columns(columns) -> dict | None:
     obstacle in disguise with a world position and a true outline; None
     otherwise."""
     codes = []
-    for values in zip(*map(columns.get, _DISGUISE)):
+    for values in zip(*(_values(columns[name]) for name in _DISGUISE)):
         codes.append(_obstacle_code(*values))
         if codes[-1] is None:
             return None
-    if not codes or None in columns["lat"] or None in columns["bbox_true"]:
+    if not codes or np.isnan(columns["lat"]).any() \
+            or None in columns["bbox_true"]:
         return None
     out = {name: columns[source] for name, source in _AS_OBSTACLE.items()
            if name != "pos"}

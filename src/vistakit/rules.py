@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .clearance import ClearanceSeries, _floats, clearance_series, entities
+from .clearance import ClearanceSeries, clearance_series, entities
 from .errors import MalformedRules, VistaError
 from .frames import LocalFrame
 from .model import GeoPosition, Trace, VehicleProfile, normalize_heading
@@ -244,19 +244,19 @@ def _contexts(trace: Trace, entity_id: str, rules: RuleSet) -> tuple:
     atype = col["actor_type"][0]
     if atype == "tsv":
         eps = rules.stopped_speed_eps
-        moving = (_floats(col["speed"]) >= eps).any() or any(map(
-            operator.ge, map(math.hypot, col["vel_lat"], col["vel_long"]),
-            repeat(eps)))
+        moving = (col["speed"] >= eps).any() or any(map(
+            operator.ge, map(math.hypot, col["vel_lat"].tolist(),
+                             col["vel_long"].tolist()), repeat(eps)))
         return steps, (MOVING_TSV if moving else STOPPED_VEHICLE,), same, []
     if atype in _TYPE_CONTEXT:
         return steps, (_TYPE_CONTEXT[atype],), same, []
     if atype == "vru_pedestrian":
-        heading = _floats(col["heading"])
+        heading = col["heading"]
         has = ~np.isnan(heading)
         vut = trace.channels("vut")
         at = np.searchsorted(vut.columns["step"], steps)[has]
         # The VUT's headings lie in [0, 360), so fmod alone normalises.
-        oncoming = np.fmod(_floats(vut.columns["heading"])[at] + 180.0, 360.0)
+        oncoming = np.fmod(vut.columns["heading"][at] + 180.0, 360.0)
         same[has] = np.abs((heading[has] - oncoming + 180.0) % 360.0
                            - 180.0) < 90.0
         notes = [] if has.all() else [
@@ -332,7 +332,7 @@ def evaluate_clearances(trace: Trace, series: ClearanceSeries,
     c = series.columns
     context = codes[np.searchsorted(steps, c["step"])]
     limits = [rules.lateral_threshold(name) for name in classes]
-    lat_limit = _floats(limits)[context]
+    lat_limit = np.array(limits, dtype=float)[context]
 
     lat = _clearance_verdict(
         f"lateral_clearance[{eid}]", c, np.isfinite(c["lateral"]),
@@ -351,13 +351,12 @@ def evaluate_clearances(trace: Trace, series: ClearanceSeries,
 def evaluate_kinematics(trace: Trace, rules: RuleSet) -> tuple:
     """Speed-limit verdict and hard-deceleration warning."""
     vut = trace.channels("vut")
-    steps, speed, acc = map(vut.columns.get, ("step", "speed", "acc_long"))
-    v, a = _floats(speed), _floats(acc)
+    steps, v, a = map(vut.columns.get, ("step", "speed", "acc_long"))
     limit = rules.speed_limit
     offending = np.flatnonzero(v > limit + rules.speed_tolerance)
     speed_verdict = RuleVerdict(
         rule="speed_limit", outcome=FAIL if len(offending) else PASS,
-        measured=speed[v.argmax()], threshold=limit,
+        measured=float(v[v.argmax()]), threshold=limit,
         offending_steps=_span(steps, offending),
         attribution=ATTR_VUT if len(offending) else None,
     )
@@ -365,7 +364,7 @@ def evaluate_kinematics(trace: Trace, rules: RuleSet) -> tuple:
     decel = RuleVerdict(
         rule="hard_deceleration",
         outcome=WARNING if len(braking) else PASS,
-        measured=acc[a.argmin()], threshold=rules.decel_warning,
+        measured=float(a[a.argmin()]), threshold=rules.decel_warning,
         offending_steps=_span(steps, braking),
         detail="hard braking is reported for review, never failed"
         if len(braking) else "",

@@ -335,8 +335,8 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
     s = np.where(s_max < s, s_max, s)           # min(s, s_max)
     n = np.interp(s, s_grid, n_grid)
     e, de, d2e = profile.eval(n)
-    heading = list(map(normalize_heading, map(math.degrees, map(
-        math.atan2, de.tolist(), itertools.repeat(1.0)))))
+    heading = np.array(list(map(normalize_heading, map(math.degrees, map(
+        math.atan2, de.tolist(), itertools.repeat(1.0))))))
     curvature = d2e / np.array(list(map(
         float.__pow__, (1.0 + de * de).tolist(), itertools.repeat(1.5))))
     acc_lat = v * v * curvature
@@ -367,16 +367,13 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
         & (t >= 0.0) & (s >= 0.0) & (v >= 0.0) \
         & (0.0 <= throttle) & (throttle <= 1.0) \
         & (0.0 <= brake) & (brake <= 1.0)
-    time, travelled, speed, acc_lat, acc_long, yaw_rate, throttle, brake, \
-        steering = (c.tolist() for c in channels)
     steps = list(range(step_count))
-    vut = dict(time=time, step=steps, travelled=travelled, speed=speed,
-               acc_lat=acc_lat, acc_long=acc_long, yaw_rate=yaw_rate,
-               heading=heading, indicators=indicators, throttle=throttle,
-               brake=brake, steering_angle=steering,
+    vut = dict(time=t, step=steps, travelled=s, speed=v, acc_lat=acc_lat,
+               acc_long=a, yaw_rate=yaw_rate, heading=heading,
+               indicators=indicators, throttle=throttle, brake=brake,
+               steering_angle=steering,
                drive_status=["autonomous"] * step_count,
-               special_op=["normal"] * step_count,
-               lat=lat.tolist(), lon=lon.tolist())
+               special_op=["normal"] * step_count, lat=lat, lon=lon)
     for k in np.flatnonzero(~ok).tolist():      # raises at the first
         frame.from_local(float(e[k]), float(n[k]))
         _check_row(VutState, vut, k)
@@ -384,7 +381,7 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
     # The parked TSV's outline in each step's VCS, and its zero velocity
     # minus the VUT's (speed, 0) there; each TTC is >= 0 or +inf.
     outlines = enu_to_vcs(tsv_rel_all - np.stack([e, n], axis=-1)[:, None],
-                          np.array(heading)[:, None])
+                          heading[:, None])
     ttcs = first_contact_times(footprint, outlines, np.zeros(2)
                                - np.column_stack([v, np.zeros(step_count)]))
     tsv = dict(actor_id="TSV-01", actor_type="tsv", bbox_true=tsv_shape,
@@ -397,7 +394,7 @@ def synthesize(spec: ScenarioSpec | None = None, case: int = 1,
         testcase_id=spec.testcase_id, run_id=run_id,
         vut=Channel(VutState, vut),
         actors={"TSV-01": Channel(ActorState, dict(
-            tsv, time=time, step=steps, ttc=ttcs.tolist()))},
+            tsv, time=t, step=steps, ttc=ttcs))},
         obstacles={}, controllers={}, declared_frequency=round(rate, 6))
 
 
@@ -440,20 +437,19 @@ def perturb(trace: Trace, pos_sigma: float = 0.0, speed_sigma: float = 0.0,
     # noise[k] is row k's east, north and speed draw: one (n, 3) draw
     # gives the stream of 3n scalar draws in that order.
     noise = rng.normal(0.0, 1.0, size=(len(channel), 3))
-    x = (np.array(vut["lon"], float) - o.lon) * k_lon
-    y = (np.array(vut["lat"], float) - o.lat) * k_lat
+    x = (vut["lon"] - o.lon) * k_lon
+    y = (vut["lat"] - o.lat) * k_lat
     e = x + noise[:, 0] * pos_sigma
     n = y + noise[:, 1] * pos_sigma
     lat, lon = o.lat + n / k_lat, o.lon + e / k_lon
-    s = np.array(vut["speed"], float) + noise[:, 2] * speed_sigma
+    s = vut["speed"] + noise[:, 2] * speed_sigma
     speed = np.where(s > 0.0, s, 0.0)   # max(0.0, s): np.maximum keeps -0.0
-    time = [v + time_shift for v in vut["time"]]
-    t = np.array(time, float)
+    with np.errstate(over="ignore"):        # an infinite time is refused
+        t = vut["time"] + time_shift
     ok = (np.abs(np.stack([x, y, e, n])) <= MAX_EXTENT_M).all(axis=0) \
         & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0) \
         & np.isfinite(t) & (t >= 0.0) & np.isfinite(speed)
-    vut = dict(vut, time=time, lat=lat.tolist(), lon=lon.tolist(),
-               speed=speed.tolist())
+    vut = dict(vut, time=t, lat=lat, lon=lon, speed=speed)
     for k in np.flatnonzero(~ok).tolist():     # raises at the first
         frame.to_local(channel.position(k))
         frame.from_local(float(e[k]), float(n[k]))
@@ -476,11 +472,12 @@ def _shifted(channel, time_shift) -> Channel:
     same is returned as it is.  A time no longer finite, the one check a
     shift can fail, raises its row's error (``model._check_row``)."""
     times = channel.columns["time"]
-    time = [t + time_shift for t in times]
-    if not time or (time_shift == 0.0 and repr(time) == repr(times)):
+    with np.errstate(over="ignore"):        # an infinite time is refused
+        new = times + time_shift
+    if not len(new) or time_shift == 0.0 and new.tobytes() == times.tobytes():
         return channel
-    columns = dict(channel.columns, time=time)
-    finite = list(map(math.isfinite, time))
-    if False in finite:
-        _check_row(channel.type, columns, finite.index(False))
+    columns = dict(channel.columns, time=new)
+    infinite = np.flatnonzero(~np.isfinite(new))
+    if len(infinite):
+        _check_row(channel.type, columns, int(infinite[0]))
     return Channel(channel.type, columns)

@@ -19,10 +19,10 @@ column by column as it is cut: a column is decoded in one pass and
 checked against its schema bounds in bulk, and the outline cells in the
 writer's form are parsed together and checked per vertex count.  The
 rows that pass every check are appended to their file's columns, one
-value list per record field (``model.Channel``): the trace builds their
-records only when something reads them, without the record type's checks
-running again.  The flat layout's clock cells are decoded once, for the
-VUT and every entity group.
+float array or value list per record field it has (``model.Channel``):
+the trace builds their records only when something reads them, without
+the record type's checks running again.  The flat layout's clock cells
+are decoded once, for the VUT and every entity group.
 
 A cell that fails a bulk check is decoded once more, alone, by its
 column's decoder: a value it accepts replaces the bulk one (a heading of
@@ -91,6 +91,7 @@ from .geometry import _distinct_counts, _orient
 from .integrity import IntegrityReport
 from .model import (
     COLUMNS,
+    FLOATS,
     ActorState,
     BoundingShape,
     Channel,
@@ -104,6 +105,7 @@ from .model import (
     _build,
     _check_row,
     _obstacle_columns,
+    _values,
     normalize_heading,
 )
 from .positions import shape_from_array, shape_to_array
@@ -243,23 +245,22 @@ def _positions(frame, n, *fields) -> list:
     return _build(_POS_TYPES[frame], n, *fields)
 
 
-def _fields(group, cols, n) -> dict:
-    """The Channel columns of n rows of one group from their decoded
-    cells (CSV column -> values).  A row's position is in the frame whose
+def _fields(group, cols) -> dict:
+    """The Channel columns of the rows of one group from their decoded
+    cells (CSV column -> values), those of the columns it has: the
+    Channel gives the others.  A row's position is in the frame whose
     first column it fills (the alt_pos rule has made exactly one actor
     pair whole), so a column the two frames share goes, row by row, to
     the frame of the row."""
-    none = [None] * n
-    f = {field: cols.get(col, none) for col, field in _FIELDS[group].items()}
+    f = {field: cols[col] for col, field in _FIELDS[group].items()
+         if col in cols}
     if group == "vut":
         f["indicators"] = list(map(_flags, *(cols[c] for c, _ in _INDICATORS)))
     for frame, pcols in _POS.get(group, {}).items():
-        first = cols.get(pcols[0], none)
-        whole = None not in first
-        for col, name in zip(pcols, _NAMES[_POS_TYPES[frame]]):
-            values = cols.get(col, none)
-            f[name] = values if whole or values is none else [
-                v if w is not None else None for v, w in zip(values, first)]
+        if pcols[0] in cols:
+            other = np.isnan(cols[pcols[0]])
+            f.update((name, np.where(other, math.nan, cols[col])) for col, name
+                     in zip(pcols, _NAMES[_POS_TYPES[frame]]) if col in cols)
     return f
 
 
@@ -279,14 +280,13 @@ def _cells_of(group, cols) -> dict:
     for frame, pcols in _POS.get(group, {}).items():
         for col, name in zip(pcols, _NAMES[_POS_TYPES[frame]]):
             if col in values:           # shared by the frames: merge
-                values[col] = [v if w is None else w
-                               for v, w in zip(values[col], cols[name])]
+                values[col] = np.where(np.isnan(cols[name]), values[col],
+                                       cols[name])
             elif col is not None:
                 values[col] = cols[name]
-    if _OUTLINES[group] and None in cols["lat"]:
-        frames = ["wgs84" if v is not None else "vcs" for v in cols["lat"]]
-    else:
-        frames = itertools.repeat("wgs84")
+    frames = itertools.repeat("wgs84")
+    if _OUTLINES[group] and np.isnan(cols["lat"]).any():
+        frames = np.where(np.isnan(cols["lat"]), "vcs", "wgs84").tolist()
     for col in _OUTLINES[group]:
         for k, (shape, frame) in enumerate(zip(values[col], frames)):
             if shape is not None and shape.frame != frame:
@@ -389,7 +389,7 @@ class _Reader:
             else range(len(live))
         rows = _pick(live, good)
         cols = _fields(self.group, {name: _pick(v, good)
-                                    for name, v in vals.items()}, len(good))
+                                    for name, v in vals.items()})
         if check:
             kept = []
             for m, k in enumerate(rows):
@@ -487,9 +487,11 @@ def _read(readers, blocks, clock=None) -> tuple:
             rows += range(at.start + n, at.stop + n) if type(at) is range \
                 else map(n.__add__, at)
             for name, column in values.items():
-                cols.setdefault(name, []).extend(column)
+                cols.setdefault(name, []).append(column)
             faults.update((k + n, fault) for k, fault in found.items())
         n += table[0]
+    for _, cols, _ in got:
+        cols.update((name, _cat(pieces)) for name, pieces in cols.items())
     return (n, *got)
 
 
@@ -504,7 +506,21 @@ def _pick(values, positions):
     """values at positions, an ascending subset of their indices."""
     if len(positions) == len(values):
         return values
-    return [values[k] for k in positions]
+    return _at(values, positions)
+
+
+def _at(values, positions):
+    """values at positions, in any order, in their column's form."""
+    if isinstance(values, np.ndarray):
+        return values[np.asarray(positions, dtype=np.intp)]
+    return list(map(values.__getitem__, positions))
+
+
+def _cat(pieces):
+    """The pieces of one column joined, in its form (see _at)."""
+    if isinstance(pieces[0], np.ndarray):
+        return np.concatenate(pieces)
+    return list(itertools.chain.from_iterable(pieces))
 
 
 def _take(cols, positions) -> dict:
@@ -543,23 +559,19 @@ def _bulk(cells, name):
                 faults[k] = "mandatory value is empty"
             values.append(value)
     flagged = []
-    if name in _BOUNDS:
+    if spec.kind in ("float", "ttc"):
         lo, hi = _BOUNDS[name]
-        finite = spec.kind == "float"
-        try:
-            # One sum, min and max clear a column: a sum is finite (not
-            # NaN) only when every term is, and an infinite bound holds
-            # for all else; None, an empty cell's value, fails the sum.
-            total = sum(values)
-            clear = (math.isfinite(total) if finite else total == total) \
-                and (lo == -math.inf or lo <= min(values, default=lo)) \
-                and (hi == math.inf or max(values, default=hi) <= hi)
-        except TypeError:
-            clear = False
-        if not clear:
-            flagged = [k for k, v in enumerate(values)
-                       if v is not None and not (
-                           lo <= v <= hi and (not finite or math.isfinite(v)))]
+        floats = np.array(values, dtype=float)          # None: NaN
+        ok = (lo <= floats) & (floats <= hi)
+        if spec.kind == "float":
+            ok &= np.isfinite(floats)
+        flagged = [k for k in np.flatnonzero(~ok).tolist()
+                   if values[k] is not None]
+        values = floats
+    elif name in _BOUNDS:
+        lo, hi = _BOUNDS[name]
+        flagged = [k for k, v in enumerate(values)
+                   if v is not None and not lo <= v <= hi]
     for k in flagged:
         try:
             values[k], faults[k] = decode(cells[k].strip()), None
@@ -895,8 +907,8 @@ def _vut_clock(rows, vut, fname, rep, no_rows):
     if not rows:
         rep.add(it.ERROR, it.BAD_VALUE, no_rows, file=fname)
         return None
-    times, steps = vut["time"], vut["step"]
-    t, s = np.array(times), _ints(steps)
+    t, steps = vut["time"], vut["step"]
+    times, s = t.tolist(), _ints(steps)
     order = np.argsort(s, kind="stable")
     seen = np.zeros(len(s), dtype=bool)     # an earlier record has the step
     seen[order[1:]] = s[order[1:]] == s[order[:-1]]
@@ -918,7 +930,7 @@ def _vut_clock(rows, vut, fname, rep, no_rows):
                           f"step {steps[m]} decreases past {steps[m - 1]}",
                           "Step_number"))
     _report(found, fname, rep)
-    period = it.median_period(times)
+    period = it.median_period(t)
     if period is not None and period > 0 and abs(times[0]) > period:
         rep.add(it.WARNING, it.START_TIME_NONZERO,
                 f"first record at t={times[0]!r}, expected "
@@ -942,9 +954,8 @@ def _join(table, group, rows, cols, step_times, half_period, found):
     if not rows:
         return
     id_col, id_field = _IDS[group]
-    eids, steps, times = cols[id_field], cols["step"], cols["time"]
-    vut_times = list(map(step_times.get, steps))
-    t, vt = np.array(times), np.array(vut_times, dtype=float)  # None: nan
+    eids, steps, t = cols[id_field], cols["step"], cols["time"]
+    vt = np.array(list(map(step_times.get, steps)), dtype=float)  # None: nan
     orphan = np.isnan(vt)
     drift = np.zeros(len(rows), dtype=bool)
     if half_period is not None:
@@ -957,11 +968,7 @@ def _join(table, group, rows, cols, step_times, half_period, found):
     s = _ints(steps)
     refused = np.zeros(len(rows), dtype=bool)
     repeated = np.zeros(len(rows), dtype=bool)
-    moved = np.flatnonzero(~orphan & (t != vt)).tolist()
-    if moved:
-        cols["time"] = list(times)
-        for m in moved:
-            cols["time"][m] = vut_times[m]
+    cols["time"] = np.where(~orphan & (t != vt), vt, t)
     for eid, at in entities.items():
         at = np.array(at)
         top = np.maximum.accumulate(s[at])[:-1]
@@ -982,8 +989,8 @@ def _join(table, group, rows, cols, step_times, half_period, found):
             continue
         if drift[m]:
             notes.append((it.WARNING, it.TIME_MISMATCH,
-                          f"{id_col}={eid}: time {times[m]!r} drifts from "
-                          f"the VUT time {vut_times[m]!r} at step {step}",
+                          f"{id_col}={eid}: time {float(t[m])!r} drifts from "
+                          f"the VUT time {float(vt[m])!r} at step {step}",
                           "Time"))
         if refused[m]:
             notes.append((it.ERROR, it.DUPLICATE_STEP if repeated[m]
@@ -1007,7 +1014,8 @@ def _finish_trace(ids, vut, tables, period, rep):
     # Obstacles exported through the actor channel move to the obstacle
     # table when every row is obstacle-coded and motionless.
     for aid, cols in list(actors.items()):
-        moved = _obstacle_columns(cols) if aid not in obstacles else None
+        moved = None if aid in obstacles else _obstacle_columns(
+            Channel(ActorState, cols).columns)
         if moved is not None:
             obstacles[aid] = moved
             del actors[aid]
@@ -1049,8 +1057,8 @@ def parse_flat(path):
     tables = {group: {} for group in _ENTITY_GROUPS}
     for group in _ENTITY_GROUPS:
         found = {}
-        _join(tables[group], group, *_row_major(got[group]), step_times,
-              None, found)
+        _join(tables[group], group, *_row_major(group, got[group]),
+              step_times, None, found)
         _report(found, fname, rep)
     return _finish_trace(ids, vut, tables, period, rep), rep
 
@@ -1091,19 +1099,23 @@ def _flat_rows(fname, rep, header, blocks, found):
     return (vut_rows, vut), parts
 
 
-def _row_major(parts) -> tuple:
+def _row_major(group, parts) -> tuple:
     """(rows, columns) of the (rows, columns) of a group's readers of one
-    file, in row order, then reader order, taking the readers' columns."""
+    file, in row order, then reader order, taking the readers' columns.
+    A column only some readers have has no value in the others' rows."""
     if len(parts) < 2:
         return parts[0] if parts else ([], {})
     rows = list(itertools.chain.from_iterable(r for r, _ in parts))
     order = np.lexsort((np.repeat(np.arange(len(parts)),
                                   [len(r) for r, _ in parts]),
                         rows)).tolist()
+    floats = FLOATS[_TYPES[group]]
     return [rows[i] for i in order], {
-        name: list(map(list(itertools.chain.from_iterable(
-            c.pop(name) for _, c in parts)).__getitem__, order))
-        for name in list(parts[0][1])}
+        name: _at(_cat([c.pop(name) if name in c else np.full(
+            len(r), math.nan) if name in floats else [None] * len(r)
+            for r, c in parts]), order)
+        for name in dict.fromkeys(itertools.chain.from_iterable(
+            c for _, c in parts))}
 
 
 # ---------------------------------------------------------------------------
@@ -1248,7 +1260,8 @@ def _attach(folder, role, tables, rep):
         # Obstacle positions, and so their outlines, are always WGS84.
         shapes, faults = _outlines(
             _pick(columns[colmap[column]], matched),
-            ["vcs" if entities[ids[k]]["lat"][at[k]] is None else "wgs84"
+            ["wgs84" if "lat" in entities[ids[k]] and not math.isnan(
+                entities[ids[k]]["lat"][at[k]]) else "vcs"
              for k in matched], column, {})
         columns[colmap[column]] = None
     shapes = dict(zip(matched, shapes))
@@ -1269,7 +1282,8 @@ def _attach(folder, role, tables, rep):
         elif shapes[k] is not None:
             cols = entities[eid]
             if eid not in copied:       # columns may share their lists
-                cols[field] = list(cols[field])
+                cols[field] = list(cols[field]) if field in cols \
+                    else [None] * len(cols["step"])
                 copied.add(eid)
             cols[field][at[k]] = shapes[k]
 
@@ -1295,7 +1309,7 @@ def _columns(candidates, values, always=()) -> list:
     """
     cols = [c for c in candidates
             if schema.BY_NAME[c].required == "yes" or c in always
-            or values[c] != [None] * len(values[c])]
+            or _values(values[c]) != [None] * len(values[c])]
     pos = [c for c in cols if schema.BY_NAME[c].required == "alt_pos"]
     if len(pos) > 2:
         raise ValueError("cannot write world and VCS actor positions in "
@@ -1340,6 +1354,7 @@ def _cells(values, shapes) -> list:
     """``_fmt`` of each value of a column, in one pass for a column of one
     exact type or of outlines.  ``shapes`` (id -> text) holds the outlines
     this write call has formatted, so each object is formatted once."""
+    values = _values(values)            # a float array's NaN: no value
     kinds = set(map(type, values))
     kind = next(iter(kinds)) if len(kinds) == 1 else None
     if kind is float:
@@ -1378,8 +1393,10 @@ def write_flat(trace, directory) -> Path:
             at = {step: k for k, step in enumerate(channel.columns["step"])}
             rows = [at.get(step, len(channel)) for step in vut["step"]]
             if rows != list(range(len(channel))):
-                values = {c: list(map((values[c] + [None]).__getitem__,
-                                      rows)) for c in cols}
+                values = {c: np.append(values[c], math.nan)[rows]
+                          if isinstance(values[c], np.ndarray) else
+                          list(map((values[c] + [None]).__getitem__, rows))
+                          for c in cols}
             tables.append((cols, values))
     path = Path(directory) / schema.flat_filename(trace.testcase_id,
                                                    trace.run_id)
@@ -1403,7 +1420,8 @@ def write_distributed(trace, directory) -> Path:
                                           .columns), None, ())]
     gathered = {}
     for role, group in _TRUE_ROLES:
-        channels = [c.columns for c in _entities(trace)[group].values()]
+        channels = [c.columns for c in _entities(trace)[group].values()] \
+            or [Channel(_TYPES[group], {"step": []}).columns]
         at = {}
         for k, step in enumerate(itertools.chain.from_iterable(
                 c["step"] for c in channels)):
@@ -1412,9 +1430,9 @@ def write_distributed(trace, directory) -> Path:
         del at                  # before the columns are gathered
         # Gathered in the order written, unless one channel is in it.
         cols = channels[0] if len(channels) == 1 and rows == list(range(
-            len(channels[0]["step"]))) else {name: list(map(list(
-                itertools.chain.from_iterable(c[name] for c in channels))
-                .__getitem__, rows)) for name in COLUMNS[_TYPES[group]]}
+            len(channels[0]["step"]))) else {
+                name: _at(_cat([c[name] for c in channels]), rows)
+                for name in COLUMNS[_TYPES[group]]}
         gathered[group] = _cells_of(group, cols)
         tables.append((role, gathered[group], None, ()))
     # Every overlay column is required or always written, so choosing
@@ -1430,8 +1448,8 @@ def write_distributed(trace, directory) -> Path:
     root.mkdir(parents=True, exist_ok=True)
     shapes = {}
     for role, cols, values, rows in tables:
-        _write(root / role, cols, [values[c] if rows is None else list(
-            map(values[c].__getitem__, rows)) for c in cols], shapes)
+        _write(root / role, cols, [values[c] if rows is None else _at(
+            values[c], rows) for c in cols], shapes)
     return root
 
 

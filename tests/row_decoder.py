@@ -23,6 +23,8 @@ get and hand on the columns of the records they make.
 
 import dataclasses
 
+import numpy as np
+
 from vistakit import integrity as it
 from vistakit import schema
 from vistakit.errors import VistaError
@@ -40,6 +42,10 @@ from vistakit.trace_io import (
     _read_role,
     _whole,
 )
+
+# The columns the readers decode into float arrays, NaN for None.
+_FLOAT = frozenset(c.name for c in schema.COLUMNS
+                   if c.kind in ("float", "ttc"))
 
 
 def _checked(rec):
@@ -144,7 +150,8 @@ class RowReader:
         _decode(row, self.plans[self.frame(row)], vals)
         try:
             return _checked(Channel(_TYPES[self.group], _fields(
-                self.group, {k: (v,) for k, v in vals.items()}, 1))
+                self.group, {k: np.array([v], dtype=float) if k in _FLOAT
+                             else (v,) for k, v in vals.items()}))
                 .records[0])
         except (ValueError, TypeError) as exc:
             raise RowProblem(None, str(exc)) from None

@@ -24,6 +24,7 @@ from vistakit.errors import VistaError
 from vistakit.frames import LocalFrame
 from vistakit.model import (
     ActorState,
+    Channel,
     GeoPosition,
     ObstacleState,
     TrafficControllerState,
@@ -284,7 +285,8 @@ def test_join_orders_entities_as_the_row_decoder(tmp_path, monkeypatch):
     columns, reference = (t["actor"] for t in tables)
     assert list(columns) == list(reference) == ["A1", "A2"]
     assert [c["step"] for c in columns.values()] == [[0, 1], [0, 1]]
-    assert columns == reference
+    assert [Channel(ActorState, c).records for c in columns.values()] == \
+        [Channel(ActorState, c).records for c in reference.values()]
 
 
 # A time the decoder rejects in each row of each perceived overlay.

@@ -297,6 +297,9 @@ UNUSED = ("first_contact_times",)
 
 def test_unread_fields_not_computed_by_evaluate(tmp_path, monkeypatch):
     trace_io.write_flat(synth.synthesize(case=1), tmp_path / "runs")
+    # Chunks large enough that each kernel takes the run's 293 outlines
+    # in one call, so one call is one pass.
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 1 << 18)
     counts = _count_calls(monkeypatch, LAZY + UNUSED)
     argv = ["evaluate", str(tmp_path / "runs"), "--n-required", "1",
             "--out", str(tmp_path / "out")]

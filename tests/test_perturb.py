@@ -115,8 +115,9 @@ def test_unshifted_environment_records_are_kept_only_when_unchanged():
     twin = synth.perturb(base, speed_sigma=0.05)
     assert all(a is b for a, b in zip(twin.actors["TSV-01"],
                                       base.actors["TSV-01"]))
-    # r.time + 0.0 turns -0.0 into 0.0 and an int into a float.
-    odd = tuple(replace(r, time=(-0.0, 1)[k] if k < 2 else r.time)
+    # r.time + 0.0 turns -0.0 into 0.0.  (A channel holds its times as
+    # float64, so it cannot tell an int time from its float.)
+    odd = tuple(replace(r, time=(-0.0, 1.0)[k] if k < 2 else r.time)
                 for k, r in enumerate(base.actors["TSV-01"]))
     trace = replace(base, actors={"TSV-01": odd})
     got = synth.perturb(trace, time_shift=0.0)

@@ -8,7 +8,9 @@ are built by hand to reach what ``random_trace`` and
 ``generate`` never write: signed zeros, subnormals, large and non-finite
 floats, numpy scalars and plain ints in float fields, columns filled on
 some rows only, equal but distinct outline objects, and records missing
-from or off the VUT clock.
+from or off the VUT clock.  A float column is held as float64, NaN for
+no value, so such a column writes an int as its float and NaN as an
+empty cell.
 """
 
 import csv
@@ -52,6 +54,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# The columns held as float arrays.
+_FLOAT = frozenset(c.name for c in schema.COLUMNS
+                   if c.kind in ("float", "ttc"))
+
+
+def _stored(values) -> dict:
+    """{column: value} of a record as its channel holds them."""
+    return {c: None if v is None or v != v else float(v) if c in _FLOAT
+            else v for c, v in values.items()}
+
+
 def _vut_values(r) -> dict:
     v = {col: getattr(r, field)
          for col, field in trace_io._FIELDS["vut"].items()}
@@ -59,7 +72,7 @@ def _vut_values(r) -> dict:
              VUT_pos_z=r.pos.elev)
     for col, flag in trace_io._INDICATORS:
         v[col] = flag in r.indicators
-    return v
+    return _stored(v)
 
 
 def _entity_value(group, r) -> dict:
@@ -75,7 +88,7 @@ def _entity_value(group, r) -> dict:
                  Actor_pos_true_z=p.elev if geo else p.z)
     elif group == "obstacle":
         v.update(Obst_pos_lat=r.pos.lat, Obst_pos_lon=r.pos.lon)
-    return v
+    return _stored(v)
 
 
 def _entity_values(trace, group) -> list:
@@ -244,7 +257,8 @@ def _vcs_trace():
 
 def _non_finite_trace():
     # The record types refuse these values, but _fmt writes them (-inf as
-    # "inf"), so a record changed after its checks writes them too.
+    # "inf", NaN as no value), so a record changed after its checks
+    # writes them too.
     vut = _vut(4)
     for r, v in zip(vut, (math.inf, -math.inf, math.nan, 1.0)):
         object.__setattr__(r, "acc_long", v)
